@@ -75,7 +75,8 @@ def main(argv=None) -> int:
             print(json.dumps(result, sort_keys=True))
             return EXIT_OK
         if args.command == "verify":
-            report = run_verify(cfg, out_dir=args.out)
+            report = run_verify(cfg, out_dir=args.out,
+                                n_workers=args.threads)
             print(json.dumps(report, sort_keys=True))
             if report["failures"]:
                 print(f"verify: {report['failures']} inequality "

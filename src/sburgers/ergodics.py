@@ -5,6 +5,7 @@ are drawn) and produces statistical summaries:
 
   * occupation_measure     time-weighted histogram of an observable
   * invariant_estimate     long-run time averages with batch-means errors
+  * path_averages          the same averages from an already simulated path
   * sigma_squared          long-run variance of a time-averaged observable
   * ergodic_decay          exponential mixing-rate fit from paired runs
   * mdp_functional         centred occupation integral on a sublinear scale
@@ -24,7 +25,7 @@ import numpy as np
 
 from .spectral import SpectralField
 from .integrator import SimConfig, Trajectory, simulate, ensemble, \
-    derive_seed, BlowUp
+    require_no_blowups
 from .lyapunov import DriftConstants
 from .reports import EstimateReport
 
@@ -43,6 +44,7 @@ __all__ = [
     "occupation_measure",
     "kolmogorov_distance",
     "invariant_estimate",
+    "path_averages",
     "integrated_autocorr_time",
     "sigma_squared",
     "ergodic_decay",
@@ -359,12 +361,17 @@ def invariant_estimate(cfg: SimConfig, burn_in: float, t_end: float,
     if observables is None:
         observables = [mode_coefficient(1), norm_h_observable(),
                        norm_h_squared_observable()]
+    cfg = replace(cfg, t_end=t_end) if t_end != cfg.t_end else cfg
+    return path_averages(simulate(cfg), burn_in, observables)
+
+
+def path_averages(traj: Trajectory, burn_in: float, observables) -> dict:
+    """The reports of invariant_estimate from an already simulated path."""
+    if not 0.0 <= burn_in < float(traj.times[-1]):
+        raise ValueError("need 0 <= burn_in < t_end")
     observables = list(observables)
     if not any(o.name == "psi" for o in observables):
         observables.append(psi_observable())
-
-    cfg = replace(cfg, t_end=t_end) if t_end != cfg.t_end else cfg
-    traj = simulate(cfg)
     mask = traj.times >= burn_in - 1e-12
     coeffs = traj.coeffs[mask]
     times = traj.times[mask]
@@ -467,10 +474,8 @@ def _grid_indices(t_grid, dt_save: float, n_snapshots: int) -> np.ndarray:
     return np.array(idx, dtype=int)
 
 
-def _decay_member(args):
-    cfg, indices = args
-    traj = simulate(cfg)
-    return traj.coeffs[indices]
+def _snapshots_at(traj: Trajectory, indices) -> np.ndarray:
+    return traj.coeffs[list(indices)]
 
 
 def ergodic_decay(cfg: SimConfig, x0: SpectralField, y0: SpectralField,
@@ -484,7 +489,9 @@ def ergodic_decay(cfg: SimConfig, x0: SpectralField, y0: SpectralField,
     D(t) clears three standard errors.  Returns the fitted rate (value =
     -slope); a finite dictionary makes this a lower-bound estimator.  When
     no window point clears the noise the rate is reported as a lower bound
-    only (infinite when the paths coincide).
+    only (infinite when the paths coincide).  Pair i is trajectory i of two
+    ensembles started at x0 and y0.  Raises EnsembleBlowUpError when any
+    trajectory blows up.
     """
     observables = list(observables)
     if not observables:
@@ -495,23 +502,17 @@ def ergodic_decay(cfg: SimConfig, x0: SpectralField, y0: SpectralField,
     n_snap = int(round(cfg.t_end / cfg.dt_save)) + 1
     indices = _grid_indices(t_grid, cfg.dt_save, n_snap)
 
-    jobs = []
-    for i in range(n_traj):
-        s = derive_seed(cfg.seed, i)
-        jobs.append((replace(cfg, x0=x0, seed=s), indices))
-        jobs.append((replace(cfg, x0=y0, seed=s), indices))
-    if n_workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=n_workers) as ex:
-            snaps = list(ex.map(_decay_member, jobs))
-    else:
-        snaps = [_decay_member(j) for j in jobs]
+    # pair i is trajectory i of both ensembles: same sub-seed, same noise
+    reducer = partial(_snapshots_at, indices=tuple(indices.tolist()))
+    from_x = ensemble(replace(cfg, x0=x0), n_traj, reducer, n_workers)
+    from_y = ensemble(replace(cfg, x0=y0), n_traj, reducer, n_workers)
+    require_no_blowups(from_x + from_y)
 
     # diff[i, g, t] = g(X_t^x) - g(X_t^y) for pair i
     n_g, n_t = len(observables), indices.size
     diffs = np.empty((n_traj, n_g, n_t))
     for i in range(n_traj):
-        cx, cy = snaps[2 * i], snaps[2 * i + 1]
+        cx, cy = from_x[i], from_y[i]
         for g, obs in enumerate(observables):
             diffs[i, g] = obs.values(cx) - obs.values(cy)
 
@@ -666,15 +667,14 @@ def hitting_times(cfg: SimConfig, constants: DriftConstants, n_traj: int,
     and counted.  The survival curve P(tau > t) is fitted log-linearly over
     an interior quantile window, and exponential moments E[exp(lam tau)]
     are reported only for lam below 0.8 of the fitted tail rate (with a
-    lower-bound flag when censoring truncates the average).
+    lower-bound flag when censoring truncates the average).  Raises
+    EnsembleBlowUpError when any trajectory blows up.
     """
     cfg = replace(cfg, t_end=t_max) if cfg.t_end != t_max else cfg
     reducer = partial(_entrance_times, radius=constants.k_radius,
                       delay=delay)
-    out = ensemble(cfg, n_traj, reducer, n_workers=n_workers)
-    bad = [r for r in out if isinstance(r, BlowUp)]
-    if bad:
-        raise RuntimeError(f"{len(bad)} trajectories blew up")
+    out = require_no_blowups(ensemble(cfg, n_traj, reducer,
+                                      n_workers=n_workers))
     taus = np.array([r[0] for r in out])
     taus_delayed = np.array([r[1] for r in out])
     censored = int(np.sum(np.isnan(taus)))
@@ -758,6 +758,7 @@ def deviation_tail_probe(cfg: SimConfig, obs: Observable, r_grid, t_grid,
     which turns the reported rate into a certified lower bound (flagged).
     No claim is made that these rates converge to a variational rate
     function; the table only exposes their magnitude and trend.
+    Raises EnsembleBlowUpError when any trajectory blows up.
     """
     t_grid = sorted(float(t) for t in t_grid)
     r_grid = [float(r) for r in r_grid]
@@ -769,10 +770,8 @@ def deviation_tail_probe(cfg: SimConfig, obs: Observable, r_grid, t_grid,
     indices = _grid_indices(t_grid, cfg.dt_save, n_snap)
 
     reducer = partial(_running_averages, obs=obs, indices=tuple(indices))
-    out = ensemble(cfg, n_traj, reducer, n_workers=n_workers)
-    bad = [r for r in out if isinstance(r, BlowUp)]
-    if bad:
-        raise RuntimeError(f"{len(bad)} trajectories blew up")
+    out = require_no_blowups(ensemble(cfg, n_traj, reducer,
+                                      n_workers=n_workers))
     averages = np.vstack(out)      # (n_traj, n_t)
 
     rows = []

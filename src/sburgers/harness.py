@@ -34,6 +34,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +45,8 @@ from .noise import (
     GaussianSpec, JumpSpec, ExponentialMarks, DeterministicMarks,
     ConstantDirection, SaturatedDirection, hypothesis_constants,
 )
-from .integrator import SimConfig, Trajectory, simulate, derive_seed
+from .integrator import SimConfig, Trajectory, simulate, ensemble, \
+    derive_seed, require_no_blowups
 from .lyapunov import (
     DriftConstants, drift_condition_check, dissipation_term_gap,
     jump_taylor_gap, exp_martingale_path, exp_integral_moment,
@@ -52,7 +54,7 @@ from .lyapunov import (
 from .ergodics import (
     Observable, mode_coefficient, norm_h_observable,
     norm_h_squared_observable, psi_observable, tanh_mode_observable,
-    observable_dictionary, occupation_measure, invariant_estimate,
+    observable_dictionary, occupation_measure, path_averages,
     sigma_squared, ergodic_decay, MdpConfig, mdp_functional,
     hitting_times, deviation_tail_probe,
 )
@@ -438,15 +440,20 @@ def _verify_jump_marks(jumps) -> tuple:
     return (jumps.marks.value,)
 
 
-def run_verify(cfg: RunConfig, out_dir=None) -> dict:
+def _martingale_end(traj: Trajectory, lam: float, m_lambda: float,
+                    hs: float) -> float:
+    return float(exp_martingale_path(traj, lam, m_lambda, hs)[-1])
+
+
+def run_verify(cfg: RunConfig, out_dir=None, n_workers: int = 1) -> dict:
     """Check every deterministic inequality along a simulated path.
 
     Per state: the drift-condition chain (geometric bound plus exact
     generator evaluation), the dissipation-term gap of the tilted Lyapunov
     family, and the jump expansion gap at fixed mark sizes.  A small
-    supermartingale ensemble is also run; its outcome is reported but only
-    deterministic failures count toward the failure total (and the exit
-    status of the CLI).
+    supermartingale ensemble is also run (on n_workers processes); its
+    outcome is reported but only deterministic failures count toward the
+    failure total (and the exit status of the CLI).
 
     experiment block knobs: n_states (cap), lam (tilt), c1_override
     (negative-control corruption of the drift constant), supermartingale
@@ -511,11 +518,10 @@ def run_verify(cfg: RunConfig, out_dir=None) -> dict:
     else:
         m_lambda = 0.0
     hs = cfg.sim.gaussian.hs_norm_sq if cfg.sim.gaussian else 0.0
-    vals = []
-    for k in range(n_mart):
-        sub = simulate(replace(cfg.sim, seed=derive_seed(cfg.sim.seed, k)))
-        vals.append(float(exp_martingale_path(sub, lam, m_lambda, hs)[-1]))
-    vals = np.array(vals)
+    vals = np.array(require_no_blowups(ensemble(
+        cfg.sim, n_mart,
+        partial(_martingale_end, lam=lam, m_lambda=m_lambda, hs=hs),
+        n_workers=n_workers)))
     mart["mean"] = float(vals.mean())
     mart["std_err"] = float(vals.std(ddof=1) / math.sqrt(n_mart))
     mart["within_bound"] = bool(
@@ -582,9 +588,10 @@ def _est_sigma2(cfg: RunConfig, exp: dict, n_workers: int):
                               "half_width": rep.half_width, "n": rep.n}]
 
 
-def _time_average(cfg: RunConfig, obs: Observable, burn_frac=0.1) -> float:
-    reports = invariant_estimate(cfg.sim, burn_frac * cfg.sim.t_end,
-                                 cfg.sim.t_end, [obs])
+def _time_average(cfg: RunConfig, obs: Observable, traj: Trajectory,
+                  burn_frac=0.1) -> float:
+    """Long-run mean of obs after burn-in along traj, the path of cfg.sim."""
+    reports = path_averages(traj, burn_frac * cfg.sim.t_end, [obs])
     return reports[obs.name].value
 
 
@@ -596,12 +603,12 @@ def _est_mdp(cfg: RunConfig, exp: dict, n_workers: int):
                            "experiment.prefactor", positive=True)
     mu_ref = exp.get("mu_reference")
     flags = []
-    if mu_ref is None:
-        mu_ref = _time_average(cfg, obs)
-        flags.append("self_referenced_mean")
-    else:
+    if mu_ref is not None:
         mu_ref = _as_number(mu_ref, "experiment.mu_reference")
     traj = simulate(cfg.sim)
+    if mu_ref is None:
+        mu_ref = _time_average(cfg, obs, traj)
+        flags.append("self_referenced_mean")
     mdp_cfg = MdpConfig(obs, mu_ref, exponent=exponent, prefactor=prefactor)
     value = mdp_functional(traj, mdp_cfg)
     rec = {
@@ -671,7 +678,7 @@ def _est_tailprobe(cfg: RunConfig, exp: dict, n_workers: int):
     n_traj = _as_int(exp.get("n_traj", 100), "experiment.n_traj", minimum=2)
     mu_ref = exp.get("mu_reference")
     if mu_ref is None:
-        mu_ref = _time_average(cfg, obs)
+        mu_ref = _time_average(cfg, obs, simulate(cfg.sim))
     else:
         mu_ref = _as_number(mu_ref, "experiment.mu_reference")
     rows = deviation_tail_probe(cfg.sim, obs, r_grid, t_grid, n_traj,

@@ -30,7 +30,8 @@ from .spectral import (
     SpectralField, norm_h, norm_v, inner_h, mode_rates, burgers_nonlinearity,
 )
 from .noise import GaussianSpec, JumpSpec, hypothesis_constants
-from .integrator import SimConfig, Trajectory, ensemble, BlowUp
+from .integrator import SimConfig, Trajectory, ensemble, \
+    require_no_blowups
 from .reports import EstimateReport
 
 __all__ = [
@@ -343,6 +344,7 @@ def exp_integral_moment(cfg: SimConfig, theta: float, lam: float,
     (extra["z_moment"]), which the ceiling dominates term for term.
 
     theta must lie in (0, 1); lam must be a positive admissible tilt.
+    Raises EnsembleBlowUpError when any trajectory blows up.
     """
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
@@ -356,11 +358,9 @@ def exp_integral_moment(cfg: SimConfig, theta: float, lam: float,
     x0 = cfg.x0 if cfg.x0 is not None else \
         SpectralField(np.zeros(cfg.n_modes))
 
-    out = ensemble(cfg, n_traj, partial(_moment_reduce, lam=lam),
-                   n_workers=n_workers)
-    blow = [r for r in out if isinstance(r, BlowUp)]
-    if blow:
-        raise RuntimeError(f"{len(blow)} trajectories blew up")
+    out = require_no_blowups(ensemble(cfg, n_traj,
+                                      partial(_moment_reduce, lam=lam),
+                                      n_workers=n_workers))
     iv = np.array([r[0] for r in out])
     zv = np.array([r[1] for r in out])
 

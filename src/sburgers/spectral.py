@@ -12,10 +12,14 @@ and the H / V norms are weighted coefficient sums:
 The advection term B(x) = x * x' couples modes quadratically.  For small
 truncations it is computed by the exact mode-coupling sum; for large ones by
 a dealiased collocation product on a zero-padded grid.  Both routes agree to
-roundoff, which the test suite checks explicitly.
+roundoff, which the test suite checks explicitly.  The integrator evaluates
+B on a whole batch of states at once; every route gives each row the same
+bits whatever the batch size, so an ensemble member does not depend on
+which rows it was stepped with.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.fft import dst, dct
@@ -37,6 +41,11 @@ __all__ = [
     "tail_energy_fraction",
 ]
 
+# Up to this truncation size a batch of states goes through one gathered
+# coupling sum; above it each row takes the 1-D convolution, which is faster
+# per row there (about 4 against 13 us per row at N = 32 and 100 rows, 23
+# against 18 us at N = 64, on a 2-CPU Xeon).
+GATHER_LIMIT = 32
 # Above this truncation size the O(N^2) coupling sum loses to the FFT route.
 EXACT_CONVOLUTION_LIMIT = 64
 
@@ -222,10 +231,59 @@ def _quadratic_dealiased(a: np.ndarray) -> np.ndarray:
     return _project_array(g, n)
 
 
+@lru_cache(maxsize=None)
+def _coupling_tables(n: int):
+    """Flat outer-product indices and weights of the coupling sum.
+
+    Mode m of B collects exactly n - 1 products: k a_j a_k for j + k = m and
+    -m a_l a_{l+m}.  Row t, column m - 1 of the tables holds the t-th of
+    them as an index into the flattened outer product a a^T and its weight.
+    """
+    index = np.empty((n - 1, n), dtype=np.intp)
+    weight = np.empty((n - 1, n))
+    for m in range(1, n + 1):
+        terms = [((j - 1) * n + (m - j - 1), m - j) for j in range(1, m)]
+        terms += [((l - 1) * n + (l + m - 1), -m)
+                  for l in range(1, n - m + 1)]
+        index[:, m - 1] = [i for i, _ in terms]
+        weight[:, m - 1] = [w for _, w in terms]
+    weight = weight[:, :, None]
+    index.flags.writeable = weight.flags.writeable = False
+    return index, weight
+
+
+def _quadratic_gathered(a: np.ndarray) -> np.ndarray:
+    """The exact coupling sum for a batch of states, shape (R, N).
+
+    Each output element is a sum of n - 1 weighted products added in a
+    fixed order along the leading axis of the gathered array, so a row's
+    result does not depend on R or on the other rows.
+    """
+    r, n = a.shape
+    if n == 1:
+        return np.zeros((r, 1))
+    index, weight = _coupling_tables(n)
+    at = a.T
+    outer = (at[:, None, :] * at[None, :, :]).reshape(n * n, r)
+    terms = outer[index]                       # (n - 1, n, R)
+    terms *= weight
+    return _PI_OVER_SQRT2 * np.add.reduce(terms, axis=0).T
+
+
 def _quadratic_term(a: np.ndarray) -> np.ndarray:
-    if a.size <= EXACT_CONVOLUTION_LIMIT:
-        return _quadratic_exact(a)
-    return _quadratic_dealiased(a)
+    """B on one state (N,) or on a batch of states (R, N), row by row.
+
+    The route depends on N only; each row gets the same bits whatever R.
+    """
+    rows = a if a.ndim == 2 else a[None, :]
+    n = rows.shape[1]
+    if n <= GATHER_LIMIT:
+        out = _quadratic_gathered(rows)
+    else:
+        one = _quadratic_exact if n <= EXACT_CONVOLUTION_LIMIT \
+            else _quadratic_dealiased
+        out = np.array([one(row) for row in rows])
+    return out if a.ndim == 2 else out[0]
 
 
 def burgers_nonlinearity(x: SpectralField) -> SpectralField:

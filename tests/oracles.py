@@ -95,3 +95,57 @@ def exact_ou_paths(rate, noise, dt, n_steps, n_paths, rng, x0=0.0):
         cur = decay * cur + sd * rng.standard_normal(n_paths)
         out[:, i] = cur
     return out
+
+
+def sequential_path(cfg, nonlinearity):
+    """Save-grid snapshots of the scheme stepped one substep at a time.
+
+    A plain transcription of the mild-form step for one path: each substep
+    of length h > 0 draws its N normals from the Wiener stream when it runs,
+    and a step is split at each of its events in time order.  The advection
+    term comes from the callable nonlinearity (coefficients -> coefficients);
+    jump events are read from the jump stream with the package sampler.
+    """
+    from sburgers.noise import sample_jump_times
+
+    n = cfg.n_modes
+    alpha = (np.pi * np.arange(1, n + 1, dtype=float)) ** 2
+    jump_ss, wiener_ss = np.random.SeedSequence(cfg.seed).spawn(2)
+    rng = np.random.default_rng(wiener_ss)
+    events = [] if cfg.jumps is None else sample_jump_times(
+        cfg.jumps, cfg.t_end, np.random.default_rng(jump_ss))
+    betas = None if cfg.gaussian is None else cfg.gaussian.betas
+
+    def substep(a, h):
+        if h == 0.0:
+            return a
+        decay = np.exp(-alpha * h)
+        phi = (1.0 - decay) / alpha
+        d = nonlinearity(a) if cfg.nonlinearity_on else None
+        if cfg.jumps is not None:
+            g = cfg.jumps.direction.field_at(a)
+            comp = -cfg.jumps.intensity * cfg.jumps.marks.mean * g
+            d = comp if d is None else d + comp
+        out = decay * a if d is None else decay * a + phi * d
+        if betas is not None:
+            out = out + decay * (betas * np.sqrt(h)
+                                 * rng.standard_normal(n))
+        return out
+
+    n_steps = int(round(cfg.t_end / cfg.dt))
+    save_every = int(round(cfg.dt_save / cfg.dt))
+    a = np.zeros(n) if cfg.x0 is None else cfg.x0.coeffs.copy()
+    snaps = [a]
+    ev = 0
+    for i in range(n_steps):
+        seg, t1 = i * cfg.dt, (i + 1) * cfg.dt
+        while ev < len(events) and events[ev][0] <= t1:
+            t_ev, mark = events[ev]
+            a = substep(a, t_ev - seg)
+            a = a + cfg.jumps.direction.field_at(a) * mark
+            seg = t_ev
+            ev += 1
+        a = substep(a, t1 - seg)
+        if (i + 1) % save_every == 0:
+            snaps.append(a)
+    return np.array(snaps)

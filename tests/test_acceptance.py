@@ -10,6 +10,7 @@ that sit away from their own confidence boundaries.
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -21,7 +22,9 @@ from sburgers.noise import (
     GaussianSpec, JumpSpec, ExponentialMarks, ConstantDirection,
     hypothesis_constants,
 )
-from sburgers.integrator import SimConfig, simulate, ensemble
+from sburgers.integrator import (
+    BLOCK_ROWS, SimConfig, derive_seed, ensemble, simulate,
+)
 from sburgers.lyapunov import (
     DriftConstants, psi, grad_psi, hess_psi_apply, drift_condition_check,
     exp_martingale_path, exp_integral_moment,
@@ -328,8 +331,17 @@ def test_10_reproducibility(tmp_path):
     pooled = ensemble(ecfg, 20, _final_mode1, n_workers=2)
     workers_same = serial == pooled
 
-    ok = sim_same and est_same and workers_same
+    # nor the size of the lockstep batch a trajectory is stepped in; the
+    # last size spans two blocks, which the pool runs on two workers
+    wide = ensemble(ecfg, BLOCK_ROWS + 1, _final_mode1, n_workers=2)
+    alone = simulate(replace(ecfg, seed=derive_seed(ecfg.seed, BLOCK_ROWS)))
+    batch_same = wide[:20] == serial \
+        and wide[BLOCK_ROWS] == _final_mode1(alone) and all(
+            ensemble(ecfg, k, _final_mode1) == wide[:k] for k in (1, 7, 8, 9))
+
+    ok = sim_same and est_same and workers_same and batch_same
     record("seeded reruns byte-identical", ok,
            f"simulate files identical={sim_same}, "
            f"estimate files identical={est_same}, "
-           f"worker-count invariant={workers_same}")
+           f"worker-count invariant={workers_same}, "
+           f"batch-size invariant={batch_same}")

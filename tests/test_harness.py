@@ -13,7 +13,7 @@ from sburgers.harness import (
     parse_observable, run_estimate, run_simulate, run_verify,
     write_trajectory_csv,
 )
-from sburgers.integrator import simulate
+from sburgers.integrator import BLOCK_ROWS, simulate
 
 
 def base_raw(**overrides) -> dict:
@@ -497,6 +497,29 @@ class TestCli:
                      "--out", str(tmp_path / "out")])
         assert code == 3
         assert "blow-up" in capsys.readouterr().err
+
+    def test_ensemble_blowup_exit_three(self, tmp_path, capsys):
+        raw = base_raw(experiment={"kind": "estimate", "n_traj": 4,
+                                   "t_max": 0.05, "initial_v_norm": 5000.0})
+        raw["model"].update(n_modes=8, dt=2e-3)
+        path = write_config(tmp_path, raw)
+        code = main(["estimate", "hitting", "--config", path,
+                     "--out", str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "blow-up: 4 of 4 trajectories blew up" in err
+
+    def test_verify_threads_identical(self, tmp_path, capsys):
+        # more supermartingale paths than one block, so two workers share
+        raw = base_raw(experiment={"kind": "verify", "n_states": 5,
+                                   "n_mart": BLOCK_ROWS + 1})
+        path = write_config(tmp_path, raw)
+        for threads in ("1", "2"):
+            assert main(["verify", "--config", path, "--threads", threads,
+                         "--out", str(tmp_path / threads)]) == 0
+        assert (tmp_path / "1" / "verify_report.json").read_bytes() == \
+            (tmp_path / "2" / "verify_report.json").read_bytes()
+        capsys.readouterr()
 
     def test_expmoment_domain_error_exit_two(self, tmp_path, capsys):
         raw = base_raw(experiment={"kind": "estimate", "theta": 0.5,

@@ -9,16 +9,23 @@ import pytest
 
 from sburgers.spectral import (
     SpectralField, basis_field, zero_field, random_field, norm_h, mode_rates,
+    burgers_nonlinearity,
 )
+from dataclasses import replace
+
 from sburgers.noise import (
     GaussianSpec, JumpSpec, ExponentialMarks, ConstantDirection,
+    SaturatedDirection,
 )
+from sburgers import integrator
 from sburgers.integrator import (
-    BlowUp, BlowUpError, SimConfig, Trajectory,
-    step, simulate, ensemble, derive_seed,
+    BLOCK_ROWS, BlowUp, BlowUpError, EnsembleBlowUpError, SimConfig,
+    Trajectory, _Kernel, step, simulate, ensemble, derive_seed,
+    require_no_blowups,
 )
 
-from oracles import jump_only_exact_path, ou_exact_moments
+from oracles import jump_only_exact_path, ou_exact_moments, \
+    sequential_path
 
 PI = np.pi
 
@@ -223,6 +230,48 @@ class TestJumpHandling:
         assert all(e.mark > 0 for e in traj.jump_log)
         assert all(e.pre_norm_h >= 0 for e in traj.jump_log)
 
+    def test_matches_sequential_reference(self):
+        # lockstep stepping, pre-drawn noise and masked splitting reproduce
+        # the one-substep-at-a-time scheme: bit for bit with B off, to
+        # roundoff with B on (its summation order differs)
+        spec = JumpSpec(40.0, ExponentialMarks(2.0),
+                        SaturatedDirection(SpectralField(
+                            np.array([1.0, 0.5, -0.2])), 1.5))
+        cfg = SimConfig(n_modes=3, dt=0.01, t_end=1.0, dt_save=0.05,
+                        gaussian=GaussianSpec(np.array([1.0, 0.5, 0.25])),
+                        jumps=spec, nonlinearity_on=False, seed=8)
+
+        def burgers(a):
+            return burgers_nonlinearity(SpectralField(a)).coeffs
+
+        for b_on in (False, True):
+            cfg = replace(cfg, nonlinearity_on=b_on)
+            out = ensemble(cfg, 3, _path)
+            for i, (coeffs, log) in enumerate(out):
+                row = replace(cfg, seed=derive_seed(cfg.seed, i))
+                assert len(log) > 20
+                ref = sequential_path(row, burgers)
+                if b_on:
+                    assert np.max(np.abs(coeffs - ref)) < 1e-12
+                else:
+                    assert np.array_equal(coeffs, ref)
+
+    def test_noise_chunks_do_not_show(self, monkeypatch):
+        # dense events split many steps, some more than once; the size of
+        # the pre-drawn noise chunks must not change a single bit
+        spec = JumpSpec(40.0, ExponentialMarks(2.0),
+                        ConstantDirection(basis_field(2, 3)))
+        cfg = SimConfig(n_modes=3, dt=0.01, t_end=1.0, dt_save=0.05,
+                        gaussian=GaussianSpec(np.array([1.0, 0.5, 0.25])),
+                        jumps=spec, nonlinearity_on=True, seed=4)
+        ref = simulate(cfg)
+        assert len(ref.jump_log) > 20
+        for size in (1, 7, 50):
+            monkeypatch.setattr(integrator, "NOISE_CHUNK", size)
+            traj = simulate(cfg)
+            assert np.array_equal(traj.coeffs, ref.coeffs)
+            assert traj.jump_log == ref.jump_log
+
     def test_zero_intensity_equals_heat_flow(self):
         spec = JumpSpec(0.0, ExponentialMarks(2.0),
                         ConstantDirection(basis_field(1, 2)))
@@ -233,6 +282,40 @@ class TestJumpHandling:
         assert traj.jump_log == ()
         ref = np.exp(-PI ** 2 * traj.times)
         assert np.allclose(traj.coeffs[:, 0], ref, rtol=1e-12)
+
+
+def forced_model(t_end=0.1, dt=2e-3, amplitude=1.0, nonlinearity=True,
+                 seed=21):
+    """Eight modes with Brownian and compensated-jump forcing."""
+    return SimConfig(n_modes=8, dt=dt, t_end=t_end, dt_save=10 * dt,
+                     gaussian=GaussianSpec.power_decay(8, amplitude=amplitude),
+                     jumps=JumpSpec(1.0, ExponentialMarks(2.0),
+                                    ConstantDirection(basis_field(1, 8))),
+                     nonlinearity_on=nonlinearity, seed=seed)
+
+
+def _path(traj: Trajectory) -> tuple:
+    return traj.coeffs.copy(), traj.jump_log
+
+
+def _same_paths(a, b) -> bool:
+    return (len(a) == len(b)
+            and all(np.array_equal(x[0], y[0]) and x[1] == y[1]
+                    for x, y in zip(a, b)))
+
+
+class TestStepTable:
+    def test_main_step_lengths_stay_few(self):
+        # (i + 1) dt - i dt takes a handful of values; event substeps are
+        # not tabled, so jumps do not grow the table either
+        spec = JumpSpec(1.0, ExponentialMarks(2.0),
+                        ConstantDirection(basis_field(1, 1)))
+        cfg = replace(linear_single_mode(100.0, dt=1e-3, dt_save=1.0),
+                      jumps=spec)
+        kern = _Kernel(cfg)
+        snaps, logs, blown = kern.run([5])
+        assert not blown and len(logs[0]) > 50
+        assert 1 <= len(kern.coefs) <= 20
 
 
 class TestBlowUp:
@@ -253,6 +336,34 @@ class TestBlowUp:
         assert all(isinstance(r, BlowUp) for r in out)
         assert [r.index for r in out] == [0, 1, 2]
 
+    def test_survivors_equal_solo_runs(self):
+        # strong forcing with B on: some rows of the batch blow up
+        cfg = forced_model(t_end=0.2, amplitude=160.0, seed=5)
+        out = ensemble(cfg, 12, _path)
+        blown = [r for r in out if isinstance(r, BlowUp)]
+        assert 0 < len(blown) < 12
+        for i, r in enumerate(out):
+            solo = replace(cfg, seed=derive_seed(cfg.seed, i))
+            if isinstance(r, BlowUp):
+                with pytest.raises(BlowUpError) as e:
+                    simulate(solo)
+                assert (r.index, r.time, r.norm) == \
+                    (i, e.value.time, e.value.norm)
+            else:
+                assert _same_paths([r], [_path(simulate(solo))])
+
+    def test_require_no_blowups_carries_records(self):
+        cfg = forced_model(t_end=0.2, amplitude=160.0, seed=5)
+        out = ensemble(cfg, 12, _final_mode)
+        with pytest.raises(EnsembleBlowUpError) as e:
+            require_no_blowups(out)
+        records = [r for r in out if isinstance(r, BlowUp)]
+        assert e.value.records == tuple(records)
+        assert isinstance(e.value, BlowUpError)
+        assert (e.value.time, e.value.norm) == \
+            (records[0].time, records[0].norm)
+        assert require_no_blowups([1.0, 2.0]) == [1.0, 2.0]
+
 
 class TestEnsemble:
     def test_single_trajectory_matches_simulate(self):
@@ -267,6 +378,29 @@ class TestEnsemble:
         serial = ensemble(cfg, 6, _final_mode, n_workers=1)
         parallel = ensemble(cfg, 6, _final_mode, n_workers=2)
         assert serial == parallel
+
+    def test_batch_size_and_worker_invariance(self):
+        # row i is the same path alone, in blocks of 7, 8, 9 and across a
+        # block boundary, stepped in this process or on a pool worker
+        cfg = forced_model()
+        sizes = (1, 7, 8, 9, BLOCK_ROWS + 1)
+        runs = {(k, w): ensemble(cfg, k, _path, n_workers=w)
+                for k in sizes for w in (1, 2)}
+        full = runs[(BLOCK_ROWS + 1, 1)]
+        assert sum(len(p[1]) for p in full) > 0
+        for (k, w), out in runs.items():
+            assert _same_paths(out, full[:k]), (k, w)
+        for i in (0, 8, BLOCK_ROWS - 1, BLOCK_ROWS):
+            solo = simulate(replace(cfg, seed=derive_seed(cfg.seed, i)))
+            assert _same_paths(full[i:i + 1], [_path(solo)]), i
+
+    def test_rows_equal_simulate_with_b_off(self):
+        cfg = forced_model(nonlinearity=False)
+        out = ensemble(cfg, 9, _path)
+        solo = [_path(simulate(replace(cfg, seed=derive_seed(cfg.seed, i))))
+                for i in range(9)]
+        assert sum(len(p[1]) for p in solo) > 0
+        assert _same_paths(out, solo)
 
     def test_distinct_subseeds(self):
         cfg = linear_single_mode(0.05, seed=33)

@@ -25,6 +25,8 @@ from sburgers.spectral import (
     tail_energy_fraction,
     _quadratic_exact,
     _quadratic_dealiased,
+    _quadratic_gathered,
+    _quadratic_term,
 )
 
 from oracles import advection_coefficient_quadrature
@@ -162,6 +164,28 @@ class TestAdvectionTerm:
             a = rng.standard_normal(n)
             d = np.abs(_quadratic_exact(a) - _quadratic_dealiased(a))
             assert np.max(d) < 1e-10
+
+    def test_gathered_matches_convolution(self):
+        rng = np.random.default_rng(8)
+        for n in (1, 2, 3, 8, 16, 32, 64):
+            a = rng.standard_normal((5, n))
+            ref = np.array([_quadratic_exact(row) for row in a])
+            scale = max(float(np.max(np.abs(ref))), 1.0)
+            assert np.max(np.abs(_quadratic_gathered(a) - ref)) \
+                <= 1e-14 * scale
+
+    def test_rows_invariant_under_batch_size(self):
+        # every route gives a row the same bits in any batch
+        rng = np.random.default_rng(9)
+        for n in (1, 2, 8, 16, 32, 64, 65):
+            a = rng.standard_normal((100, n)) * 3.0
+            full = _quadratic_term(a)
+            assert full.shape == (100, n)
+            for r in (1, 2, 7, 8, 9, 100):
+                assert np.array_equal(_quadratic_term(a[:r]), full[:r]), \
+                    (n, r)
+                assert np.array_equal(_quadratic_term(a[r - 1]),
+                                      full[r - 1]), (n, r)
 
     def test_exact_and_dealiased_agree_large(self):
         # the dispatch switches routes above 64 modes; both stay consistent
