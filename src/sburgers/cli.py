@@ -2,6 +2,7 @@
 
     sburgers simulate --config run.json [--seed N] [--out DIR]
     sburgers verify   --config run.json [--seed N] [--out DIR]
+                      [--threads N]
     sburgers estimate NAME --config run.json [--seed N] [--out DIR]
                       [--threads N]
 

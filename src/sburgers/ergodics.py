@@ -26,7 +26,7 @@ import numpy as np
 from .spectral import SpectralField
 from .integrator import SimConfig, Trajectory, simulate, ensemble, \
     require_no_blowups
-from .lyapunov import DriftConstants
+from .lyapunov import DriftConstants, psi_values
 from .reports import EstimateReport
 
 __all__ = [
@@ -79,10 +79,6 @@ def _norm_h_sq_value(coeffs):
     return np.sum(coeffs ** 2, axis=-1)
 
 
-def _psi_value(coeffs):
-    return np.sqrt(1.0 + np.sum(coeffs ** 2, axis=-1))
-
-
 @dataclass(frozen=True)
 class Observable:
     """A named scalar function of the state with a declared envelope.
@@ -106,7 +102,7 @@ class Observable:
 
     def _envelope_values(self, coeffs):
         if self.envelope == "psi":
-            return np.sqrt(1.0 + np.sum(coeffs ** 2, axis=-1))
+            return psi_values(coeffs)
         if self.envelope == "psi_sq":
             return 1.0 + np.sum(coeffs ** 2, axis=-1)
         return np.full(coeffs.shape[:-1], self.bound)
@@ -146,7 +142,7 @@ def norm_h_squared_observable() -> Observable:
 
 
 def psi_observable() -> Observable:
-    return Observable("psi", _psi_value, "psi")
+    return Observable("psi", psi_values, "psi")
 
 
 def tanh_mode_observable(k: int, c: float = 1.0) -> Observable:

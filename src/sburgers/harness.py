@@ -46,7 +46,7 @@ from .noise import (
     ConstantDirection, SaturatedDirection, hypothesis_constants,
 )
 from .integrator import SimConfig, Trajectory, simulate, ensemble, \
-    derive_seed, require_no_blowups
+    derive_seed, require_no_blowups, BlowUpError, EnsembleBlowUpError
 from .lyapunov import (
     DriftConstants, drift_condition_check, dissipation_term_gap,
     jump_taylor_gap, exp_martingale_path, exp_integral_moment,
@@ -66,7 +66,6 @@ __all__ = [
     "load_config",
     "parse_config",
     "config_hash",
-    "build_sim_config",
     "write_trajectory_csv",
     "write_jump_log",
     "write_manifest",
@@ -332,10 +331,6 @@ def load_config(path, seed_override: int | None = None) -> RunConfig:
     return parse_config(raw, seed_override)
 
 
-def build_sim_config(raw: dict, seed_override: int | None = None) -> SimConfig:
-    return parse_config(raw, seed_override).sim
-
-
 # -------------------------------------------------------------- persistence
 
 def _fmt(x: float) -> str:
@@ -409,25 +404,47 @@ def _flat_csv(path, rows, cfg_hash: str) -> None:
 
 # ------------------------------------------------------------------ runners
 
-def run_simulate(cfg: RunConfig, out_dir=None) -> dict:
-    """Run one trajectory and persist snapshots, jump log, and manifest."""
+def _run_recorded(cfg: RunConfig, out_dir, produce):
+    """Run produce(out) -> (result, output paths) and write manifest.json.
+
+    out is the output directory, created here.  When a trajectory blows up
+    the manifest still gets written, with no outputs and the number of
+    trajectories that blew up, and the BlowUpError is re-raised.
+    """
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = time.time()
-    traj = simulate(cfg.sim)
-    csv_path = out / "trajectory.csv"
-    log_path = out / "jumps.jsonl"
-    write_trajectory_csv(csv_path, traj, cfg.hash)
-    write_jump_log(log_path, traj, cfg.hash)
-    write_manifest(out / "manifest.json", cfg, [cfg.sim.seed],
-                   [csv_path, log_path], 0, started, time.time())
-    return {
-        "config_hash": cfg.hash,
-        "snapshots": traj.n_snapshots,
-        "jumps": len(traj.jump_log),
-        "outputs": [str(csv_path), str(log_path),
-                    str(out / "manifest.json")],
-    }
+    try:
+        result, outputs = produce(out)
+    except BlowUpError as err:
+        count = len(err.records) if isinstance(err, EnsembleBlowUpError) \
+            else 1
+        write_manifest(out / "manifest.json", cfg, [cfg.sim.seed], [],
+                       count, started, time.time())
+        raise
+    write_manifest(out / "manifest.json", cfg, [cfg.sim.seed], outputs, 0,
+                   started, time.time())
+    return result
+
+
+def run_simulate(cfg: RunConfig, out_dir=None) -> dict:
+    """Run one trajectory and persist snapshots, jump log, and manifest."""
+
+    def produce(out):
+        traj = simulate(cfg.sim)
+        csv_path = out / "trajectory.csv"
+        log_path = out / "jumps.jsonl"
+        write_trajectory_csv(csv_path, traj, cfg.hash)
+        write_jump_log(log_path, traj, cfg.hash)
+        return {
+            "config_hash": cfg.hash,
+            "snapshots": traj.n_snapshots,
+            "jumps": len(traj.jump_log),
+            "outputs": [str(csv_path), str(log_path),
+                        str(out / "manifest.json")],
+        }, [csv_path, log_path]
+
+    return _run_recorded(cfg, out_dir, produce)
 
 
 def _verify_jump_marks(jumps) -> tuple:
@@ -465,87 +482,85 @@ def run_verify(cfg: RunConfig, out_dir=None, n_workers: int = 1) -> dict:
                        minimum=1)
     n_mart = _as_int(exp.get("n_mart", 200), "experiment.n_mart", minimum=2)
 
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    started = time.time()
-
     constants = DriftConstants.from_specs(cfg.sim.gaussian, cfg.sim.jumps)
     override = exp.get("c1_override")
     if override is not None:
         constants = constants.corrupted(
             _as_number(override, "experiment.c1_override", positive=True))
 
-    traj = simulate(cfg.sim)
-    take = min(n_states, traj.n_snapshots)
-    idx = np.linspace(0, traj.n_snapshots - 1, take).astype(int)
-    marks = _verify_jump_marks(cfg.sim.jumps)
+    def produce(out):
+        traj = simulate(cfg.sim)
+        take = min(n_states, traj.n_snapshots)
+        idx = np.linspace(0, traj.n_snapshots - 1, take).astype(int)
+        marks = _verify_jump_marks(cfg.sim.jumps)
 
-    failures = []
-    checked = 0
-    for i in idx:
-        x = traj.state(int(i))
-        t = float(traj.times[i])
-        rep = drift_condition_check(x, constants, cfg.sim.gaussian,
-                                    cfg.sim.jumps)
-        ok = rep.satisfied if rep.chain_ok is None else rep.chain_ok
-        checked += 1
-        if not ok:
-            failures.append({
-                "t": t, "check": "drift_chain", "lhs": rep.lhs,
-                "v_norm": rep.v_norm, "in_k": rep.in_k,
-                "generator_margin":
-                    rep.generator.margin if rep.generator else math.nan,
-            })
-        gap = dissipation_term_gap(x, lam)
-        checked += 1
-        if gap < -1e-9:
-            failures.append({"t": t, "check": "dissipation_gap",
-                             "lhs": gap, "v_norm": rep.v_norm,
-                             "in_k": rep.in_k, "generator_margin": math.nan})
-        for u in marks:
-            g = jump_taylor_gap(x, u, cfg.sim.jumps, lam)
+        failures = []
+        checked = 0
+        for i in idx:
+            x = traj.state(int(i))
+            t = float(traj.times[i])
+            rep = drift_condition_check(x, constants, cfg.sim.gaussian,
+                                        cfg.sim.jumps)
+            ok = rep.satisfied if rep.chain_ok is None else rep.chain_ok
             checked += 1
-            if g < -1e-9:
-                failures.append({"t": t, "check": f"jump_gap_u={u:.3g}",
-                                 "lhs": g, "v_norm": rep.v_norm,
+            if not ok:
+                failures.append({
+                    "t": t, "check": "drift_chain", "lhs": rep.lhs,
+                    "v_norm": rep.v_norm, "in_k": rep.in_k,
+                    "generator_margin": rep.generator.margin
+                    if rep.generator else math.nan,
+                })
+            gap = dissipation_term_gap(x, lam)
+            checked += 1
+            if gap < -1e-9:
+                failures.append({"t": t, "check": "dissipation_gap",
+                                 "lhs": gap, "v_norm": rep.v_norm,
                                  "in_k": rep.in_k,
                                  "generator_margin": math.nan})
+            for u in marks:
+                g = jump_taylor_gap(x, u, cfg.sim.jumps, lam)
+                checked += 1
+                if g < -1e-9:
+                    failures.append({"t": t, "check": f"jump_gap_u={u:.3g}",
+                                     "lhs": g, "v_norm": rep.v_norm,
+                                     "in_k": rep.in_k,
+                                     "generator_margin": math.nan})
 
-    # statistical supermartingale check (reported, not a failure count)
-    mart = {"lam": lam, "n": n_mart}
-    if cfg.sim.jumps is not None:
-        m_lambda = hypothesis_constants(cfg.sim.jumps, lam).m_lambda_est
-    else:
-        m_lambda = 0.0
-    hs = cfg.sim.gaussian.hs_norm_sq if cfg.sim.gaussian else 0.0
-    vals = np.array(require_no_blowups(ensemble(
-        cfg.sim, n_mart,
-        partial(_martingale_end, lam=lam, m_lambda=m_lambda, hs=hs),
-        n_workers=n_workers)))
-    mart["mean"] = float(vals.mean())
-    mart["std_err"] = float(vals.std(ddof=1) / math.sqrt(n_mart))
-    mart["within_bound"] = bool(
-        mart["mean"] <= 1.0 + 3.0 * mart["std_err"])
+        # statistical supermartingale check (reported, not a failure count)
+        mart = {"lam": lam, "n": n_mart}
+        if cfg.sim.jumps is not None:
+            m_lambda = hypothesis_constants(cfg.sim.jumps, lam).m_lambda_est
+        else:
+            m_lambda = 0.0
+        hs = cfg.sim.gaussian.hs_norm_sq if cfg.sim.gaussian else 0.0
+        vals = np.array(require_no_blowups(ensemble(
+            cfg.sim, n_mart,
+            partial(_martingale_end, lam=lam, m_lambda=m_lambda, hs=hs),
+            n_workers=n_workers)))
+        mart["mean"] = float(vals.mean())
+        mart["std_err"] = float(vals.std(ddof=1) / math.sqrt(n_mart))
+        mart["within_bound"] = bool(
+            mart["mean"] <= 1.0 + 3.0 * mart["std_err"])
 
-    report = {
-        "config_hash": cfg.hash,
-        "states": int(take),
-        "checks": checked,
-        "failures": len(failures),
-        "c1": constants.c1,
-        "k_radius": constants.k_radius,
-        "lam": lam,
-        "supermartingale": mart,
-    }
-    (out / "verify_report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n")
-    outputs = [out / "verify_report.json"]
-    if failures:
-        _flat_csv(out / "verify_failures.csv", failures, cfg.hash)
-        outputs.append(out / "verify_failures.csv")
-    write_manifest(out / "manifest.json", cfg, [cfg.sim.seed], outputs,
-                   0, started, time.time())
-    return report
+        report = {
+            "config_hash": cfg.hash,
+            "states": int(take),
+            "checks": checked,
+            "failures": len(failures),
+            "c1": constants.c1,
+            "k_radius": constants.k_radius,
+            "lam": lam,
+            "supermartingale": mart,
+        }
+        (out / "verify_report.json").write_text(
+            json.dumps(report, indent=2, sort_keys=True) + "\n")
+        outputs = [out / "verify_report.json"]
+        if failures:
+            _flat_csv(out / "verify_failures.csv", failures, cfg.hash)
+            outputs.append(out / "verify_failures.csv")
+        return report, outputs
+
+    return _run_recorded(cfg, out_dir, produce)
 
 
 # ------------------------------------------------------ estimate dispatch
@@ -711,21 +726,20 @@ def run_estimate(cfg: RunConfig, estimator: str, out_dir=None,
         raise ConfigError(
             f"unknown estimator {estimator!r}; valid names: "
             + ", ".join(ESTIMATORS))
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    started = time.time()
 
-    records, rows = _EST_RUNNERS[estimator](cfg, cfg.experiment, n_workers)
-    for rec in records:
-        rec.setdefault("config_hash", cfg.hash)
-        rec.setdefault("estimator", estimator)
+    def produce(out):
+        records, rows = _EST_RUNNERS[estimator](cfg, cfg.experiment,
+                                                n_workers)
+        for rec in records:
+            rec.setdefault("config_hash", cfg.hash)
+            rec.setdefault("estimator", estimator)
+        jsonl = out / "estimate.jsonl"
+        table = out / "estimate.csv"
+        _records_jsonl(jsonl, records)
+        _flat_csv(table, rows, cfg.hash)
+        return {"config_hash": cfg.hash, "estimator": estimator,
+                "records": records,
+                "outputs": [str(jsonl), str(table),
+                            str(out / "manifest.json")]}, [jsonl, table]
 
-    jsonl = out / "estimate.jsonl"
-    table = out / "estimate.csv"
-    _records_jsonl(jsonl, records)
-    _flat_csv(table, rows, cfg.hash)
-    write_manifest(out / "manifest.json", cfg, [cfg.sim.seed],
-                   [jsonl, table], 0, started, time.time())
-    return {"config_hash": cfg.hash, "estimator": estimator,
-            "records": records,
-            "outputs": [str(jsonl), str(table), str(out / "manifest.json")]}
+    return _run_recorded(cfg, out_dir, produce)

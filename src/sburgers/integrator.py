@@ -40,7 +40,6 @@ __all__ = [
     "SimConfig",
     "JumpEvent",
     "Trajectory",
-    "step",
     "simulate",
     "ensemble",
     "derive_seed",
@@ -180,7 +179,7 @@ class _Kernel:
         self.jumps = jumps
         self.const_compensator = None
         if jumps is not None:
-            self.comp_scale = -jumps.intensity * jumps.marks.mean
+            self.comp_scale = jumps.compensator_coefficient
             if jumps.direction.state_independent:
                 g = jumps.direction.field_at(np.zeros(cfg.n_modes))
                 if g.size != cfg.n_modes:
@@ -398,22 +397,6 @@ def _mark_blowups(a: np.ndarray, time: float, blown: dict) -> None:
                 continue
             blown[r] = (time, nrm)
         a[r] = 0.0
-
-
-def step(x: SpectralField, dt: float, cfg: SimConfig,
-         rng: np.random.Generator) -> SpectralField:
-    """One jump-free mild-form step of length dt from state x.
-
-    Inside simulate, steps containing events are split at each event time
-    and the displacement is added there; a public step is always jump-free.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if x.n_modes != cfg.n_modes:
-        raise ValueError("state length does not match config")
-    kern = _Kernel(cfg)
-    xi = None if kern.betas is None else rng.standard_normal(cfg.n_modes)
-    return SpectralField(kern.substep(x.coeffs[None, :], float(dt), xi)[0])
 
 
 def _save_times(cfg: SimConfig) -> np.ndarray:

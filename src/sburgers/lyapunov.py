@@ -39,6 +39,7 @@ __all__ = [
     "GeneratorTerms",
     "DriftReport",
     "InequalityViolation",
+    "psi_values",
     "psi",
     "grad_psi",
     "hess_psi_apply",
@@ -101,9 +102,14 @@ class DriftConstants:
 
 # ----------------------------------------------------------------- calculus
 
+def psi_values(coeffs: np.ndarray) -> np.ndarray:
+    """psi of each state along the last axis: one state (N,) or many (n, N)."""
+    return np.sqrt(1.0 + np.sum(coeffs ** 2, axis=-1))
+
+
 def psi(x: SpectralField) -> float:
     """(1 + ||x||_H^2)^(1/2); between 1 and 1 + ||x||_H."""
-    return math.sqrt(1.0 + float(np.sum(x.coeffs ** 2)))
+    return float(psi_values(x.coeffs))
 
 
 def grad_psi(x: SpectralField) -> SpectralField:
@@ -144,8 +150,7 @@ def _jump_remainder(x: SpectralField, jumps: JumpSpec) -> float:
     p = psi(x)
     gp = x.coeffs / p
     shifted = x.coeffs[None, :] + np.outer(u, g)
-    psi_shifted = np.sqrt(1.0 + np.sum(shifted ** 2, axis=1))
-    vals = psi_shifted - p - u * float(np.dot(gp, g))
+    vals = psi_values(shifted) - p - u * float(np.dot(gp, g))
     return jumps.intensity * float(np.dot(w, vals))
 
 

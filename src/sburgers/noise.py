@@ -21,9 +21,10 @@ lower bound.
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_laguerre
+from numpy.polynomial.laguerre import laggauss
 
 from .spectral import SpectralField, norm_h
 
@@ -37,10 +38,7 @@ __all__ = [
     "GaussianSpec",
     "JumpSpec",
     "HypothesisReport",
-    "sample_wiener_increment",
     "sample_jump_times",
-    "jump_amplitude",
-    "compensator_drift",
     "hypothesis_constants",
 ]
 
@@ -49,6 +47,17 @@ _LAGUERRE_NODES = 80
 
 class DivergentMomentError(ValueError):
     """Requested exponential tilt makes the mark moment integral infinite."""
+
+
+@lru_cache(maxsize=None)
+def _laguerre_rule():
+    """Read-only Gauss-Laguerre (nodes, weights) for the weight e^(-s).
+
+    Built once per process: the Lyapunov checks ask for it at every state.
+    """
+    s, w = laggauss(_LAGUERRE_NODES)
+    s.flags.writeable = w.flags.writeable = False
+    return s, w
 
 
 # ----------------------------------------------------------------- mark laws
@@ -90,7 +99,7 @@ class ExponentialMarks:
 
     def quadrature(self):
         """(nodes, weights) with sum w_i g(u_i) ~ E[g(u)]."""
-        s, w = roots_laguerre(_LAGUERRE_NODES)
+        s, w = _laguerre_rule()
         return s / self.rate, w
 
     def to_dict(self):
@@ -288,6 +297,11 @@ class JumpSpec:
             return None
         return self.intensity * self.marks.second_moment * lip ** 2
 
+    @property
+    def compensator_coefficient(self) -> float:
+        """c with centring drift c G(x), c = -intensity * E[u]."""
+        return -self.intensity * self.marks.mean
+
 
 @dataclass(frozen=True)
 class HypothesisReport:
@@ -303,14 +317,6 @@ class HypothesisReport:
 
 # ---------------------------------------------------------------- operations
 
-def sample_wiener_increment(spec: GaussianSpec, dt: float,
-                            rng: np.random.Generator) -> np.ndarray:
-    """One Q-Wiener increment over a step: N(0, beta_k^2 dt) per mode."""
-    if dt < 0:
-        raise ValueError("dt must be nonnegative")
-    return spec.betas * np.sqrt(dt) * rng.standard_normal(spec.n_modes)
-
-
 def sample_jump_times(spec: JumpSpec, t_end: float,
                       rng: np.random.Generator) -> list:
     """Sorted (time, mark) events of the compound Poisson process on (0, T]."""
@@ -324,19 +330,6 @@ def sample_jump_times(spec: JumpSpec, t_end: float,
         events.append((float(t), float(spec.marks.sample(rng))))
         t += rng.exponential(1.0 / spec.intensity)
     return events
-
-
-def jump_amplitude(spec: JumpSpec, x: SpectralField, u: float) -> SpectralField:
-    """State displacement f(x, u) = G(x) u caused by one event."""
-    if not u >= 0:
-        raise ValueError("mark must be nonnegative")
-    return SpectralField(spec.direction.field_at(x.coeffs) * float(u))
-
-
-def compensator_drift(spec: JumpSpec, x: SpectralField) -> SpectralField:
-    """Centring drift -intensity * E[u] * G(x)."""
-    c = -spec.intensity * spec.marks.mean
-    return SpectralField(c * spec.direction.field_at(x.coeffs))
 
 
 def hypothesis_constants(spec: JumpSpec, lam: float,

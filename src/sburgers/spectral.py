@@ -3,30 +3,25 @@
 Fields live in L2(0, 1) with Dirichlet boundary conditions and are stored
 as coefficients against the orthonormal basis e_k(xi) = sqrt(2) sin(k pi xi),
 k = 1, 2, ...  In this basis the Laplacian is diagonal with rates
-alpha_k = (pi k)^2, so the heat semigroup is a per-mode exponential damping
-and the H / V norms are weighted coefficient sums:
+alpha_k = (pi k)^2, and the H / V norms are weighted coefficient sums:
 
     ||x||_H^2 = sum_k a_k^2
     ||x||_V^2 = sum_k (pi k)^2 a_k^2
 
-The advection term B(x) = x * x' couples modes quadratically.  For small
-truncations it is computed by the exact mode-coupling sum; for large ones by
-a dealiased collocation product on a zero-padded grid.  Both routes agree to
-roundoff, which the test suite checks explicitly.  The integrator evaluates
-B on a whole batch of states at once; every route gives each row the same
-bits whatever the batch size, so an ensemble member does not depend on
-which rows it was stepped with.
+The advection term B(x) = x * x' couples modes quadratically and is computed
+exactly by the mode-coupling sum at every truncation size.  The integrator
+evaluates B on a whole batch of states at once; both routes of the sum give
+each row the same bits whatever the batch size, so an ensemble member does
+not depend on which rows it was stepped with.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import dst, dct
 
 __all__ = [
     "SpectralField",
-    "GridFunction",
     "zero_field",
     "basis_field",
     "random_field",
@@ -35,9 +30,6 @@ __all__ = [
     "norm_v",
     "inner_h",
     "burgers_nonlinearity",
-    "evaluate",
-    "project",
-    "heat_semigroup",
     "tail_energy_fraction",
 ]
 
@@ -46,8 +38,6 @@ __all__ = [
 # per row there (about 4 against 13 us per row at N = 32 and 100 rows, 23
 # against 18 us at N = 64, on a 2-CPU Xeon).
 GATHER_LIMIT = 32
-# Above this truncation size the O(N^2) coupling sum loses to the FFT route.
-EXACT_CONVOLUTION_LIMIT = 64
 
 _PI_OVER_SQRT2 = np.pi / np.sqrt(2.0)
 
@@ -95,30 +85,6 @@ class SpectralField:
     def __repr__(self):
         return (f"SpectralField(n_modes={self.n_modes}, "
                 f"norm_h={norm_h(self):.6g})")
-
-
-@dataclass(frozen=True, eq=False)
-class GridFunction:
-    """Point values on the interior collocation grid xi_j = j / (M + 1)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.values, dtype=float, copy=True)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("values must be a non-empty 1-d array")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("invalid grid function: non-finite value")
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def n_points(self) -> int:
-        return self.values.size
-
-    def grid(self) -> np.ndarray:
-        m = self.n_points
-        return np.arange(1, m + 1) / (m + 1)
 
 
 def zero_field(n_modes: int) -> SpectralField:
@@ -189,48 +155,6 @@ def _quadratic_exact(a: np.ndarray) -> np.ndarray:
     return _PI_OVER_SQRT2 * (out - k * lagged)
 
 
-def _evaluate_array(a: np.ndarray, m: int) -> np.ndarray:
-    """Values of the field on the interior grid of m points."""
-    n = a.size
-    if m >= n:
-        c = np.zeros(m)
-        c[:n] = a / np.sqrt(2.0)
-        return dst(c, type=1)
-    # coarse grid, fall back to the literal sine sum
-    xi = np.arange(1, m + 1) / (m + 1)
-    k = np.arange(1, n + 1)
-    return np.sqrt(2.0) * np.sin(np.pi * np.outer(xi, k)) @ a
-
-
-def _project_array(g: np.ndarray, n_modes: int) -> np.ndarray:
-    """First n_modes sine coefficients of grid data (exact up to degree M)."""
-    m = g.size
-    if n_modes > m:
-        raise ValueError("cannot project onto more modes than grid points")
-    coef = dst(g, type=1) / (np.sqrt(2.0) * (m + 1))
-    return coef[:n_modes].copy()
-
-
-def _derivative_on_grid(a: np.ndarray, m: int) -> np.ndarray:
-    """Values of x' on the interior grid, via a cosine transform."""
-    n = a.size
-    k = np.arange(1, n + 1, dtype=float)
-    if m >= n:
-        c = np.zeros(m + 2)
-        c[1:n + 1] = a * k * np.pi / np.sqrt(2.0)
-        return dct(c, type=1)[1:m + 1]
-    xi = np.arange(1, m + 1) / (m + 1)
-    return np.sqrt(2.0) * np.pi * (np.cos(np.pi * np.outer(xi, k)) * k) @ a
-
-
-def _quadratic_dealiased(a: np.ndarray) -> np.ndarray:
-    """Collocation product on a zero-padded grid, alias-free for M >= 2N."""
-    n = a.size
-    m = 2 * n
-    g = _evaluate_array(a, m) * _derivative_on_grid(a, m)
-    return _project_array(g, n)
-
-
 @lru_cache(maxsize=None)
 def _coupling_tables(n: int):
     """Flat outer-product indices and weights of the coupling sum.
@@ -280,9 +204,7 @@ def _quadratic_term(a: np.ndarray) -> np.ndarray:
     if n <= GATHER_LIMIT:
         out = _quadratic_gathered(rows)
     else:
-        one = _quadratic_exact if n <= EXACT_CONVOLUTION_LIMIT \
-            else _quadratic_dealiased
-        out = np.array([one(row) for row in rows])
+        out = np.array([_quadratic_exact(row) for row in rows])
     return out if a.ndim == 2 else out[0]
 
 
@@ -293,31 +215,6 @@ def burgers_nonlinearity(x: SpectralField) -> SpectralField:
     quadratically, B(c x) = c^2 B(x).
     """
     return SpectralField(_quadratic_term(x.coeffs))
-
-
-def evaluate(x: SpectralField, m: int) -> GridFunction:
-    """Sample the field at the m interior collocation points."""
-    if m < 1:
-        raise ValueError("need at least one grid point")
-    return GridFunction(_evaluate_array(x.coeffs, int(m)))
-
-
-def project(g: GridFunction, n_modes: int) -> SpectralField:
-    """Discrete sine projection of grid data onto the first n_modes modes.
-
-    Exact for trigonometric polynomials of degree <= M, so
-    project(evaluate(x, M), N) == x whenever M >= N.
-    """
-    if n_modes < 1:
-        raise ValueError("need at least one mode")
-    return SpectralField(_project_array(g.values, int(n_modes)))
-
-
-def heat_semigroup(x: SpectralField, t: float) -> SpectralField:
-    """Apply S(t): damp mode k by exp(-(pi k)^2 t).  Contraction for t >= 0."""
-    if t < 0:
-        raise ValueError("semigroup time must be nonnegative")
-    return SpectralField(x.coeffs * np.exp(-mode_rates(x.n_modes) * float(t)))
 
 
 def tail_energy_fraction(x: SpectralField, top_fraction: float = 0.25) -> float:

@@ -2,11 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sburgers
 from sburgers.cli import main
 from sburgers.harness import (
     ConfigError, ESTIMATORS, config_hash, load_config, parse_config,
@@ -497,6 +501,10 @@ class TestCli:
                      "--out", str(tmp_path / "out")])
         assert code == 3
         assert "blow-up" in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "out" / "manifest.json")
+                              .read_text())
+        assert manifest["blowup_count"] == 1
+        assert manifest["outputs"] == []
 
     def test_ensemble_blowup_exit_three(self, tmp_path, capsys):
         raw = base_raw(experiment={"kind": "estimate", "n_traj": 4,
@@ -508,6 +516,21 @@ class TestCli:
         assert code == 3
         err = capsys.readouterr().err
         assert "blow-up: 4 of 4 trajectories blew up" in err
+        manifest = json.loads((tmp_path / "out" / "manifest.json")
+                              .read_text())
+        assert manifest["blowup_count"] == 4
+        assert manifest["outputs"] == []
+
+    def test_cli_imports_no_scipy(self):
+        # numpy is the only run-time dependency; scipy serves the tests
+        src = str(Path(sburgers.__file__).resolve().parents[1])
+        code = ("import sys, sburgers.cli; print(sorted(m for m in "
+                "sys.modules if m.split('.')[0] == 'scipy'))")
+        run = subprocess.run([sys.executable, "-c", code],
+                             env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, timeout=60,
+                             check=True)
+        assert run.stdout.strip() == "[]"
 
     def test_verify_threads_identical(self, tmp_path, capsys):
         # more supermartingale paths than one block, so two workers share

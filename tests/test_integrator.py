@@ -20,7 +20,7 @@ from sburgers.noise import (
 from sburgers import integrator
 from sburgers.integrator import (
     BLOCK_ROWS, BlowUp, BlowUpError, EnsembleBlowUpError, SimConfig,
-    Trajectory, _Kernel, step, simulate, ensemble, derive_seed,
+    Trajectory, _Kernel, simulate, ensemble, derive_seed,
     require_no_blowups,
 )
 
@@ -107,19 +107,12 @@ class TestDeterministicFlow:
         assert traj.coeffs[-1, 1] > 0.0
 
     def test_step_matches_simulate_grain(self):
+        # the substep used around jump events equals a main step of run
         cfg = SimConfig(n_modes=4, dt=1e-3, t_end=1e-3, dt_save=1e-3,
                         nonlinearity_on=True, x0=basis_field(1, 4))
-        manual = step(basis_field(1, 4), 1e-3, cfg,
-                      np.random.default_rng(0))
+        manual = _Kernel(cfg).substep(cfg.x0.coeffs[None, :], 1e-3, None)
         traj = simulate(cfg)
-        assert np.allclose(manual.coeffs, traj.coeffs[-1], atol=1e-15)
-
-    def test_step_rejects_bad_input(self):
-        cfg = SimConfig(n_modes=4)
-        with pytest.raises(ValueError):
-            step(basis_field(1, 3), 1e-3, cfg, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            step(basis_field(1, 4), 0.0, cfg, np.random.default_rng(0))
+        assert np.allclose(manual[0], traj.coeffs[-1], atol=1e-15)
 
     def test_halving_dt_halves_flow_error(self):
         rng = np.random.default_rng(17)

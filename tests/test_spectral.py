@@ -1,4 +1,4 @@
-"""Spectral core: norms, advection projection, grid transforms, heat flow.
+"""Spectral core: norms, advection projection, resolution diagnostic.
 
 Frozen expected values for the advection term come from an independent
 adaptive-quadrature oracle (scipy.integrate.quad of x * x' * e_m over (0,1),
@@ -10,7 +10,6 @@ import pytest
 
 from sburgers.spectral import (
     SpectralField,
-    GridFunction,
     zero_field,
     basis_field,
     random_field,
@@ -19,12 +18,8 @@ from sburgers.spectral import (
     norm_v,
     inner_h,
     burgers_nonlinearity,
-    evaluate,
-    project,
-    heat_semigroup,
     tail_energy_fraction,
     _quadratic_exact,
-    _quadratic_dealiased,
     _quadratic_gathered,
     _quadratic_term,
 )
@@ -138,6 +133,14 @@ class TestAdvectionTerm:
         for m in range(1, 9):
             ref = advection_coefficient_quadrature(a, m)
             assert b.coeffs[m - 1] == pytest.approx(ref, abs=1e-10)
+        # above GATHER_LIMIT: modes 5, 33 and 38 of 80 couple into the sums
+        # and differences 5, 10, 28, ..., 76; modes 1 and 80 stay zero
+        wide = np.zeros(80)
+        wide[[4, 32, 37]] = rng.standard_normal(3)
+        b = burgers_nonlinearity(SpectralField(wide))
+        for m in (1, 5, 10, 28, 33, 38, 43, 66, 71, 76, 80):
+            ref = advection_coefficient_quadrature(wide, m)
+            assert b.coeffs[m - 1] == pytest.approx(ref, abs=1e-10)
 
     def test_energy_conservation(self):
         rng = np.random.default_rng(42)
@@ -157,13 +160,6 @@ class TestAdvectionTerm:
     def test_zero_fixed_point(self):
         b = burgers_nonlinearity(zero_field(6))
         assert np.all(b.coeffs == 0.0)
-
-    def test_exact_and_dealiased_agree_small(self):
-        rng = np.random.default_rng(3)
-        for n in (2, 5, 16):
-            a = rng.standard_normal(n)
-            d = np.abs(_quadratic_exact(a) - _quadratic_dealiased(a))
-            assert np.max(d) < 1e-10
 
     def test_gathered_matches_convolution(self):
         rng = np.random.default_rng(8)
@@ -186,90 +182,6 @@ class TestAdvectionTerm:
                     (n, r)
                 assert np.array_equal(_quadratic_term(a[r - 1]),
                                       full[r - 1]), (n, r)
-
-    def test_exact_and_dealiased_agree_large(self):
-        # the dispatch switches routes above 64 modes; both stay consistent
-        rng = np.random.default_rng(4)
-        a = rng.standard_normal(80)
-        d = np.abs(_quadratic_exact(a) - _quadratic_dealiased(a))
-        assert np.max(d) < 1e-9
-
-
-class TestGridTransforms:
-    def test_grid_excludes_endpoints(self):
-        g = evaluate(basis_field(1, 2), 9)
-        xi = g.grid()
-        assert xi[0] > 0.0 and xi[-1] < 1.0
-        assert len(xi) == 9
-
-    def test_evaluate_single_mode(self):
-        g = evaluate(basis_field(2, 4), 15)
-        xi = g.grid()
-        assert np.allclose(g.values, np.sqrt(2.0) * np.sin(2 * PI * xi),
-                           atol=1e-13)
-
-    def test_round_trip_well_resolved(self):
-        rng = np.random.default_rng(9)
-        x = random_field(10, rng)
-        for m in (20, 33, 64):
-            y = project(evaluate(x, m), 10)
-            assert np.max(np.abs(y.coeffs - x.coeffs)) < 1e-12
-
-    def test_projection_exact_on_resolved_polynomials(self):
-        x = basis_field(3, 3)
-        y = project(evaluate(x, 8), 3)
-        assert np.max(np.abs(y.coeffs - x.coeffs)) < 1e-13
-
-    def test_projection_needs_enough_points(self):
-        g = evaluate(basis_field(1, 2), 3)
-        with pytest.raises(ValueError):
-            project(g, 5)
-
-    def test_grid_quadrature_matches_h_norm(self):
-        # discrete Parseval: mean of squared samples is exact at M >= 2N
-        rng = np.random.default_rng(13)
-        x = random_field(8, rng)
-        g = evaluate(x, 16)
-        quad_sq = np.sum(g.values ** 2) / (g.n_points + 1)
-        assert quad_sq == pytest.approx(norm_h(x) ** 2, rel=1e-12)
-
-    def test_grid_function_rejects_nan(self):
-        with pytest.raises(ValueError):
-            GridFunction(np.array([0.0, np.nan]))
-
-
-class TestHeatSemigroup:
-    def test_identity_at_zero_time(self):
-        rng = np.random.default_rng(2)
-        x = random_field(6, rng)
-        y = heat_semigroup(x, 0.0)
-        assert np.array_equal(y.coeffs, x.coeffs)
-
-    def test_single_step_decay(self):
-        y = heat_semigroup(basis_field(1, 4), 1e-3)
-        assert y.coeffs[0] == pytest.approx(0.9901789403074717, rel=1e-14)
-
-    def test_unit_time_decay(self):
-        y = heat_semigroup(basis_field(1, 1), 1.0)
-        assert norm_h(y) == pytest.approx(5.172318620381234e-05, rel=1e-10)
-
-    def test_semigroup_property(self):
-        rng = np.random.default_rng(21)
-        x = random_field(12, rng)
-        y1 = heat_semigroup(heat_semigroup(x, 0.3), 0.2)
-        y2 = heat_semigroup(x, 0.5)
-        assert np.max(np.abs(y1.coeffs - y2.coeffs)) < 1e-12
-
-    def test_contraction(self):
-        rng = np.random.default_rng(22)
-        for _ in range(50):
-            x = random_field(10, rng)
-            t = rng.uniform(0.0, 2.0)
-            assert norm_h(heat_semigroup(x, t)) <= norm_h(x)
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            heat_semigroup(basis_field(1, 2), -0.1)
 
 
 class TestTailDiagnostic:
