@@ -29,26 +29,29 @@ cfg = SimConfig(n_modes=N, dt=1e-3, t_end=10.0, dt_save=0.5,
                 gaussian=gauss, jumps=jumps, nonlinearity_on=True, seed=7)
 traj = simulate(cfg)
 
+# one batched call checks every other snapshot: states are the rows of an
+# (n, N) coefficient array and each report field holds one value per state
+rows = np.arange(0, traj.n_snapshots, 2)
+rep = drift_condition_check(traj.coeffs[rows], constants, gauss, jumps)
 print("\nstates from the path:")
 print("  t     |x|_V   in K   drift lhs   generator margin")
-for i in range(0, traj.n_snapshots, 2):
-    rep = drift_condition_check(traj.state(i), constants, gauss, jumps)
-    print(f"  {traj.times[i]:5.2f}  {rep.v_norm:6.3f}  {str(rep.in_k):5s}"
-          f"  {rep.lhs:+9.4f}   {rep.generator.margin:+9.4f}"
-          f"   {'ok' if rep.chain_ok else 'VIOLATED'}")
+for j, i in enumerate(rows):
+    print(f"  {traj.times[i]:5.2f}  {rep.v_norm[j]:6.3f}  "
+          f"{str(rep.in_k[j]):5s}  {rep.lhs[j]:+9.4f}   "
+          f"{rep.generator.margin[j]:+9.4f}"
+          f"   {'ok' if rep.ok[j] else 'VIOLATED'}")
 
 print("\nhandmade states crossing the K boundary (first-mode direction):")
-for v in np.linspace(0.5, 2.0, 7) * constants.k_radius:
-    x = (v / math.pi) * basis_field(1, N)
-    rep = drift_condition_check(x, constants, gauss, jumps)
-    print(f"  |x|_V={rep.v_norm:6.3f}  in K={str(rep.in_k):5s}  "
-          f"lhs={rep.lhs:+8.4f}  {'ok' if rep.chain_ok else 'VIOLATED'}")
+radii = np.linspace(0.5, 2.0, 7) * constants.k_radius
+shell = np.outer(radii / math.pi, basis_field(1, N).coeffs)
+rep = drift_condition_check(shell, constants, gauss, jumps)
+for j in range(len(radii)):
+    print(f"  |x|_V={rep.v_norm[j]:6.3f}  in K={str(rep.in_k[j]):5s}  "
+          f"lhs={rep.lhs[j]:+8.4f}  {'ok' if rep.ok[j] else 'VIOLATED'}")
 
 # negative control: halve c1 and the chain must break
 broken = constants.corrupted(constants.c1 / 2.0)
-bad = sum(
-    drift_condition_check(traj.state(i), broken, gauss, jumps).chain_ok
-    is not True
-    for i in range(traj.n_snapshots))
+bad = int(np.sum(~drift_condition_check(traj.coeffs, broken, gauss,
+                                        jumps).ok))
 print(f"\nnegative control with c1 halved: {bad} of {traj.n_snapshots} "
       "states violate the chain (expected: most of them)")

@@ -23,10 +23,10 @@ from functools import partial
 
 import numpy as np
 
-from .spectral import SpectralField
+from .spectral import SpectralField, norm_h_sq
 from .integrator import SimConfig, Trajectory, simulate, ensemble, \
     require_no_blowups
-from .lyapunov import DriftConstants, psi_values
+from .lyapunov import DriftConstants, psi
 from .reports import EstimateReport
 
 __all__ = [
@@ -72,11 +72,7 @@ def _tanh_mode_value(coeffs, k, c):
 
 
 def _norm_h_value(coeffs):
-    return np.sqrt(np.sum(coeffs ** 2, axis=-1))
-
-
-def _norm_h_sq_value(coeffs):
-    return np.sum(coeffs ** 2, axis=-1)
+    return np.sqrt(norm_h_sq(coeffs))
 
 
 @dataclass(frozen=True)
@@ -102,9 +98,9 @@ class Observable:
 
     def _envelope_values(self, coeffs):
         if self.envelope == "psi":
-            return psi_values(coeffs)
+            return psi(coeffs)
         if self.envelope == "psi_sq":
-            return 1.0 + np.sum(coeffs ** 2, axis=-1)
+            return 1.0 + norm_h_sq(coeffs)
         return np.full(coeffs.shape[:-1], self.bound)
 
     def values(self, coeffs: np.ndarray) -> np.ndarray:
@@ -138,11 +134,11 @@ def norm_h_observable() -> Observable:
 
 
 def norm_h_squared_observable() -> Observable:
-    return Observable("norm_h_sq", _norm_h_sq_value, "psi_sq")
+    return Observable("norm_h_sq", norm_h_sq, "psi_sq")
 
 
 def psi_observable() -> Observable:
-    return Observable("psi", psi_values, "psi")
+    return Observable("psi", psi, "psi")
 
 
 def tanh_mode_observable(k: int, c: float = 1.0) -> Observable:

@@ -26,11 +26,12 @@ rows are, so a path is the same alone, in any block and on any worker.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import SpectralField, mode_rates, _quadratic_term
+from .spectral import SpectralField, mode_rates, norm_h_sq, norm_v_sq, \
+    _quadratic_term
 from .noise import GaussianSpec, JumpSpec, sample_jump_times
 
 __all__ = [
@@ -125,6 +126,9 @@ class SimConfig:
             raise ValueError("gaussian spec length does not match n_modes")
         if self.x0 is not None and self.x0.n_modes != self.n_modes:
             raise ValueError("x0 length does not match n_modes")
+        if self.jumps is not None and \
+                self.jumps.direction.g0.n_modes != self.n_modes:
+            raise ValueError("jump direction length does not match n_modes")
 
 
 def _is_multiple(big: float, small: float) -> bool:
@@ -139,8 +143,6 @@ class Trajectory:
     times: np.ndarray            # (n_snap,)
     coeffs: np.ndarray           # (n_snap, n_modes)
     jump_log: tuple              # JumpEvent records in time order
-    seed: int
-    config: SimConfig = field(repr=False)
 
     @property
     def n_snapshots(self) -> int:
@@ -154,11 +156,10 @@ class Trajectory:
         return SpectralField(self.coeffs[i])
 
     def norm_h(self) -> np.ndarray:
-        return np.sqrt(np.sum(self.coeffs ** 2, axis=1))
+        return np.sqrt(norm_h_sq(self.coeffs))
 
     def norm_v(self) -> np.ndarray:
-        rates = mode_rates(self.n_modes)
-        return np.sqrt(self.coeffs ** 2 @ rates)
+        return np.sqrt(norm_v_sq(self.coeffs))
 
 
 class _Kernel:
@@ -182,9 +183,6 @@ class _Kernel:
             self.comp_scale = jumps.compensator_coefficient
             if jumps.direction.state_independent:
                 g = jumps.direction.field_at(np.zeros(cfg.n_modes))
-                if g.size != cfg.n_modes:
-                    raise ValueError(
-                        "jump direction length does not match n_modes")
                 self.const_compensator = self.comp_scale * g
         # a drift that does not depend on the state enters the table as phi*d
         self.fixed_drift = None if cfg.nonlinearity_on \
@@ -213,9 +211,7 @@ class _Kernel:
         if self.jumps is not None:
             comp = self.const_compensator
             if comp is None:
-                g = self.jumps.direction
-                comp = self.comp_scale * np.array([g.field_at(row)
-                                                   for row in a])
+                comp = self.comp_scale * self.jumps.direction.field_at(a)
             out = comp if out is None else out + comp
         return out
 
@@ -271,7 +267,7 @@ class _Kernel:
                 a = self.substep(a, h, None if z is None else z[k])
                 k += 1
             row = a[0]
-            pre_norm = float(np.sqrt(np.sum(row * row)))
+            pre_norm = float(np.sqrt(norm_h_sq(row)))
             a = a + self.jumps.direction.field_at(row) * u
             log.append(JumpEvent(t, u, pre_norm))
             seg = t
@@ -390,9 +386,8 @@ _SAFE_NORM_SQ = BLOWUP_NORM ** 2 * (1.0 - 1e-9)
 
 def _mark_blowups(a: np.ndarray, time: float, blown: dict) -> None:
     """Record the rows of a outside the trust region and reset them."""
-    for r, row in enumerate(a):
+    for r, nrm in enumerate(np.sqrt(norm_h_sq(a)).tolist()):
         if r not in blown:
-            nrm = float(np.sqrt(np.sum(row * row)))
             if np.isfinite(nrm) and nrm <= BLOWUP_NORM:
                 continue
             blown[r] = (time, nrm)
@@ -416,7 +411,7 @@ def simulate(cfg: SimConfig) -> Trajectory:
     if blown:
         raise BlowUpError(*blown[0])
     return Trajectory(times=_save_times(cfg), coeffs=snaps[0],
-                      jump_log=tuple(logs[0]), seed=cfg.seed, config=cfg)
+                      jump_log=tuple(logs[0]))
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -433,13 +428,12 @@ def _run_block(args) -> list:
     times = _save_times(cfg)
     times.flags.writeable = False          # shared by the block's rows
     out = []
-    for r, seed in enumerate(seeds):
+    for r in range(n_rows):
         if r in blown:
             out.append(BlowUp(first + r, *blown[r]))
         else:
-            out.append(reducer(Trajectory(
-                times=times, coeffs=snaps[r], jump_log=tuple(logs[r]),
-                seed=seed, config=replace(cfg, seed=seed))))
+            out.append(reducer(Trajectory(times=times, coeffs=snaps[r],
+                                          jump_log=tuple(logs[r]))))
     return out
 
 

@@ -1,5 +1,12 @@
 """Lyapunov calculus, drift inequalities, exponential martingale bounds.
 
+Every function here is array-first: it takes coefficient arrays a of shape
+(..., N), one state per row, and returns one value (or one (N,) vector) per
+state.  A SpectralField x is passed as x.coeffs.  No state's result depends
+on the other rows of the block, except through ||x||_V^2, whose BLAS
+product may round a row differently in a block than alone (see
+spectral.norm_v_sq).
+
 The workhorse function is psi(x) = (1 + ||x||_H^2)^(1/2).  Its gradient and
 Hessian are globally bounded by 1 in operator norm, the Dirichlet form term
 <Laplacian x, grad psi> equals -||x||_V^2 / psi, and the forcing enters only
@@ -12,7 +19,8 @@ the jump second moment M.  Together they give the generator bound
 which turns into a geometric drift statement: at least 1/2 outside the
 centre set K = {||x||_V <= 2 c1} and at worst -c1 on it (after dividing by
 psi).  Every inequality in that chain is checked term by term here, exactly,
-with quadrature standing in for the jump expectation.
+with quadrature standing in for the jump expectation; a per-state ok mask
+reports which states satisfy it.
 
 The scaled family psi_lambda(x) = (1 + lambda^2 ||x||_H^2)^(1/2) drives the
 exponential supermartingale used for tail and moment bounds; h_upper is the
@@ -26,9 +34,7 @@ from functools import partial
 
 import numpy as np
 
-from .spectral import (
-    SpectralField, norm_h, norm_v, inner_h, mode_rates, burgers_nonlinearity,
-)
+from .spectral import norm_h_sq, norm_v_sq, _quadratic_term
 from .noise import GaussianSpec, JumpSpec, hypothesis_constants
 from .integrator import SimConfig, Trajectory, ensemble, \
     require_no_blowups
@@ -38,8 +44,6 @@ __all__ = [
     "DriftConstants",
     "GeneratorTerms",
     "DriftReport",
-    "InequalityViolation",
-    "psi_values",
     "psi",
     "grad_psi",
     "hess_psi_apply",
@@ -55,14 +59,6 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
-
-
-class InequalityViolation(AssertionError):
-    """A deterministic bound failed; .report carries the offending terms."""
-
-    def __init__(self, message, report):
-        super().__init__(message)
-        self.report = report
 
 
 @dataclass(frozen=True)
@@ -102,203 +98,193 @@ class DriftConstants:
 
 # ----------------------------------------------------------------- calculus
 
-def psi_values(coeffs: np.ndarray) -> np.ndarray:
-    """psi of each state along the last axis: one state (N,) or many (n, N)."""
-    return np.sqrt(1.0 + np.sum(coeffs ** 2, axis=-1))
+def _col(values) -> np.ndarray:
+    """Per-state values as an array column, to broadcast against (..., N)."""
+    return np.asarray(values)[..., None]
 
 
-def psi(x: SpectralField) -> float:
+def psi(a: np.ndarray) -> np.ndarray:
     """(1 + ||x||_H^2)^(1/2); between 1 and 1 + ||x||_H."""
-    return float(psi_values(x.coeffs))
+    return np.sqrt(1.0 + norm_h_sq(a))
 
 
-def grad_psi(x: SpectralField) -> SpectralField:
+def grad_psi(a: np.ndarray) -> np.ndarray:
     """x / psi(x); norm strictly below 1."""
-    return SpectralField(x.coeffs / psi(x))
+    return a / _col(psi(a))
 
 
-def hess_psi_apply(x: SpectralField, v: SpectralField) -> SpectralField:
+def hess_psi_apply(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Hessian of psi at x applied to v: v/psi - <x,v> x / psi^3."""
-    if v.n_modes != x.n_modes:
+    if np.shape(v)[-1] != np.shape(a)[-1]:
         raise ValueError("mode count mismatch")
-    p = psi(x)
-    xv = float(np.dot(x.coeffs, v.coeffs))
-    return SpectralField(v.coeffs / p - xv * x.coeffs / p ** 3)
+    p = _col(psi(a))
+    return v / p - _col(np.vecdot(a, v)) * a / p ** 3
 
 
 # ------------------------------------------------------- generator and drift
 
 @dataclass(frozen=True)
 class GeneratorTerms:
-    """Term-by-term evaluation of the generator acting on psi at one state."""
+    """Term-by-term evaluation of the generator acting on psi, per state."""
 
-    lin_term: float          # <Laplacian x, grad psi> = -||x||_V^2 / psi
-    transport_term: float    # <B(x), grad psi>, zero up to roundoff
-    trace_exact: float       # (1/2) sum beta_k^2 <Hess psi e_k, e_k>
-    trace_bound: float       # (1/2) ||Q||_HS^2
-    jump_exact: float        # integral of the second-order jump remainder
-    jump_bound: float        # (1/2) M
-    value: float             # sum of the exact terms
-    bound: float             # -(1 + ||x||_V^2)^(1/2) + c1
-    margin: float            # bound - value
+    lin_term: np.ndarray        # <Laplacian x, grad psi> = -||x||_V^2 / psi
+    transport_term: np.ndarray  # <B(x), grad psi>, zero up to roundoff
+    trace_exact: np.ndarray     # (1/2) sum beta_k^2 <Hess psi e_k, e_k>
+    trace_bound: float          # (1/2) ||Q||_HS^2
+    jump_exact: np.ndarray      # integral of the second-order jump remainder
+    jump_bound: float           # (1/2) M
+    value: np.ndarray           # sum of the exact terms
+    bound: np.ndarray           # -(1 + ||x||_V^2)^(1/2) + c1
+    margin: np.ndarray          # bound - value
+    ok: np.ndarray              # every exact term within its bound, up to tol
 
 
-def _jump_remainder(x: SpectralField, jumps: JumpSpec) -> float:
-    """integral [psi(x+f) - psi(x) - <grad psi, f>] n(du) by quadrature."""
+def _jump_remainder(a: np.ndarray, jumps: JumpSpec) -> np.ndarray:
+    """integral [psi(x+f) - psi(x) - <grad psi, f>] n(du) by quadrature.
+
+    One quadrature node at a time, so no (states, nodes, N) array is built.
+    """
     u, w = jumps.marks.quadrature()
-    g = jumps.direction.field_at(x.coeffs)
-    p = psi(x)
-    gp = x.coeffs / p
-    shifted = x.coeffs[None, :] + np.outer(u, g)
-    vals = psi_values(shifted) - p - u * float(np.dot(gp, g))
-    return jumps.intensity * float(np.dot(w, vals))
+    g = jumps.direction.field_at(a)
+    p = psi(a)
+    slope = np.vecdot(a / _col(p), g)
+    vals = np.empty(np.shape(p) + (u.size,))
+    for k, uk in enumerate(u.tolist()):
+        vals[..., k] = psi(a + uk * g) - p - uk * slope
+    return jumps.intensity * np.vecdot(vals, w)
 
 
-def generator_upper_bound(x: SpectralField,
+def generator_upper_bound(a: np.ndarray,
                           constants: DriftConstants,
                           gaussian: GaussianSpec | None = None,
                           jumps: JumpSpec | None = None,
                           tol: float = DEFAULT_TOL) -> GeneratorTerms:
-    """Evaluate L psi(x) exactly and assert it is below the drift bound.
+    """Evaluate L psi exactly at each state against the drift bound.
 
-    Raises InequalityViolation when the exact value exceeds
-    -(1 + ||x||_V^2)^(1/2) + c1 beyond tol, or when an intermediate exact
-    term exceeds its declared bound.
+    ok is False where the exact value exceeds -(1 + ||x||_V^2)^(1/2) + c1
+    beyond tol, or where an intermediate exact term exceeds its declared
+    bound.
     """
-    p = psi(x)
-    vsq = float(np.sum(mode_rates(x.n_modes) * x.coeffs ** 2))
+    p = psi(a)
+    vsq = norm_v_sq(a)
     lin = -vsq / p
-    transport = inner_h(burgers_nonlinearity(x), x) / p
+    # the gathered B of a block is column-major; a strided dot product would
+    # round its rows differently from a row alone
+    transport = np.vecdot(np.ascontiguousarray(_quadratic_term(a)), a) / p
 
     if gaussian is not None:
-        b2 = gaussian.betas ** 2
-        trace_exact = 0.5 * float(np.sum(b2 * (1.0 / p
-                                               - x.coeffs ** 2 / p ** 3)))
+        pc = _col(p)
+        trace_exact = 0.5 * np.sum(gaussian.betas ** 2
+                                   * (1.0 / pc - a ** 2 / pc ** 3), axis=-1)
     else:
-        trace_exact = 0.0
+        trace_exact = np.zeros_like(p)
     trace_bound = 0.5 * constants.hs_norm_sq
 
-    jump_exact = _jump_remainder(x, jumps) if jumps is not None else 0.0
+    jump_exact = _jump_remainder(a, jumps) if jumps is not None \
+        else np.zeros_like(p)
     jump_bound = 0.5 * constants.m_est
 
     value = lin + transport + trace_exact + jump_exact
-    bound = -math.sqrt(1.0 + vsq) + constants.c1
-    terms = GeneratorTerms(lin, transport, trace_exact, trace_bound,
-                           jump_exact, jump_bound, value, bound,
-                           bound - value)
-    if trace_exact > trace_bound + tol:
-        raise InequalityViolation("trace term exceeds its bound", terms)
-    if jump_exact > jump_bound + tol:
-        raise InequalityViolation("jump remainder exceeds its bound", terms)
-    if value > bound + tol:
-        raise InequalityViolation(
-            f"generator value {value:.6g} exceeds bound {bound:.6g}", terms)
-    return terms
+    bound = -np.sqrt(1.0 + vsq) + constants.c1
+    ok = ((trace_exact <= trace_bound + tol)
+          & (jump_exact <= jump_bound + tol) & (value <= bound + tol))
+    return GeneratorTerms(lin, transport, trace_exact, trace_bound,
+                          jump_exact, jump_bound, value, bound,
+                          bound - value, ok)
 
 
 @dataclass(frozen=True)
 class DriftReport:
-    """Outcome of the drift-condition check at one state."""
+    """Outcome of the drift-condition check, per state."""
 
-    psi: float
-    v_norm: float
-    in_k: bool
-    lhs: float               # ((1 + ||x||_V^2)^(1/2) - c1) / psi
-    satisfied: bool          # geometric part of the drift condition
-    generator: GeneratorTerms | None = None
-    chain_ok: bool | None = None   # geometric and generator bound together
+    psi: np.ndarray
+    v_norm: np.ndarray
+    in_k: np.ndarray
+    lhs: np.ndarray               # ((1 + ||x||_V^2)^(1/2) - c1) / psi
+    satisfied: np.ndarray         # geometric part of the drift condition
+    generator: GeneratorTerms | None
+    ok: np.ndarray                # satisfied, and generator.ok if evaluated
 
 
-def drift_condition_check(x: SpectralField,
+def drift_condition_check(a: np.ndarray,
                           constants: DriftConstants,
                           gaussian: GaussianSpec | None = None,
                           jumps: JumpSpec | None = None,
                           tol: float = DEFAULT_TOL) -> DriftReport:
-    """Classify x against the centre set and verify the drift inequality.
+    """Classify each state against the centre set and check the drift.
 
     The geometric statement is
         lhs >= 1/2        outside K = {||x||_V <= 2 c1},
         lhs >= -c1        on K,
     with lhs = ((1 + ||x||_V^2)^(1/2) - c1) / psi(x).  When forcing specs
-    are passed, the exact generator value is additionally required to stay
-    below -(1 + ||x||_V^2)^(1/2) + c1; chain_ok reports the conjunction
-    (None when the specs were not supplied).
+    are passed, the exact generator value must also stay below
+    -(1 + ||x||_V^2)^(1/2) + c1, and ok is the conjunction; without them
+    generator is None and ok is the geometric statement alone.
     """
-    p = psi(x)
-    v = norm_v(x)
+    p = psi(a)
+    v = np.sqrt(norm_v_sq(a))
     in_k = v <= constants.k_radius
-    lhs = (math.sqrt(1.0 + v * v) - constants.c1) / p
-    if in_k:
-        satisfied = lhs >= -constants.c1 - tol
-    else:
-        satisfied = lhs >= 0.5 - tol
+    lhs = (np.sqrt(1.0 + v * v) - constants.c1) / p
+    satisfied = lhs >= np.where(in_k, -constants.c1, 0.5) - tol
 
     generator = None
-    chain_ok = None
+    ok = satisfied
     if gaussian is not None or jumps is not None:
-        try:
-            generator = generator_upper_bound(x, constants, gaussian, jumps,
-                                              tol=tol)
-            chain_ok = satisfied
-        except InequalityViolation as err:
-            generator = err.report
-            chain_ok = False
+        generator = generator_upper_bound(a, constants, gaussian, jumps,
+                                          tol=tol)
+        ok = satisfied & generator.ok
     return DriftReport(psi=p, v_norm=v, in_k=in_k, lhs=lhs,
-                       satisfied=satisfied, generator=generator,
-                       chain_ok=chain_ok)
+                       satisfied=satisfied, generator=generator, ok=ok)
 
 
 # ------------------------------------------------- scaled family psi_lambda
 
-def psi_lambda(x: SpectralField, lam: float) -> float:
+def psi_lambda(a: np.ndarray, lam: float) -> np.ndarray:
     """(1 + lambda^2 ||x||_H^2)^(1/2) for a positive tilt lambda."""
     if not lam > 0:
         raise ValueError("tilt must be positive")
-    return math.sqrt(1.0 + lam * lam * float(np.sum(x.coeffs ** 2)))
+    return np.sqrt(1.0 + lam * lam * norm_h_sq(a))
 
 
-def grad_psi_lambda(x: SpectralField, lam: float) -> SpectralField:
+def grad_psi_lambda(a: np.ndarray, lam: float) -> np.ndarray:
     """lambda^2 x / psi_lambda(x); norm at most lambda."""
-    return SpectralField(lam * lam * x.coeffs / psi_lambda(x, lam))
+    return lam * lam * a / _col(psi_lambda(a, lam))
 
 
-def h_upper(x: SpectralField, lam: float, m_lambda: float,
-            hs_norm_sq: float) -> float:
+def h_upper(a: np.ndarray, lam: float, m_lambda: float,
+            hs_norm_sq: float) -> np.ndarray:
     """Dominating integrand of the exponential supermartingale:
 
     -lambda^2 ||x||_V^2 / psi_lambda + lambda^2 ||Q||_HS^2
     + (lambda^2 / 2) M_lambda.
     """
-    plam = psi_lambda(x, lam)
-    vsq = norm_v(x) ** 2
-    return (-lam * lam * vsq / plam + lam * lam * hs_norm_sq
-            + 0.5 * lam * lam * m_lambda)
+    return (-lam * lam * norm_v_sq(a) / psi_lambda(a, lam)
+            + lam * lam * hs_norm_sq + 0.5 * lam * lam * m_lambda)
 
 
-def dissipation_term_gap(x: SpectralField, lam: float) -> float:
+def dissipation_term_gap(a: np.ndarray, lam: float) -> np.ndarray:
     """Slack of lambda^2 ||x||_V^2 / psi_lambda >= (1+lambda^2||x||_V^2)^(1/2) - 1.
 
     Nonnegative for every truncated field because ||x||_V >= ||x||_H.
     """
-    vsq = norm_v(x) ** 2
-    lhs = lam * lam * vsq / psi_lambda(x, lam)
-    rhs = math.sqrt(1.0 + lam * lam * vsq) - 1.0
+    vsq = norm_v_sq(a)
+    lhs = lam * lam * vsq / psi_lambda(a, lam)
+    rhs = np.sqrt(1.0 + lam * lam * vsq) - 1.0
     return lhs - rhs
 
 
-def jump_taylor_gap(x: SpectralField, u: float, jumps: JumpSpec,
-                    lam: float) -> float:
+def jump_taylor_gap(a: np.ndarray, u: float, jumps: JumpSpec,
+                    lam: float) -> np.ndarray:
     """Slack of the second-order jump expansion of exp(psi_lambda).
 
     |e^(psi_lambda(x+f) - psi_lambda(x)) - 1 - <grad psi_lambda, f>|
     <= (lambda^2 / 2) e^(lambda ||f||) ||f||^2,    f = G(x) u.
     """
-    f = jumps.direction.field_at(x.coeffs) * float(u)
-    fn = float(np.sqrt(np.sum(f * f)))
-    lhs = abs(math.exp(psi_lambda(SpectralField(x.coeffs + f), lam)
-                       - psi_lambda(x, lam))
-              - 1.0 - float(np.dot(grad_psi_lambda(x, lam).coeffs, f)))
-    rhs = 0.5 * lam * lam * math.exp(lam * fn) * fn * fn
+    f = jumps.direction.field_at(a) * float(u)
+    fn = np.sqrt(norm_h_sq(f))
+    lhs = np.abs(np.exp(psi_lambda(a + f, lam) - psi_lambda(a, lam))
+                 - 1.0 - np.vecdot(grad_psi_lambda(a, lam), f))
+    rhs = 0.5 * lam * lam * np.exp(lam * fn) * fn * fn
     return rhs - lhs
 
 
@@ -314,13 +300,8 @@ def exp_martingale_path(traj: Trajectory, lam: float, m_lambda: float,
     computed in log space.  Because h_upper dominates the true integrand,
     ensemble means must stay at or below one up to sampling error.
     """
-    if not lam > 0:
-        raise ValueError("tilt must be positive")
-    hsq = np.sum(traj.coeffs ** 2, axis=1)
-    vsq = traj.coeffs ** 2 @ mode_rates(traj.n_modes)
-    plam = np.sqrt(1.0 + lam * lam * hsq)
-    h_vals = (-lam * lam * vsq / plam + lam * lam * hs_norm_sq
-              + 0.5 * lam * lam * m_lambda)
+    plam = psi_lambda(traj.coeffs, lam)
+    h_vals = h_upper(traj.coeffs, lam, m_lambda, hs_norm_sq)
     dt = np.diff(traj.times)
     cum = np.concatenate(([0.0],
                           np.cumsum(0.5 * dt * (h_vals[1:] + h_vals[:-1]))))
@@ -330,8 +311,8 @@ def exp_martingale_path(traj: Trajectory, lam: float, m_lambda: float,
 def _moment_reduce(traj: Trajectory, lam: float) -> tuple:
     """Trapezoids of ||X||_V and of the tilted dissipation term."""
     v = traj.norm_v()
-    plam = np.sqrt(1.0 + lam * lam * np.sum(traj.coeffs ** 2, axis=1))
-    z = lam * lam * v ** 2 / plam
+    # v ** 2 rounds differently from norm_v_sq; the estimate keeps v ** 2
+    z = lam * lam * v ** 2 / psi_lambda(traj.coeffs, lam)
     return (float(np.trapezoid(v, traj.times)),
             float(np.trapezoid(z, traj.times)))
 
@@ -360,8 +341,7 @@ def exp_integral_moment(cfg: SimConfig, theta: float, lam: float,
     else:
         m_lambda = 0.0
     hs = cfg.gaussian.hs_norm_sq if cfg.gaussian is not None else 0.0
-    x0 = cfg.x0 if cfg.x0 is not None else \
-        SpectralField(np.zeros(cfg.n_modes))
+    x0 = cfg.x0.coeffs if cfg.x0 is not None else np.zeros(cfg.n_modes)
 
     out = require_no_blowups(ensemble(cfg, n_traj,
                                       partial(_moment_reduce, lam=lam),
@@ -372,7 +352,7 @@ def exp_integral_moment(cfg: SimConfig, theta: float, lam: float,
     vals = np.exp(theta * lam * iv)
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / np.sqrt(n_traj))
-    log_const = psi_lambda(x0, lam) + cfg.t_end * lam * lam * (
+    log_const = float(psi_lambda(x0, lam)) + cfg.t_end * lam * lam * (
         0.5 * m_lambda + hs)
     bound = theta + theta / (1.0 - theta) * math.exp(log_const)
     return EstimateReport(

@@ -13,20 +13,19 @@ Admissibility of a jump specification is summarised by three constants:
     M_lambda = sup_x  integral ||f(x,u)||^2 e^(lambda ||f(x,u)||) n(du)
     a0_max   = largest exponential tilt with M_lambda finite
 
-where n(du) = intensity * F(du).  When the direction map declares its sup
-norm these are evaluated in closed form from the mark law; otherwise the sup
-is replaced by a maximum over a supplied sample of states and flagged as a
-lower bound.
+where n(du) = intensity * F(du).  Every direction map declares its sup
+norm, so these are evaluated in closed form from the mark law.  Direction
+maps act on coefficient arrays of shape (..., N), one state per row.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
 
-from .spectral import SpectralField, norm_h
+from .spectral import SpectralField, norm_h, norm_h_sq
 
 __all__ = [
     "DivergentMomentError",
@@ -34,7 +33,6 @@ __all__ = [
     "DeterministicMarks",
     "ConstantDirection",
     "SaturatedDirection",
-    "CustomDirection",
     "GaussianSpec",
     "JumpSpec",
     "HypothesisReport",
@@ -164,10 +162,8 @@ class ConstantDirection:
         return True
 
     def field_at(self, coeffs: np.ndarray) -> np.ndarray:
-        return self.g0.coeffs
-
-    def __call__(self, x: SpectralField) -> SpectralField:
-        return self.g0
+        """G at each state of coeffs, shape (..., N); a read-only view."""
+        return np.broadcast_to(self.g0.coeffs, np.shape(coeffs))
 
     def to_dict(self):
         return {"name": "constant", "coeffs": [float(c) for c in self.g0.coeffs]}
@@ -203,39 +199,14 @@ class SaturatedDirection:
         return False
 
     def field_at(self, coeffs: np.ndarray) -> np.ndarray:
+        """G at each state of coeffs, shape (..., N)."""
         unit = self.g0.coeffs / norm_h(self.g0)
-        r = float(np.sqrt(np.sum(coeffs ** 2)))
+        r = np.sqrt(norm_h_sq(coeffs))[..., None]
         return self.amplitude * np.tanh(r) * unit
-
-    def __call__(self, x: SpectralField) -> SpectralField:
-        return SpectralField(self.field_at(x.coeffs))
 
     def to_dict(self):
         return {"name": "saturated", "amplitude": self.amplitude,
                 "coeffs": [float(c) for c in self.g0.coeffs]}
-
-
-@dataclass(frozen=True)
-class CustomDirection:
-    """User-supplied direction map, with optionally declared constants."""
-
-    fn: object
-    sup_norm: float | None = None
-    lipschitz: float | None = None
-
-    @property
-    def state_independent(self) -> bool:
-        return False
-
-    def field_at(self, coeffs: np.ndarray) -> np.ndarray:
-        out = self.fn(SpectralField(coeffs))
-        return out.coeffs
-
-    def __call__(self, x: SpectralField) -> SpectralField:
-        return self.fn(x)
-
-    def to_dict(self):
-        return {"name": "custom", "sup_norm": self.sup_norm}
 
 
 # -------------------------------------------------------------------- specs
@@ -262,7 +233,7 @@ class GaussianSpec:
     @property
     def hs_norm_sq(self) -> float:
         """Squared Hilbert-Schmidt norm, sum beta_k^2."""
-        return float(np.sum(self.betas ** 2))
+        return float(norm_h_sq(self.betas))
 
     @classmethod
     def power_decay(cls, n_modes: int, amplitude: float = 1.0,
@@ -273,7 +244,7 @@ class GaussianSpec:
         k = np.arange(1, int(n_modes) + 1, dtype=float)
         betas = amplitude * k ** (-float(exponent))
         if normalize_to is not None:
-            betas *= np.sqrt(float(normalize_to) / np.sum(betas ** 2))
+            betas *= np.sqrt(float(normalize_to) / norm_h_sq(betas))
         return cls(betas)
 
 
@@ -290,12 +261,10 @@ class JumpSpec:
             raise ValueError("intensity must be nonnegative")
 
     @property
-    def lipschitz_constant(self) -> float | None:
+    def lipschitz_constant(self) -> float:
         """K with integral ||f(x,u)-f(y,u)||^2 n(du) <= K ||x-y||_H^2."""
-        lip = getattr(self.direction, "lipschitz", None)
-        if lip is None:
-            return None
-        return self.intensity * self.marks.second_moment * lip ** 2
+        return (self.intensity * self.marks.second_moment
+                * self.direction.lipschitz ** 2)
 
     @property
     def compensator_coefficient(self) -> float:
@@ -311,8 +280,6 @@ class HypothesisReport:
     m_est: float
     m_lambda_est: float
     a0_max: float
-    method: str  # "analytic" or "sampled"
-    flags: tuple = field(default=())
 
 
 # ---------------------------------------------------------------- operations
@@ -332,33 +299,17 @@ def sample_jump_times(spec: JumpSpec, t_end: float,
     return events
 
 
-def hypothesis_constants(spec: JumpSpec, lam: float,
-                         states=None) -> HypothesisReport:
-    """Evaluate the admissibility constants M, M_lambda, a0_max.
-
-    Analytic when the direction map declares its sup norm.  Otherwise the
-    supremum over states is replaced by a maximum over the supplied sample
-    and the result is flagged as a lower bound.
+def hypothesis_constants(spec: JumpSpec, lam: float) -> HypothesisReport:
+    """Evaluate the admissibility constants M, M_lambda, a0_max in closed form.
 
     Raises DivergentMomentError when lam exceeds a0_max; at lam == a0_max
     the moment is reported as inf (the tilt boundary itself diverges).
     """
     if lam < 0:
         raise ValueError("tilt must be nonnegative")
-    sup = getattr(spec.direction, "sup_norm", None)
-    flags = ()
-    if sup is not None:
-        method = "analytic"
-    else:
-        if states is None or len(states) == 0:
-            raise ValueError(
-                "direction map declares no sup norm; pass sample states")
-        sup = max(float(np.sqrt(np.sum(
-            spec.direction.field_at(s.coeffs) ** 2))) for s in states)
-        method = "sampled"
-        flags = ("lower_bound",)
+    sup = spec.direction.sup_norm
     if sup == 0.0:
-        return HypothesisReport(lam, 0.0, 0.0, math.inf, method, flags)
+        return HypothesisReport(lam, 0.0, 0.0, math.inf)
     a0_max = spec.marks.tilt_limit / sup
     if lam > a0_max:
         raise DivergentMomentError(
@@ -366,4 +317,4 @@ def hypothesis_constants(spec: JumpSpec, lam: float,
     m_est = spec.intensity * sup ** 2 * spec.marks.second_moment
     m_lambda = spec.intensity * sup ** 2 * spec.marks.tilted_second_moment(
         lam * sup)
-    return HypothesisReport(lam, m_est, m_lambda, a0_max, method, flags)
+    return HypothesisReport(lam, m_est, m_lambda, a0_max)

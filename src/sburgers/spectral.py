@@ -8,6 +8,9 @@ alpha_k = (pi k)^2, and the H / V norms are weighted coefficient sums:
     ||x||_H^2 = sum_k a_k^2
     ||x||_V^2 = sum_k (pi k)^2 a_k^2
 
+norm_h_sq and norm_v_sq are the one implementation of each, on coefficient
+arrays of shape (..., N) with one state per row.
+
 The advection term B(x) = x * x' couples modes quadratically and is computed
 exactly by the mode-coupling sum at every truncation size.  The integrator
 evaluates B on a whole batch of states at once; both routes of the sum give
@@ -26,6 +29,8 @@ __all__ = [
     "basis_field",
     "random_field",
     "mode_rates",
+    "norm_h_sq",
+    "norm_v_sq",
     "norm_h",
     "norm_v",
     "inner_h",
@@ -106,7 +111,7 @@ def random_field(n_modes: int, rng: np.random.Generator,
     """Gaussian random coefficients, optionally rescaled to a target H norm."""
     a = rng.standard_normal(int(n_modes))
     if norm is not None:
-        r = np.sqrt(np.sum(a * a))
+        r = np.sqrt(norm_h_sq(a))
         if r == 0.0:
             raise ValueError("degenerate draw, cannot rescale")
         a *= float(norm) / r
@@ -119,14 +124,29 @@ def mode_rates(n_modes: int) -> np.ndarray:
     return (np.pi * k) ** 2
 
 
+def norm_h_sq(a: np.ndarray) -> np.ndarray:
+    """sum_k a_k^2 of each state along the last axis."""
+    return np.sum(a ** 2, axis=-1)
+
+
+def norm_v_sq(a: np.ndarray) -> np.ndarray:
+    """sum_k (pi k)^2 a_k^2 of each state along the last axis.
+
+    A matrix-vector product: on a block of states the BLAS kernel may add
+    a row's terms in another order than for the row alone, so the result
+    can differ from the row's own in the last bit.
+    """
+    return a ** 2 @ mode_rates(a.shape[-1])
+
+
 def norm_h(x: SpectralField) -> float:
     """L2 norm, sqrt(sum a_k^2)."""
-    return float(np.sqrt(np.sum(x.coeffs ** 2)))
+    return float(np.sqrt(norm_h_sq(x.coeffs)))
 
 
 def norm_v(x: SpectralField) -> float:
     """Dirichlet norm, sqrt(sum (pi k)^2 a_k^2).  Always >= pi * norm_h."""
-    return float(np.sqrt(np.sum(mode_rates(x.n_modes) * x.coeffs ** 2)))
+    return float(np.sqrt(norm_v_sq(x.coeffs)))
 
 
 def inner_h(x: SpectralField, y: SpectralField) -> float:
@@ -225,8 +245,8 @@ def tail_energy_fraction(x: SpectralField, top_fraction: float = 0.25) -> float:
     """
     if not 0.0 < top_fraction <= 1.0:
         raise ValueError("top_fraction must lie in (0, 1]")
-    total = float(np.sum(x.coeffs ** 2))
+    total = float(norm_h_sq(x.coeffs))
     if total == 0.0:
         return 0.0
     n_top = max(1, int(np.ceil(top_fraction * x.n_modes)))
-    return float(np.sum(x.coeffs[-n_top:] ** 2)) / total
+    return float(norm_h_sq(x.coeffs[-n_top:])) / total

@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from sburgers.spectral import (
-    SpectralField, basis_field, random_field, zero_field,
+    basis_field, random_field, zero_field,
     norm_h, norm_v, mode_rates, burgers_nonlinearity,
 )
 from sburgers.noise import (
@@ -103,20 +103,16 @@ def test_03_drift_condition():
     gauss, jumps = default_gaussian(), default_jumps()
 
     # 10^4 states off two independent trajectories of the default model
-    states = []
-    for seed in (31, 32):
-        traj = simulate(default_model(t_end=50.0, seed=seed))
-        states.extend(traj.state(i) for i in range(traj.n_snapshots))
-    states = states[:10_000]
+    states = np.concatenate([
+        simulate(default_model(t_end=50.0, seed=seed)).coeffs
+        for seed in (31, 32)])[:10_000]
     assert len(states) == 10_000
 
-    geo_bad = sum(
-        not drift_condition_check(x, constants, tol=1e-9).satisfied
-        for x in states)
-    chain_bad = sum(
-        drift_condition_check(x, constants, gauss, jumps,
-                              tol=1e-9).chain_ok is not True
-        for x in states[::20])
+    geo_bad = int(np.sum(
+        ~drift_condition_check(states, constants, tol=1e-9).satisfied))
+    chain_bad = int(np.sum(
+        ~drift_condition_check(states[::20], constants, gauss, jumps,
+                               tol=1e-9).ok))
 
     # adversarial shell around the centre-set boundary ||x||_V = 2 c1
     dirs = [basis_field(1, N_MODES) * (1.0 / math.pi),
@@ -126,18 +122,14 @@ def test_03_drift_condition():
     radii = np.concatenate([
         np.linspace(0.8 * constants.k_radius, 1.2 * constants.k_radius, 21),
         [constants.k_radius]])
-    grid_bad = 0
-    grid = [d * float(v) for d in dirs for v in radii]
-    for x in grid:
-        rep = drift_condition_check(x, constants, gauss, jumps, tol=1e-9)
-        if rep.chain_ok is not True:
-            grid_bad += 1
+    grid = np.array([(d * float(v)).coeffs for d in dirs for v in radii])
+    grid_bad = int(np.sum(
+        ~drift_condition_check(grid, constants, gauss, jumps, tol=1e-9).ok))
 
     # negative control: halving c1 must break the chain somewhere
     halved = constants.corrupted(constants.c1 / 2.0)
-    control = sum(
-        drift_condition_check(x, halved, gauss, jumps).chain_ok is not True
-        for x in states[:200])
+    control = int(np.sum(
+        ~drift_condition_check(states[:200], halved, gauss, jumps).ok))
 
     ok = geo_bad == 0 and chain_bad == 0 and grid_bad == 0 and control > 0
     record("drift condition",
@@ -151,17 +143,16 @@ def test_04_lyapunov_calculus():
     worst_g = worst_h = 0.0
     for _ in range(100):
         x = random_field(16, rng) * (10.0 ** rng.uniform(-1.0, 1.0))
-        fd = finite_difference_gradient(
-            lambda a: psi(SpectralField(a)), x.coeffs)
-        g = grad_psi(x).coeffs
+        fd = finite_difference_gradient(psi, x.coeffs)
+        g = grad_psi(x.coeffs)
         worst_g = max(worst_g,
                       float(np.linalg.norm(g - fd) / np.linalg.norm(fd)))
 
         v = random_field(16, rng)
         eps = 1e-5
-        fd_h = (grad_psi(x + v * eps).coeffs
-                - grad_psi(x - v * eps).coeffs) / (2.0 * eps)
-        h = hess_psi_apply(x, v).coeffs
+        fd_h = (grad_psi(x.coeffs + v.coeffs * eps)
+                - grad_psi(x.coeffs - v.coeffs * eps)) / (2.0 * eps)
+        h = hess_psi_apply(x.coeffs, v.coeffs)
         worst_h = max(worst_h,
                       float(np.linalg.norm(h - fd_h) / np.linalg.norm(fd_h)))
     ok = worst_g <= 1e-6 and worst_h <= 1e-6

@@ -38,14 +38,9 @@ OU_SIGMA_SQ = 1.0 / PI ** 4
 def path_trajectory(values, dt):
     """Wrap a scalar path as a single-mode Trajectory."""
     values = np.asarray(values, dtype=float)
-    n = values.size
-    cfg = SimConfig(n_modes=1, dt=dt, t_end=(n - 1) * dt, dt_save=dt,
-                    nonlinearity_on=False)
-    return Trajectory(times=np.arange(n) * dt,
+    return Trajectory(times=np.arange(values.size) * dt,
                       coeffs=values[:, None],
-                      jump_log=(),
-                      seed=0,
-                      config=cfg)
+                      jump_log=())
 
 
 @pytest.fixture(scope="module")

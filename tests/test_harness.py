@@ -1,5 +1,6 @@
 """Config plumbing, persistence, runners, and the CLI surface."""
 
+import csv
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import sburgers
+from sburgers import harness
 from sburgers.cli import main
 from sburgers.harness import (
     ConfigError, ESTIMATORS, config_hash, load_config, parse_config,
@@ -293,6 +295,45 @@ class TestVerifyRunner:
         table = (tmp_path / "verify_failures.csv").read_text().splitlines()
         assert table[0] == f"# config_hash={parse_config(raw).hash}"
         assert len(table) == 2 + report["failures"]
+
+    def test_failure_rows_ordered_by_state_then_check(self, tmp_path,
+                                                      monkeypatch):
+        raw = base_raw(experiment={"kind": "verify", "n_states": 10,
+                                   "n_mart": 2, "c1_override": 0.5})
+        raw["model"]["t_end"] = 0.2
+        cfg = parse_config(raw)
+        names = ["drift_chain", "dissipation_gap"] + [
+            f"jump_gap_u={-math.log(1.0 - q) / 2.0:.3g}"
+            for q in (0.1, 0.5, 0.9)]
+
+        def table(out):
+            lines = (out / "verify_failures.csv").read_text().splitlines()
+            return list(csv.DictReader(lines[1:]))
+
+        control = run_verify(cfg, out_dir=tmp_path / "control")
+        rows = table(tmp_path / "control")
+        assert len(rows) == control["failures"] > 0
+        assert {r["check"] for r in rows} == {"drift_chain"}
+        times = [float(r["t"]) for r in rows]
+        assert times == sorted(times) and len(set(times)) == len(times)
+
+        # the gap checks never fail on real states; make them fail on some
+        # states so every check kind shows up in the table
+        real_gap = harness.dissipation_term_gap
+        real_jump = harness.jump_taylor_gap
+        monkeypatch.setattr(
+            harness, "dissipation_term_gap",
+            lambda a, lam: real_gap(a, lam) - (np.arange(len(a)) % 2))
+        monkeypatch.setattr(
+            harness, "jump_taylor_gap",
+            lambda a, u, jumps, lam: real_jump(a, u, jumps, lam)
+            - (np.arange(len(a)) % 3 == 0))
+        report = run_verify(cfg, out_dir=tmp_path / "forced")
+        forced = table(tmp_path / "forced")
+        assert report["failures"] == len(forced) == len(rows) + 5 + 4 * 3
+        keys = [(float(r["t"]), names.index(r["check"])) for r in forced]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+        assert [r for r in forced if r["check"] == "drift_chain"] == rows
 
     def test_zero_states_is_usage_error(self, tmp_path):
         raw = base_raw(experiment={"kind": "verify", "n_states": 0})

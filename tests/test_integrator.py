@@ -70,6 +70,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SimConfig(n_modes=4, x0=basis_field(1, 3))
 
+    @pytest.mark.parametrize("direction", [ConstantDirection,
+                                           SaturatedDirection])
+    def test_jump_direction_length_checked(self, direction):
+        # a one-mode direction would broadcast silently over four modes
+        for g0 in (basis_field(1, 3), basis_field(1, 1)):
+            spec = JumpSpec(1.0, ExponentialMarks(2.0), direction(g0))
+            with pytest.raises(ValueError, match="jump direction length"):
+                SimConfig(n_modes=4, jumps=spec)
+
 
 class TestDeterministicFlow:
     def test_zero_is_fixed_point(self):

@@ -3,24 +3,27 @@
 Derivative identities are verified against central finite differences
 (the independent oracle for the calculus), the jump remainder at the origin
 against scipy.integrate.quad of (sqrt(1+u^2)-1) * density, and every
-deterministic inequality on randomized states.
+deterministic inequality on randomized states.  The layer is array-first:
+states go in as coefficient arrays of shape (..., N), and a block of states
+must give each row the bits it gets alone.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from sburgers.spectral import (
-    SpectralField, basis_field, zero_field, random_field, norm_h, norm_v,
+    basis_field, zero_field, random_field, norm_h, norm_h_sq, norm_v_sq,
 )
 from sburgers.noise import (
-    GaussianSpec, JumpSpec, ExponentialMarks, ConstantDirection,
-    DivergentMomentError,
+    GaussianSpec, JumpSpec, ExponentialMarks, DeterministicMarks,
+    ConstantDirection, SaturatedDirection, DivergentMomentError,
 )
 from sburgers.integrator import SimConfig, simulate, ensemble
 from sburgers.lyapunov import (
-    DriftConstants, InequalityViolation,
+    DriftConstants,
     psi, grad_psi, hess_psi_apply,
     generator_upper_bound, drift_condition_check,
     psi_lambda, grad_psi_lambda, h_upper,
@@ -75,28 +78,34 @@ class TestDriftConstants:
             DriftConstants(1.0, 0.5, 1.75, 3.0)
 
 
+def states(fields) -> np.ndarray:
+    """Stack SpectralFields into an (n, N) block, one state per row."""
+    return np.array([x.coeffs for x in fields])
+
+
 class TestPsiCalculus:
     def test_values(self):
-        assert psi(zero_field(4)) == 1.0
-        assert psi(basis_field(1, 4) * math.sqrt(3.0)) == pytest.approx(2.0)
+        assert psi(zero_field(4).coeffs) == 1.0
+        assert psi((basis_field(1, 4) * math.sqrt(3.0)).coeffs) == \
+            pytest.approx(2.0)
 
     def test_bounds(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
             x = random_field(8, rng, norm=rng.uniform(0, 20))
-            p = psi(x)
+            p = psi(x.coeffs)
             assert max(1.0, norm_h(x)) <= p <= 1.0 + norm_h(x)
 
     def test_gradient_frozen_value(self):
-        g = grad_psi(basis_field(1, 4) * 4.0)
-        assert g.coeffs[0] == pytest.approx(0.9701425001453319, rel=1e-14)
-        assert np.all(g.coeffs[1:] == 0.0)
+        g = grad_psi((basis_field(1, 4) * 4.0).coeffs)
+        assert g[0] == pytest.approx(0.9701425001453319, rel=1e-14)
+        assert np.all(g[1:] == 0.0)
 
     def test_gradient_norm_below_one(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
             x = random_field(6, rng, norm=rng.uniform(0, 50))
-            assert norm_h(grad_psi(x)) < 1.0
+            assert np.sqrt(norm_h_sq(grad_psi(x.coeffs))) < 1.0
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)
@@ -105,7 +114,7 @@ class TestPsiCalculus:
             ref = finite_difference_gradient(
                 lambda a: math.sqrt(1.0 + float(np.sum(a ** 2))),
                 x.coeffs, eps=1e-5)
-            g = grad_psi(x).coeffs
+            g = grad_psi(x.coeffs)
             assert np.max(np.abs(g - ref)) <= 1e-6 * max(1.0, np.max(np.abs(ref)))
 
     def test_gradient_secondorder_convergence(self):
@@ -113,7 +122,7 @@ class TestPsiCalculus:
         # defect by about 4
         rng = np.random.default_rng(4)
         x = random_field(5, rng)
-        exact = grad_psi(x).coeffs
+        exact = grad_psi(x.coeffs)
 
         def fd_err(eps):
             ref = finite_difference_gradient(
@@ -127,13 +136,13 @@ class TestPsiCalculus:
     def test_hessian_matches_grad_differences(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
-            x = random_field(5, rng)
+            x = random_field(5, rng).coeffs
             for i in range(5):
-                v = basis_field(i + 1, 5)
+                v = basis_field(i + 1, 5).coeffs
                 eps = 1e-5
-                fd = (grad_psi(x + eps * v).coeffs
-                      - grad_psi(x + (-eps) * v).coeffs) / (2 * eps)
-                hv = hess_psi_apply(x, v).coeffs
+                fd = (grad_psi(x + v * eps)
+                      - grad_psi(x + v * (-eps))) / (2 * eps)
+                hv = hess_psi_apply(x, v)
                 assert np.max(np.abs(hv - fd)) <= 1e-6 * max(1.0, np.max(np.abs(fd)))
 
     def test_hessian_operator_bound(self):
@@ -141,22 +150,27 @@ class TestPsiCalculus:
         for _ in range(100):
             x = random_field(6, rng, norm=rng.uniform(0, 30))
             v = random_field(6, rng)
-            assert norm_h(hess_psi_apply(x, v)) <= norm_h(v) + 1e-12
+            hv = hess_psi_apply(x.coeffs, v.coeffs)
+            assert np.sqrt(norm_h_sq(hv)) <= norm_h(v) + 1e-12
 
     def test_hessian_symmetry(self):
         rng = np.random.default_rng(7)
-        x = random_field(6, rng)
-        v = random_field(6, rng)
-        w = random_field(6, rng)
-        a = float(np.dot(hess_psi_apply(x, v).coeffs, w.coeffs))
-        b = float(np.dot(hess_psi_apply(x, w).coeffs, v.coeffs))
+        x = random_field(6, rng).coeffs
+        v = random_field(6, rng).coeffs
+        w = random_field(6, rng).coeffs
+        a = float(np.dot(hess_psi_apply(x, v), w))
+        b = float(np.dot(hess_psi_apply(x, w), v))
         assert a == pytest.approx(b, rel=1e-12)
+
+    def test_hessian_mode_count_mismatch(self):
+        with pytest.raises(ValueError):
+            hess_psi_apply(np.zeros(4), np.zeros(3))
 
 
 class TestGeneratorBound:
     def test_origin_terms(self):
         c = default_constants()
-        t = generator_upper_bound(zero_field(16), c, default_gaussian(),
+        t = generator_upper_bound(np.zeros(16), c, default_gaussian(),
                                   default_jumps())
         assert t.lin_term == 0.0
         assert t.transport_term == 0.0
@@ -166,40 +180,44 @@ class TestGeneratorBound:
         assert t.value == pytest.approx(0.6840602390044227, rel=1e-9)
         assert t.bound == pytest.approx(0.75, rel=1e-12)
         assert t.margin > 0
+        assert t.ok
 
     def test_dissipation_term_frozen(self):
         c = DriftConstants.from_specs(None, None)
-        t = generator_upper_bound(basis_field(1, 4) * 4.0, c)
+        t = generator_upper_bound((basis_field(1, 4) * 4.0).coeffs, c)
         assert t.lin_term == pytest.approx(-38.299690756472806, rel=1e-12)
 
     def test_chain_on_random_states(self):
         c = default_constants()
         rng = np.random.default_rng(8)
-        for _ in range(200):
-            x = random_field(16, rng, norm=rng.uniform(0, 10))
-            t = generator_upper_bound(x, c, default_gaussian(),
-                                      default_jumps())
-            assert t.value <= t.bound + 1e-9
-            assert t.trace_exact <= t.trace_bound + 1e-12
-            assert t.jump_exact <= t.jump_bound + 1e-12
+        a = states(random_field(16, rng, norm=rng.uniform(0, 10))
+                   for _ in range(200))
+        t = generator_upper_bound(a, c, default_gaussian(), default_jumps())
+        assert t.value.shape == (200,)
+        assert np.all(t.value <= t.bound + 1e-9)
+        assert np.all(t.trace_exact <= t.trace_bound + 1e-12)
+        assert np.all(t.jump_exact <= t.jump_bound + 1e-12)
+        assert np.all(t.ok)
 
     def test_chain_on_trajectory_states(self):
         traj = simulate(default_config(2.0, seed=14))
         c = default_constants()
-        for i in range(traj.n_snapshots):
-            generator_upper_bound(traj.state(i), c, default_gaussian(),
+        t = generator_upper_bound(traj.coeffs, c, default_gaussian(),
                                   default_jumps())
+        assert t.ok.shape == (traj.n_snapshots,)
+        assert np.all(t.ok)
 
     def test_corrupted_constant_violates(self):
         c = default_constants().corrupted(0.875)
-        with pytest.raises(InequalityViolation):
-            generator_upper_bound(zero_field(16), c, default_gaussian(),
+        t = generator_upper_bound(np.zeros(16), c, default_gaussian(),
                                   default_jumps())
+        assert not t.ok
+        assert t.value > t.bound
 
 
 class TestDriftCondition:
     def test_origin_inside_k(self):
-        rep = drift_condition_check(zero_field(16), default_constants())
+        rep = drift_condition_check(np.zeros(16), default_constants())
         assert rep.in_k
         assert rep.lhs == pytest.approx(-0.75, rel=1e-12)
         assert rep.satisfied
@@ -207,7 +225,7 @@ class TestDriftCondition:
     def test_boundary_state_frozen(self):
         # c1 = 2 model, mode-1 state on the centre-set boundary
         c = DriftConstants(hs_norm_sq=2.0, m_est=0.0, c1=2.0, k_radius=4.0)
-        x = basis_field(1, 8) * (4.0 / PI)
+        x = (basis_field(1, 8) * (4.0 / PI)).coeffs
         rep = drift_condition_check(x, c)
         assert rep.in_k
         assert rep.lhs == pytest.approx(1.311374033678399, rel=1e-12)
@@ -216,60 +234,63 @@ class TestDriftCondition:
     def test_far_states_gain_half(self):
         c = default_constants()
         rng = np.random.default_rng(9)
-        for _ in range(200):
-            x = random_field(16, rng, norm=rng.uniform(2.0, 40.0))
-            rep = drift_condition_check(x, c)
-            if not rep.in_k:
-                assert rep.lhs >= 0.5 - 1e-9
+        a = states(random_field(16, rng, norm=rng.uniform(2.0, 40.0))
+                   for _ in range(200))
+        rep = drift_condition_check(a, c)
+        assert np.any(~rep.in_k)
+        assert np.all(rep.lhs[~rep.in_k] >= 0.5 - 1e-9)
 
     def test_chain_flag_with_specs(self):
-        rep = drift_condition_check(zero_field(16), default_constants(),
+        rep = drift_condition_check(np.zeros(16), default_constants(),
                                     default_gaussian(), default_jumps())
-        assert rep.chain_ok is True
+        assert rep.ok
         assert rep.generator is not None
 
     def test_negative_control_halved_c1(self):
         c = default_constants()
         bad = c.corrupted(c.c1 / 2.0)
-        rep = drift_condition_check(zero_field(16), bad,
+        rep = drift_condition_check(np.zeros(16), bad,
                                     default_gaussian(), default_jumps())
-        assert rep.chain_ok is False
+        assert not rep.ok
+        assert rep.satisfied and not rep.generator.ok
 
     def test_geometric_only_when_no_specs(self):
-        rep = drift_condition_check(zero_field(16), default_constants())
-        assert rep.chain_ok is None and rep.generator is None
+        rep = drift_condition_check(np.zeros(16), default_constants())
+        assert rep.generator is None
+        assert rep.ok == rep.satisfied
 
 
 class TestScaledFamily:
     def test_psi_lambda_values(self):
-        assert psi_lambda(zero_field(4), 0.5) == 1.0
-        x = basis_field(1, 4) * 4.0
+        assert psi_lambda(np.zeros(4), 0.5) == 1.0
+        x = (basis_field(1, 4) * 4.0).coeffs
         assert psi_lambda(x, 0.5) == pytest.approx(2.23606797749979, rel=1e-14)
         assert psi_lambda(x, 1.0) == pytest.approx(psi(x), rel=1e-14)
 
     def test_psi_lambda_domain(self):
         with pytest.raises(ValueError):
-            psi_lambda(zero_field(2), 0.0)
+            psi_lambda(np.zeros(2), 0.0)
         with pytest.raises(ValueError):
-            psi_lambda(zero_field(2), -1.0)
+            psi_lambda(np.zeros(2), -1.0)
 
     def test_grad_psi_lambda_norm(self):
         rng = np.random.default_rng(10)
         for lam in (0.25, 0.5, 1.0):
             for _ in range(50):
                 x = random_field(6, rng, norm=rng.uniform(0, 20))
-                assert norm_h(grad_psi_lambda(x, lam)) <= lam + 1e-12
+                g = grad_psi_lambda(x.coeffs, lam)
+                assert np.sqrt(norm_h_sq(g)) <= lam + 1e-12
 
     def test_h_upper_frozen(self):
-        val = h_upper(basis_field(1, 4), 1.0, 4.0, 1.0)
+        val = h_upper(basis_field(1, 4).coeffs, 1.0, 4.0, 1.0)
         assert val == pytest.approx(-3.9788641996388785, rel=1e-12)
 
     def test_dissipation_gap_nonnegative(self):
         rng = np.random.default_rng(11)
         for lam in (0.25, 0.5, 1.0):
-            for _ in range(200):
-                x = random_field(12, rng, norm=rng.uniform(0, 30))
-                assert dissipation_term_gap(x, lam) >= -1e-9
+            a = states(random_field(12, rng, norm=rng.uniform(0, 30))
+                       for _ in range(200))
+            assert np.all(dissipation_term_gap(a, lam) >= -1e-9)
 
     def test_jump_taylor_gap_nonnegative(self):
         rng = np.random.default_rng(12)
@@ -278,7 +299,7 @@ class TestScaledFamily:
             for _ in range(100):
                 x = random_field(8, rng, norm=rng.uniform(0, 5))
                 u = rng.exponential(0.5)
-                assert jump_taylor_gap(x, u, spec, lam) >= -1e-9
+                assert jump_taylor_gap(x.coeffs, u, spec, lam) >= -1e-9
 
 
 class TestExpMartingale:
@@ -341,3 +362,94 @@ class TestExpIntegralMoment:
 def _mart_final_quarter(traj) -> float:
     m_lam = ExponentialMarks(2.0).tilted_second_moment(0.25)
     return float(exp_martingale_path(traj, 0.25, m_lam, 1.0)[-1])
+
+
+# Fields of the Lyapunov outputs that pass through ||x||_V^2.  norm_v_sq is
+# a BLAS matrix-vector product, whose kernel may round a row of a block
+# differently from the row alone; where it does, these fields may move in
+# the last bits and nothing else may.
+V_FIELDS = {"lin_term", "value", "bound", "margin", "ok",
+            "v_norm", "in_k", "lhs", "satisfied"}
+
+
+def _direction(kind, n_modes):
+    g0 = basis_field(1, n_modes) + basis_field(n_modes, n_modes) * 0.5
+    if kind == "constant":
+        return ConstantDirection(g0)
+    return SaturatedDirection(g0, amplitude=0.8)
+
+
+def _assert_rows_match(whole, rows, same_v, v_dependent):
+    for i, solo in enumerate(rows):
+        if v_dependent and not same_v[i]:
+            np.testing.assert_allclose(whole[i], solo, rtol=1e-13,
+                                       atol=1e-13)
+        else:
+            assert np.array_equal(whole[i], solo), i
+
+
+class TestBatchInvariance:
+    """Row i of a call on an (n, N) block equals a call on row i alone.
+
+    N = 1 and 8 take the gathered Burgers route and N = 33 the per-row
+    convolution; the rows span the origin and large states.
+    """
+
+    @pytest.mark.parametrize("n_modes", [1, 8, 33])
+    @pytest.mark.parametrize("direction", ["constant", "saturated"])
+    @pytest.mark.parametrize("marks", ["exponential", "deterministic"])
+    def test_rows_equal_solo_calls(self, n_modes, direction, marks):
+        rng = np.random.default_rng(40 + n_modes)
+        a = rng.standard_normal((23, n_modes)) \
+            * 10.0 ** rng.uniform(-2.0, 1.5, (23, 1))
+        a[0] = 0.0
+        v = rng.standard_normal((23, n_modes))
+        gauss = GaussianSpec.power_decay(n_modes, normalize_to=1.0)
+        mark_law = ExponentialMarks(2.0) if marks == "exponential" \
+            else DeterministicMarks(0.7)
+        jumps = JumpSpec(1.3, mark_law, _direction(direction, n_modes))
+        c = DriftConstants.from_specs(gauss, jumps)
+        m_lam = 1.1851851851851851
+
+        same_v = norm_v_sq(a) == np.array([norm_v_sq(r) for r in a])
+        # the exact comparison is exercised on most rows
+        assert np.sum(same_v) >= len(a) // 2
+
+        def check(fn, v_dependent=False):
+            _assert_rows_match(fn(a), [fn(r) for r in a], same_v,
+                               v_dependent)
+
+        check(psi)
+        check(grad_psi)
+        _assert_rows_match(hess_psi_apply(a, v),
+                           [hess_psi_apply(r, w) for r, w in zip(a, v)],
+                           same_v, False)
+        for lam in (0.25, 1.0):
+            check(lambda x: psi_lambda(x, lam))
+            check(lambda x: grad_psi_lambda(x, lam))
+            check(lambda x: h_upper(x, lam, m_lam, 1.0), True)
+            check(lambda x: dissipation_term_gap(x, lam), True)
+            for u in (0.05, 0.7, 2.0):
+                check(lambda x: jump_taylor_gap(x, u, jumps, lam))
+
+        for specs in ((gauss, jumps), (None, jumps), (gauss, None)):
+            terms = generator_upper_bound(a, c, *specs)
+            solo = [generator_upper_bound(r, c, *specs) for r in a]
+            for f in dataclasses.fields(terms):
+                whole = getattr(terms, f.name)
+                if np.ndim(whole) == 0:
+                    assert all(getattr(t, f.name) == whole for t in solo)
+                    continue
+                assert np.shape(whole) == (len(a),)
+                _assert_rows_match(whole, [getattr(t, f.name) for t in solo],
+                                   same_v, f.name in V_FIELDS)
+
+        for specs in ((gauss, jumps), (None, None)):
+            rep = drift_condition_check(a, c, *specs)
+            solo = [drift_condition_check(r, c, *specs) for r in a]
+            for f in dataclasses.fields(rep):
+                if f.name == "generator":
+                    continue
+                _assert_rows_match(getattr(rep, f.name),
+                                   [getattr(t, f.name) for t in solo],
+                                   same_v, f.name in V_FIELDS)

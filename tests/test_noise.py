@@ -19,7 +19,6 @@ from sburgers.noise import (
     DeterministicMarks,
     ConstantDirection,
     SaturatedDirection,
-    CustomDirection,
     GaussianSpec,
     JumpSpec,
     sample_jump_times,
@@ -177,11 +176,25 @@ class TestAmplitudeAndCompensator:
         rng = np.random.default_rng(5)
         for _ in range(100):
             x = SpectralField(rng.standard_normal(4) * 10)
-            assert norm_h(d(x)) <= 0.8 + 1e-12
+            assert norm_h(SpectralField(d.field_at(x.coeffs))) <= 0.8 + 1e-12
 
     def test_saturated_direction_vanishes_at_origin(self):
         d = SaturatedDirection(basis_field(2, 4), amplitude=1.0)
-        assert np.allclose(d(zero_field(4)).coeffs, 0.0)
+        assert np.allclose(d.field_at(zero_field(4).coeffs), 0.0)
+
+    @pytest.mark.parametrize("d", [
+        ConstantDirection(basis_field(2, 5)),
+        SaturatedDirection(basis_field(1, 5) + basis_field(4, 5), 0.8),
+    ])
+    def test_field_at_broadcasts_over_rows(self, d):
+        # a block of states gives each row the bits of the row alone
+        rng = np.random.default_rng(13)
+        a = rng.standard_normal((3, 7, 5)) * 3.0
+        block = d.field_at(a)
+        assert block.shape == a.shape
+        for i in range(3):
+            for j in range(7):
+                assert np.array_equal(block[i, j], d.field_at(a[i, j]))
 
     def test_squared_displacement_lipschitz(self):
         # integral ||f(x,u)-f(y,u)||^2 n(du) <= K ||x-y||^2 with the declared K
@@ -204,7 +217,6 @@ class TestHypothesisConstants:
     def test_frozen_default_values(self):
         spec = default_jumps()
         rep = hypothesis_constants(spec, 1.0)
-        assert rep.method == "analytic"
         assert rep.m_est == pytest.approx(0.5, rel=1e-14)
         assert rep.m_lambda_est == pytest.approx(4.0, rel=1e-14)
         assert rep.a0_max == pytest.approx(2.0, rel=1e-14)
@@ -242,20 +254,3 @@ class TestHypothesisConstants:
         rep = hypothesis_constants(spec, 50.0)
         assert rep.a0_max == math.inf
         assert np.isfinite(rep.m_lambda_est)
-
-    def test_sampled_method_flagged(self):
-        fn = lambda x: SpectralField(np.tanh(x.coeffs))
-        spec = JumpSpec(1.0, ExponentialMarks(2.0), CustomDirection(fn))
-        rng = np.random.default_rng(12)
-        states = [SpectralField(rng.standard_normal(3)) for _ in range(50)]
-        rep = hypothesis_constants(spec, 0.5, states=states)
-        assert rep.method == "sampled"
-        assert "lower_bound" in rep.flags
-        # tanh keeps every coordinate below 1, so the sampled sup < sqrt(3)
-        assert rep.m_est <= 1.0 * 3.0 * spec.marks.second_moment
-
-    def test_sampled_method_requires_states(self):
-        fn = lambda x: x
-        spec = JumpSpec(1.0, ExponentialMarks(2.0), CustomDirection(fn))
-        with pytest.raises(ValueError):
-            hypothesis_constants(spec, 0.5)
