@@ -23,6 +23,11 @@ a batch of one and ensemble steps blocks of BLOCK_ROWS rows.  Every row
 keeps its own seed streams, only the rows with an event in a step are split
 at it, and every operation gives a row the same bits whatever the other
 rows are, so a path is the same alone, in any block and on any worker.
+
+Steps fill one (steps, R, N) buffer per chunk; snapshots and blow-ups are
+taken from it once per chunk.  Without a state-dependent drift and with at
+most LANE_LIMIT coefficients, each coefficient of each row is stepped as a
+Python-float recurrence with the roundings of the array route.
 """
 
 import math
@@ -48,11 +53,16 @@ __all__ = [
 ]
 
 BLOWUP_NORM = 1e6
+# Below this summed squared norm of a chunk no row can exceed BLOWUP_NORM.
+_SAFE_NORM_SQ = BLOWUP_NORM ** 2 * (1.0 - 1e-9)
 # Rows stepped together by ensemble, and the unit of work of its pool.
 BLOCK_ROWS = 100
 # Gaussian draws held at once per block (rows x steps x modes), which bounds
 # the memory of the pre-drawn noise whatever the path length.
 NOISE_CHUNK = 1 << 13
+# Rows x modes up to which _Kernel._step_lanes beats the numpy step
+# (measured crossover: between 16 and 20 lanes, BENCH_5.json).
+LANE_LIMIT = 16
 
 
 class BlowUpError(RuntimeError):
@@ -319,8 +329,10 @@ class _Kernel:
         """Step one path per seed in lockstep from cfg.x0.
 
         Returns the snapshots, shape (R, n_saves + 1, N), the jump logs and
-        {row: (time, norm)} for the rows that left the trust region; such a
-        row is reset to zero and its siblings run on unchanged.
+        {row: (time, norm)} for the rows that left the trust region, found
+        per chunk at the first step whose norm is not <= BLOWUP_NORM.  Such
+        a row is reset to zero before the next chunk, its later states are
+        never read, and its siblings run on unchanged.
         """
         cfg = self.cfg
         n = cfg.n_modes
@@ -342,56 +354,107 @@ class _Kernel:
         snaps[:, 0] = a
         logs = [[] for _ in seeds]
         blown = {}
-        state_drift = self.state_drift
+        step_chunk = self._step_lanes if not self.state_drift \
+            and n_rows * n <= LANE_LIMIT else self._step_arrays
         chunk = max(1, NOISE_CHUNK // (n_rows * n))
-        for i0 in range(0, n_steps, chunk):
-            i1 = min(i0 + chunk, n_steps)
-            steps = np.arange(i0, i1)
-            lengths, which = np.unique((steps + 1) * dt - steps * dt,
-                                       return_inverse=True)
-            table = [self.coef(h) for h in lengths.tolist()]
-            xi, split = self._plan_chunk(i0, i1, rngs, plans)
-            if xi is not None:
-                # xi becomes the noise term decay * ((beta sqrt h) * xi)
-                xi *= np.array([c[2] for c in table])[which][:, None, :]
-                xi *= np.array([c[0] for c in table])[which][:, None, :]
-            which = which.tolist()
-            for j in range(i1 - i0):
-                decay, phi, _, pd = table[which[j]]
-                new = decay * a
-                if pd is not None:
-                    new += pd
-                elif state_drift:
-                    new += phi * self.drift(a)
-                if xi is not None:
-                    new += xi[j]
-                i = i0 + j
-                for r, events, z, k in split.get(j, ()):
-                    if r not in blown:
-                        new[r] = self._split_step(a[r:r + 1], i, events, z,
-                                                  k, logs[r])[0]
-                if not float(np.vdot(new, new)) <= _SAFE_NORM_SQ:
-                    _mark_blowups(new, (i + 1) * dt, blown)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i0 in range(0, n_steps, chunk):
+                i1 = min(i0 + chunk, n_steps)
+                steps = np.arange(i0, i1)
+                lengths, which = np.unique((steps + 1) * dt - steps * dt,
+                                           return_inverse=True)
+                table = [self.coef(h) for h in lengths.tolist()]
+                path, split = self._plan_chunk(i0, i1, rngs, plans)
+                if path is None:
+                    # x + -0.0 is x, bit for bit, so -0.0 is no noise at all
+                    path = np.full((i1 - i0, n_rows, n), -0.0)
+                else:
+                    # the draws become the noise term decay*((beta sqrt h)*xi)
+                    path *= np.array([c[2] for c in table])[which][:, None]
+                    path *= np.array([c[0] for c in table])[which][:, None]
+                # each step adds its deterministic part to its noise term
+                step_chunk(a, path, table, which.tolist(), split, i0, logs,
+                           blown)
+                first = -(i0 + 1) % save_every
+                saved = path[first::save_every]
+                s0 = (i0 + first + 1) // save_every
+                snaps[:, s0:s0 + len(saved)] = saved.swapaxes(0, 1)
+                if not float(np.vdot(path, path)) <= _SAFE_NORM_SQ:
+                    norms = np.sqrt(norm_h_sq(path))
+                    out = ~(norms <= BLOWUP_NORM)
+                    for r in np.flatnonzero(out.any(axis=0)).tolist():
+                        if r not in blown:
+                            k = int(out[:, r].argmax())
+                            blown[r] = ((i0 + k + 1) * dt, float(norms[k, r]))
                     if len(blown) == n_rows:
-                        return snaps, logs, blown
-                a = new
-                if (i + 1) % save_every == 0:
-                    snaps[:, (i + 1) // save_every] = a
+                        break
+                a = path[-1]
+                a[list(blown)] = 0.0
         return snaps, logs, blown
 
+    def _step_arrays(self, a, path, table, which, split, i0, logs,
+                     blown) -> None:
+        """Step j of the chunk takes all rows from a to path[j] at once."""
+        state_drift = self.state_drift
+        for j, w in enumerate(which):
+            decay, phi, _, pd = table[w]
+            new = decay * a
+            if pd is not None:
+                new += pd
+            elif state_drift:
+                new += phi * self.drift(a)
+            nxt = path[j]            # not path[j] += new: that copies back
+            nxt += new
+            for r, events, z, k in split.get(j, ()):
+                if r not in blown:
+                    nxt[r] = self._split_step(a[r:r + 1], i0 + j, events, z,
+                                              k, logs[r])[0]
+            a = nxt
 
-# Below this summed squared norm of a batch no row can exceed BLOWUP_NORM.
-_SAFE_NORM_SQ = BLOWUP_NORM ** 2 * (1.0 - 1e-9)
+    def _step_lanes(self, a, path, table, which, split, i0, logs,
+                    blown) -> None:
+        """_step_arrays for a drift that does not depend on the state.
 
-
-def _mark_blowups(a: np.ndarray, time: float, blown: dict) -> None:
-    """Record the rows of a outside the trust region and reset them."""
-    for r, nrm in enumerate(np.sqrt(norm_h_sq(a)).tolist()):
-        if r not in blown:
-            if np.isfinite(nrm) and nrm <= BLOWUP_NORM:
+        Between a row's split steps each of its coefficients is an affine
+        recurrence in Python floats with the roundings of _step_arrays; a
+        split step takes the whole row through _split_step.
+        """
+        n_chunk, n_rows, n = path.shape
+        decays = [c[0].tolist() for c in table]
+        drifts = [c[3].tolist() for c in table if c[3] is not None] or None
+        for r in range(n_rows):
+            if r in blown:
                 continue
-            blown[r] = (time, nrm)
-        a[r] = 0.0
+            stops = [(j, *e[1:]) for j in sorted(split) for e in split[j]
+                     if e[0] == r]
+            row, start = a[r], 0
+            for j, events, z, k in stops + [(n_chunk, None, None, 0)]:
+                if j > start:
+                    for c, v in enumerate(row.tolist()):
+                        lane = path[start:j, r, c]
+                        ps = None if drifts is None else [p[c] for p in drifts]
+                        lane[:] = np.fromiter(
+                            _lane(v, which[start:j], [d[c] for d in decays],
+                                  ps, memoryview(lane)), float, j - start)
+                    row = path[j - 1, r]
+                if events is not None:
+                    path[j, r] = self._split_step(row[None], i0 + j, events,
+                                                  z, k, logs[r])[0]
+                    row = path[j, r]
+                start = j + 1
+
+
+def _lane(v: float, which: list, ds: list, ps, xs):
+    """Yield v <- ds[w] v (+ ps[w]) + x over the steps (w, x).  Without ps
+    nothing is added, since 0.0 would turn -0.0 into +0.0."""
+    if ps is None:
+        for w, x in zip(which, xs):
+            v = ds[w] * v + x
+            yield v
+    else:
+        for w, x in zip(which, xs):
+            v = ds[w] * v + ps[w] + x
+            yield v
 
 
 def _save_times(cfg: SimConfig) -> np.ndarray:

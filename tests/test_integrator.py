@@ -320,6 +320,57 @@ class TestStepTable:
         assert 1 <= len(kern.coefs) <= 20
 
 
+def _linear_config(forcing: str, n_modes: int) -> SimConfig:
+    """A B-off config with Gaussian forcing, jumps, both or neither.
+
+    The jump direction spreads over several modes and x0 holds a -0.0
+    where the direction is zero, so the sign of a zero shows in the path.
+    """
+    g = np.array([0.8, 0.0, 0.3, -0.1])[:n_modes]
+    x0 = np.array([0.5, -0.0, -0.2, 0.1])[:n_modes]
+    if n_modes == 1:
+        g, x0 = np.array([0.0]), np.array([-0.0])
+    gaussian = GaussianSpec(np.array([1.0, 0.5, 0.25, 0.125])[:n_modes])
+    jumps = JumpSpec(15.0, ExponentialMarks(2.0),
+                     ConstantDirection(SpectralField(g)))
+    return SimConfig(n_modes=n_modes, dt=0.01, t_end=1.2, dt_save=0.03,
+                     gaussian=gaussian if forcing in ("gaussian", "both")
+                     else None,
+                     jumps=jumps if forcing in ("jumps", "both") else None,
+                     nonlinearity_on=False, seed=6, x0=SpectralField(x0))
+
+
+def _refuse(*args):
+    raise AssertionError("the other route was taken")
+
+
+class TestLaneRoute:
+    @pytest.mark.parametrize("forcing", ["gaussian", "jumps", "both", "none"])
+    @pytest.mark.parametrize("n_modes", [1, 4])
+    @pytest.mark.parametrize("n_rows", [1, 3])
+    def test_routes_agree_bit_for_bit(self, monkeypatch, forcing, n_modes,
+                                      n_rows):
+        # the lanes route reproduces the array route's every bit, the sign
+        # of zeros included, whatever the chunking of the noise
+        cfg = _linear_config(forcing, n_modes)
+        seeds = [derive_seed(cfg.seed, i) for i in range(n_rows)]
+        for size in (1, 7, integrator.NOISE_CHUNK):
+            monkeypatch.setattr(integrator, "NOISE_CHUNK", size)
+            runs = []
+            for limit, other in ((0, "_step_lanes"), (10 ** 6, "_step_arrays")):
+                with monkeypatch.context() as m:
+                    m.setattr(integrator, "LANE_LIMIT", limit)
+                    m.setattr(_Kernel, other, _refuse)
+                    runs.append(_Kernel(cfg).run(seeds))
+            (snaps, logs, blown), (lane_snaps, lane_logs, lane_blown) = runs
+            assert snaps.tobytes() == lane_snaps.tobytes(), size
+            assert logs == lane_logs and blown == lane_blown == {}
+            if forcing in ("jumps", "both"):
+                assert all(len(log) > 5 for log in logs)
+            if forcing == "none":
+                assert np.signbit(snaps[:, :, 1 if n_modes > 1 else 0]).all()
+
+
 class TestBlowUp:
     def test_simulate_raises(self):
         cfg = SimConfig(n_modes=2, dt=1e-3, t_end=0.1, dt_save=1e-2,
@@ -353,6 +404,52 @@ class TestBlowUp:
                     (i, e.value.time, e.value.norm)
             else:
                 assert _same_paths([r], [_path(simulate(solo))])
+
+    # (index, time, norm) of every blow-up, measured before blow-ups were
+    # found once per chunk: B on, 12 rows; B off and strong noise, 12 rows
+    # of 3 modes; B off with jumps, 6 rows of 2 modes (the lanes route)
+    BLOWUP_CASES = {
+        "b_on": (forced_model(t_end=0.2, amplitude=160.0, seed=5), 12, [
+            (0, 0.18, 45503006.56474131),
+            (2, 0.082, 5455184.777471404),
+            (3, 0.056, 109412768.14229877),
+            (6, 0.064, 4755649.513898286),
+            (10, 0.116, 3585959183.3300924)]),
+        "b_off": (SimConfig(n_modes=3, dt=2e-3, t_end=0.2, dt_save=2e-2,
+                            gaussian=GaussianSpec(np.array([2.5e6, 1.0, 1.0])),
+                            nonlinearity_on=False, seed=5), 12, [
+            (1, 0.022, 1052856.3379187044),
+            (3, 0.022, 1055476.3814407673),
+            (4, 0.056, 1055360.830570963),
+            (5, 0.1, 1048908.8437954898),
+            (7, 0.11800000000000001, 1035712.826150444),
+            (8, 0.136, 1035558.8296417062),
+            (9, 0.11800000000000001, 1014377.5043608985),
+            (10, 0.1, 1049332.5535953199)]),
+        "lanes": (SimConfig(n_modes=2, dt=2e-3, t_end=0.2, dt_save=2e-2,
+                            gaussian=GaussianSpec(np.array([2e6, 1.0])),
+                            jumps=JumpSpec(20.0, ExponentialMarks(2.0),
+                                           ConstantDirection(
+                                               basis_field(1, 2))),
+                            nonlinearity_on=False, seed=3), 6, [
+            (0, 0.092, 1028887.3734962761),
+            (1, 0.17200000000000001, 1009202.7023787051),
+            (2, 0.152, 1040113.2042892426)]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BLOWUP_CASES))
+    def test_records_independent_of_chunking_and_route(self, monkeypatch,
+                                                       case):
+        cfg, n_traj, expected = self.BLOWUP_CASES[case]
+        limits = (0, 10 ** 6) if case != "b_on" else (integrator.LANE_LIMIT,)
+        for limit in limits:
+            monkeypatch.setattr(integrator, "LANE_LIMIT", limit)
+            for size in (1, 7, 8192):
+                monkeypatch.setattr(integrator, "NOISE_CHUNK", size)
+                out = ensemble(cfg, n_traj, _final_mode)
+                got = [(r.index, r.time, r.norm) for r in out
+                       if isinstance(r, BlowUp)]
+                assert got == expected, (limit, size)
 
     def test_require_no_blowups_carries_records(self):
         cfg = forced_model(t_end=0.2, amplitude=160.0, seed=5)
