@@ -23,7 +23,7 @@ from functools import partial
 
 import numpy as np
 
-from .spectral import SpectralField, norm_h_sq
+from .spectral import SpectralField, mode_rates, norm_h_sq
 from .integrator import SimConfig, Trajectory, simulate, ensemble, \
     require_no_blowups
 from .lyapunov import DriftConstants, psi
@@ -611,7 +611,6 @@ class HittingSummary:
     radius: float
     t_max: float
     samples: np.ndarray           # nan = censored at t_max
-    delayed_samples: np.ndarray   # first entrance not before the delay time
     n_censored: int
     tail_times: np.ndarray
     tail_log_survival: np.ndarray
@@ -638,37 +637,37 @@ class HittingSummary:
         }
 
 
-def _entrance_times(traj: Trajectory, radius: float, delay: float):
-    v = traj.norm_v()
-    inside = v <= radius
-    tau = math.nan
-    hit = np.nonzero(inside)[0]
-    if hit.size:
-        tau = float(traj.times[hit[0]])
-    late = np.nonzero(inside & (traj.times >= delay - 1e-12))[0]
-    tau_delayed = float(traj.times[late[0]]) if late.size else math.nan
-    return tau, tau_delayed
+def _inside_v_ball(snaps: np.ndarray, radius: float) -> np.ndarray:
+    """||x||_V <= radius for each state of snaps, (..., N) -> (...)."""
+    # row by row, unlike the matrix-vector norm_v_sq (ROADMAP item 1), so
+    # a path stops at the same snapshot in any block
+    rates = mode_rates(snaps.shape[-1])
+    return np.sqrt(np.vecdot(snaps * snaps, rates)) <= radius
+
+
+def _entrance_time(traj: Trajectory) -> float:
+    return float(traj.times[-1]) if traj.stopped else math.nan
 
 
 def hitting_times(cfg: SimConfig, constants: DriftConstants, n_traj: int,
-                  t_max: float, delay: float = 1.0, lam_grid=None,
+                  t_max: float, lam_grid=None,
                   n_workers: int = 1) -> HittingSummary:
     """Entrance-time samples for the set {||x||_V <= k_radius}.
 
-    Trajectories run to t_max; paths that never enter are censored (nan)
-    and counted.  The survival curve P(tau > t) is fitted log-linearly over
-    an interior quantile window, and exponential moments E[exp(lam tau)]
-    are reported only for lam below 0.8 of the fitted tail rate (with a
-    lower-bound flag when censoring truncates the average).  Raises
-    EnsembleBlowUpError when any trajectory blows up.
+    Each trajectory stops at its first save-grid snapshot inside the set,
+    which is its entrance time; one that has not entered by t_max is
+    censored (nan) and counted.  The survival curve P(tau > t) is fitted
+    log-linearly over an interior quantile window, and exponential moments
+    E[exp(lam tau)] are reported only for lam below 0.8 of the fitted tail
+    rate (with a lower-bound flag when censoring truncates the average).
+    Raises EnsembleBlowUpError when any trajectory blows up before it
+    enters.
     """
     cfg = replace(cfg, t_end=t_max) if cfg.t_end != t_max else cfg
-    reducer = partial(_entrance_times, radius=constants.k_radius,
-                      delay=delay)
-    out = require_no_blowups(ensemble(cfg, n_traj, reducer,
-                                      n_workers=n_workers))
-    taus = np.array([r[0] for r in out])
-    taus_delayed = np.array([r[1] for r in out])
+    until = partial(_inside_v_ball, radius=constants.k_radius)
+    out = require_no_blowups(ensemble(cfg, n_traj, _entrance_time,
+                                      n_workers=n_workers, until=until))
+    taus = np.array(out)
     censored = int(np.sum(np.isnan(taus)))
     flags = []
     if censored:
@@ -718,7 +717,6 @@ def hitting_times(cfg: SimConfig, constants: DriftConstants, n_traj: int,
         radius=constants.k_radius,
         t_max=t_max,
         samples=taus,
-        delayed_samples=taus_delayed,
         n_censored=censored,
         tail_times=tail_times,
         tail_log_survival=tail_log,

@@ -46,7 +46,8 @@ from .noise import (
     ConstantDirection, SaturatedDirection, hypothesis_constants,
 )
 from .integrator import SimConfig, Trajectory, simulate, ensemble, \
-    derive_seed, require_no_blowups, BlowUpError, EnsembleBlowUpError
+    derive_seed, require_no_blowups, BlowUpError, EnsembleBlowUpError, \
+    _is_multiple
 from .lyapunov import (
     DriftConstants, drift_condition_check, dissipation_term_gap,
     jump_taylor_gap, exp_martingale_path, exp_integral_moment,
@@ -633,6 +634,9 @@ def _est_hitting(cfg: RunConfig, exp: dict, n_workers: int):
     n_traj = _as_int(exp.get("n_traj", 200), "experiment.n_traj", minimum=2)
     t_max = _as_number(exp.get("t_max", sim.t_end), "experiment.t_max",
                        positive=True)
+    if not _is_multiple(t_max, sim.dt_save):
+        raise ConfigError(f"experiment.t_max: must be an integer multiple "
+                          f"of model.dt_save = {sim.dt_save}, got {t_max}")
     constants = DriftConstants.from_specs(sim.gaussian, sim.jumps)
     v_norm = _as_number(exp.get("initial_v_norm", 2.0 * constants.k_radius),
                         "experiment.initial_v_norm", positive=True)

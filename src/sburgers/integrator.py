@@ -25,9 +25,16 @@ at it, and every operation gives a row the same bits whatever the other
 rows are, so a path is the same alone, in any block and on any worker.
 
 Steps fill one (steps, R, N) buffer per chunk; snapshots and blow-ups are
-taken from it once per chunk.  Without a state-dependent drift and with at
-most LANE_LIMIT coefficients, each coefficient of each row is stepped as a
-Python-float recurrence with the roundings of the array route.
+taken from it once per chunk.  An ensemble may also give a first-passage
+stop: a row finishes at its first snapshot where a row-wise test holds,
+a blow-up counts only at or before the finish, finished rows are reset
+like blown ones, and a block stops stepping once each row is blown or
+finished.  The chunk therefore also bounds how far a block steps past
+its last finish.
+
+Without a state-dependent drift and with at most LANE_LIMIT coefficients,
+each coefficient of each row is stepped as a Python-float recurrence with
+the roundings of the array route.
 """
 
 import math
@@ -153,6 +160,8 @@ class Trajectory:
     times: np.ndarray            # (n_snap,)
     coeffs: np.ndarray           # (n_snap, n_modes)
     jump_log: tuple              # JumpEvent records in time order
+    stopped: bool = False        # ended at the first snapshot where the
+                                 # until of ensemble holds
 
     @property
     def n_snapshots(self) -> int:
@@ -325,14 +334,22 @@ class _Kernel:
             xi[:, r] = z[first]      # split steps overwrite their rows
         return xi, split
 
-    def run(self, seeds) -> tuple:
+    def run(self, seeds, until=None) -> tuple:
         """Step one path per seed in lockstep from cfg.x0.
 
-        Returns the snapshots, shape (R, n_saves + 1, N), the jump logs and
+        Returns the snapshots, shape (R, n_saves + 1, N), the jump logs,
         {row: (time, norm)} for the rows that left the trust region, found
-        per chunk at the first step whose norm is not <= BLOWUP_NORM.  Such
-        a row is reset to zero before the next chunk, its later states are
-        never read, and its siblings run on unchanged.
+        per chunk at the first step whose norm is not <= BLOWUP_NORM, and
+        {row: snapshot index} for the rows that finished.
+
+        until, if given, maps a chunk's snapshots (k, R, N) to a (k, R) bool
+        mask and must treat each row on its own.  A row finishes at its
+        first snapshot (t = 0 included) where the mask is True, unless it
+        left the trust region at or before that step; a later blow-up of a
+        finished row is not recorded.  Blown and finished rows are reset to
+        zero before the next chunk, their later states are never read, and
+        their siblings run on unchanged.  The loop stops once every row is
+        blown or finished, so the snapshots past a row's finish are unset.
         """
         cfg = self.cfg
         n = cfg.n_modes
@@ -354,11 +371,16 @@ class _Kernel:
         snaps[:, 0] = a
         logs = [[] for _ in seeds]
         blown = {}
+        finish = {} if until is None else \
+            dict.fromkeys(np.flatnonzero(until(a[None])[0]).tolist(), 0)
+        stopped = set(finish)      # rows whose later states are not read
         step_chunk = self._step_lanes if not self.state_drift \
             and n_rows * n <= LANE_LIMIT else self._step_arrays
         chunk = max(1, NOISE_CHUNK // (n_rows * n))
         with np.errstate(over="ignore", invalid="ignore"):
             for i0 in range(0, n_steps, chunk):
+                if len(stopped) == n_rows:
+                    break
                 i1 = min(i0 + chunk, n_steps)
                 steps = np.arange(i0, i1)
                 lengths, which = np.unique((steps + 1) * dt - steps * dt,
@@ -374,26 +396,36 @@ class _Kernel:
                     path *= np.array([c[0] for c in table])[which][:, None]
                 # each step adds its deterministic part to its noise term
                 step_chunk(a, path, table, which.tolist(), split, i0, logs,
-                           blown)
+                           stopped)
                 first = -(i0 + 1) % save_every
                 saved = path[first::save_every]
                 s0 = (i0 + first + 1) // save_every
                 snaps[:, s0:s0 + len(saved)] = saved.swapaxes(0, 1)
+                bad = {}              # row -> its first bad step in the chunk
                 if not float(np.vdot(path, path)) <= _SAFE_NORM_SQ:
                     norms = np.sqrt(norm_h_sq(path))
                     out = ~(norms <= BLOWUP_NORM)
                     for r in np.flatnonzero(out.any(axis=0)).tolist():
-                        if r not in blown:
-                            k = int(out[:, r].argmax())
-                            blown[r] = ((i0 + k + 1) * dt, float(norms[k, r]))
-                    if len(blown) == n_rows:
-                        break
+                        if r not in stopped:
+                            bad[r] = int(out[:, r].argmax())
+                if until is not None and len(saved):
+                    inside = until(saved)
+                    for r in np.flatnonzero(inside.any(axis=0)).tolist():
+                        if r not in stopped:
+                            m = int(inside[:, r].argmax())
+                            if bad.get(r, math.inf) > first + m * save_every:
+                                finish[r] = s0 + m
+                                bad.pop(r, None)
+                                stopped.add(r)
+                for r, k in bad.items():
+                    blown[r] = ((i0 + k + 1) * dt, float(norms[k, r]))
+                stopped.update(bad)
                 a = path[-1]
-                a[list(blown)] = 0.0
-        return snaps, logs, blown
+                a[list(stopped)] = 0.0
+        return snaps, logs, blown, finish
 
     def _step_arrays(self, a, path, table, which, split, i0, logs,
-                     blown) -> None:
+                     stopped) -> None:
         """Step j of the chunk takes all rows from a to path[j] at once."""
         state_drift = self.state_drift
         for j, w in enumerate(which):
@@ -406,13 +438,13 @@ class _Kernel:
             nxt = path[j]            # not path[j] += new: that copies back
             nxt += new
             for r, events, z, k in split.get(j, ()):
-                if r not in blown:
+                if r not in stopped:
                     nxt[r] = self._split_step(a[r:r + 1], i0 + j, events, z,
                                               k, logs[r])[0]
             a = nxt
 
     def _step_lanes(self, a, path, table, which, split, i0, logs,
-                    blown) -> None:
+                    stopped) -> None:
         """_step_arrays for a drift that does not depend on the state.
 
         Between a row's split steps each of its coefficients is an affine
@@ -423,7 +455,7 @@ class _Kernel:
         decays = [c[0].tolist() for c in table]
         drifts = [c[3].tolist() for c in table if c[3] is not None] or None
         for r in range(n_rows):
-            if r in blown:
+            if r in stopped:
                 continue
             stops = [(j, *e[1:]) for j in sorted(split) for e in split[j]
                      if e[0] == r]
@@ -470,7 +502,7 @@ def simulate(cfg: SimConfig) -> Trajectory:
     the full event log.  Raises BlowUpError if ||x||_H exceeds 1e6 or any
     coefficient stops being finite.
     """
-    snaps, logs, blown = _Kernel(cfg).run([cfg.seed])
+    snaps, logs, blown, _ = _Kernel(cfg).run([cfg.seed])
     if blown:
         raise BlowUpError(*blown[0])
     return Trajectory(times=_save_times(cfg), coeffs=snaps[0],
@@ -484,23 +516,34 @@ def derive_seed(seed: int, index: int) -> int:
 
 
 def _run_block(args) -> list:
-    """Trajectories first .. first + n_rows - 1 of an ensemble, reduced."""
-    cfg, first, n_rows, reducer = args
+    """Trajectories first .. first + n_rows - 1 of an ensemble, reduced.
+
+    A finished row's Trajectory ends at its finish snapshot, and its jump
+    log at the events up to that time.
+    """
+    cfg, first, n_rows, reducer, until = args
     seeds = [derive_seed(cfg.seed, first + r) for r in range(n_rows)]
-    snaps, logs, blown = _Kernel(cfg).run(seeds)
+    snaps, logs, blown, finish = _Kernel(cfg).run(seeds, until)
     times = _save_times(cfg)
     times.flags.writeable = False          # shared by the block's rows
     out = []
     for r in range(n_rows):
         if r in blown:
             out.append(BlowUp(first + r, *blown[r]))
+        elif r in finish:
+            f = finish[r]
+            out.append(reducer(Trajectory(
+                times=times[:f + 1], coeffs=snaps[r, :f + 1],
+                jump_log=tuple(e for e in logs[r] if e.time <= times[f]),
+                stopped=True)))
         else:
             out.append(reducer(Trajectory(times=times, coeffs=snaps[r],
                                           jump_log=tuple(logs[r]))))
     return out
 
 
-def ensemble(cfg: SimConfig, n_traj: int, reducer, n_workers: int = 1) -> list:
+def ensemble(cfg: SimConfig, n_traj: int, reducer, n_workers: int = 1,
+             until=None) -> list:
     """Run n_traj independent trajectories and reduce each one.
 
     Trajectory i uses the sub-seed derive_seed(cfg.seed, i).  Rows are
@@ -509,14 +552,25 @@ def ensemble(cfg: SimConfig, n_traj: int, reducer, n_workers: int = 1) -> list:
     A trajectory that blows up contributes a BlowUp record at its index
     instead of a reducer value; siblings are unaffected.
 
+    With until, a first-passage stop: a trajectory finishes at its first
+    save-grid snapshot where until holds, and the reducer gets it cut
+    there, with stopped=True and the jump events up to that time.  A
+    blow-up counts only at or before the finish, and a block stops
+    stepping once each of its rows is blown or finished.  A trajectory
+    that never finishes runs to t_end as without until.
+
     Parameters
     ----------
     reducer : callable Trajectory -> picklable value.  With n_workers > 1 it
         must be importable (module level) for the process pool.
+    until : callable, snapshots (k, R, N) -> (k, R) bool mask, or None.
+        It must decide each row from that row alone, so that a row
+        finishes at the same snapshot in any block, and be picklable like
+        the reducer.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
-    blocks = [(cfg, first, min(BLOCK_ROWS, n_traj - first), reducer)
+    blocks = [(cfg, first, min(BLOCK_ROWS, n_traj - first), reducer, until)
               for first in range(0, n_traj, BLOCK_ROWS)]
     if n_workers <= 1 or len(blocks) == 1:
         return [v for block in map(_run_block, blocks) for v in block]

@@ -7,6 +7,8 @@ on short runs.
 """
 
 import math
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,7 +18,8 @@ from sburgers.spectral import SpectralField, basis_field, zero_field
 from sburgers.noise import (
     GaussianSpec, JumpSpec, ExponentialMarks, ConstantDirection,
 )
-from sburgers.integrator import SimConfig, Trajectory, simulate
+from sburgers.integrator import SimConfig, Trajectory, _Kernel, simulate, \
+    ensemble
 from sburgers.lyapunov import DriftConstants
 from sburgers.ergodics import (
     Observable, EnvelopeViolation, OccupationHistogram, MdpConfig,
@@ -412,7 +415,6 @@ class TestHittingTimes:
         summary = hitting_times(cfg, constants, n_traj=3, t_max=2.0)
         assert np.all(summary.samples == 0.0)
         assert summary.n_censored == 0
-        assert np.all(summary.delayed_samples == pytest.approx(1.0))
 
     def test_deterministic_entrance_matches_fine_grid(self):
         gauss = None
@@ -463,6 +465,51 @@ class TestHittingTimes:
         constants = DriftConstants.from_specs(None, None)
         d = hitting_times(cfg, constants, n_traj=2, t_max=2.0).to_dict()
         assert d["n"] == 2 and d["n_censored"] == 0
+
+
+def _first_entrance(traj: Trajectory, radius: float) -> float:
+    """The entrance time read off a path run to t_max."""
+    hit = np.flatnonzero(traj.norm_v() <= radius)
+    return float(traj.times[hit[0]]) if hit.size else math.nan
+
+
+class TestHittingStop:
+    @staticmethod
+    def far_start(t_max):
+        cfg = small_jump_model(t_end=t_max, dt=2e-3, dt_save=0.01, seed=5)
+        constants = DriftConstants.from_specs(cfg.gaussian, cfg.jumps)
+        x0 = (2.0 * constants.k_radius / PI) * basis_field(1, 8)
+        return replace(cfg, x0=x0), constants
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        cfg, constants = self.far_start(0.08)
+        taus = ensemble(cfg, 101, partial(_first_entrance,
+                                          radius=constants.k_radius))
+        return cfg, constants, np.array(taus)
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    @pytest.mark.parametrize("n_traj", [1, 7, 100, 101])
+    def test_samples_equal_full_horizon(self, reference, n_traj, n_workers):
+        cfg, constants, taus = reference
+        assert 0 < np.isnan(taus).sum() < taus.size
+        summary = hitting_times(cfg, constants, n_traj, cfg.t_end,
+                                n_workers=n_workers)
+        assert summary.samples.tobytes() == taus[:n_traj].tobytes()
+
+    def test_blocks_stop_before_t_max(self, monkeypatch):
+        steps = []
+        plan = _Kernel._plan_chunk
+
+        def counted(self, i0, i1, rngs, plans):
+            steps.append(i1 - i0)
+            return plan(self, i0, i1, rngs, plans)
+
+        monkeypatch.setattr(_Kernel, "_plan_chunk", counted)
+        cfg, constants = self.far_start(1.0)
+        summary = hitting_times(cfg, constants, 100, 1.0)
+        assert summary.n_censored == 0
+        assert sum(steps) < round(1.0 / cfg.dt)
 
 
 class TestDeviationProbe:

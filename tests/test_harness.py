@@ -585,6 +585,34 @@ class TestCli:
             (tmp_path / "2" / "verify_report.json").read_bytes()
         capsys.readouterr()
 
+    def test_hitting_threads_identical(self, tmp_path, capsys):
+        # one path more than a block, so two workers share the blocks
+        raw = base_raw(experiment={"kind": "estimate",
+                                   "n_traj": BLOCK_ROWS + 1, "t_max": 0.2,
+                                   "initial_v_norm": 7.0})
+        raw["model"].update(n_modes=8, dt=2e-3)
+        path = write_config(tmp_path, raw)
+        for threads in ("1", "2"):
+            assert main(["estimate", "hitting", "--config", path,
+                         "--threads", threads,
+                         "--out", str(tmp_path / threads)]) == 0
+        for name in ("estimate.jsonl", "estimate.csv"):
+            assert (tmp_path / "1" / name).read_bytes() == \
+                (tmp_path / "2" / name).read_bytes()
+        rec = json.loads((tmp_path / "1" / "estimate.jsonl").read_text())
+        assert rec["n"] == BLOCK_ROWS + 1 and rec["n_censored"] < rec["n"]
+        capsys.readouterr()
+
+    def test_hitting_t_max_off_save_grid_exit_two(self, tmp_path, capsys):
+        raw = base_raw(experiment={"kind": "estimate", "n_traj": 4,
+                                   "t_max": 0.055})
+        path = write_config(tmp_path, raw)
+        code = main(["estimate", "hitting", "--config", path,
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "experiment.t_max" in err and "t_end" not in err
+
     def test_expmoment_domain_error_exit_two(self, tmp_path, capsys):
         raw = base_raw(experiment={"kind": "estimate", "theta": 0.5,
                                    "lam": 2.5, "n_traj": 4})

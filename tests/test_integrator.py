@@ -9,9 +9,10 @@ import pytest
 
 from sburgers.spectral import (
     SpectralField, basis_field, zero_field, random_field, norm_h, mode_rates,
-    burgers_nonlinearity,
+    norm_h_sq, burgers_nonlinearity,
 )
 from dataclasses import replace
+from functools import partial
 
 from sburgers.noise import (
     GaussianSpec, JumpSpec, ExponentialMarks, ConstantDirection,
@@ -315,8 +316,8 @@ class TestStepTable:
         cfg = replace(linear_single_mode(100.0, dt=1e-3, dt_save=1.0),
                       jumps=spec)
         kern = _Kernel(cfg)
-        snaps, logs, blown = kern.run([5])
-        assert not blown and len(logs[0]) > 50
+        snaps, logs, blown, finish = kern.run([5])
+        assert not blown and not finish and len(logs[0]) > 50
         assert 1 <= len(kern.coefs) <= 20
 
 
@@ -362,9 +363,11 @@ class TestLaneRoute:
                     m.setattr(integrator, "LANE_LIMIT", limit)
                     m.setattr(_Kernel, other, _refuse)
                     runs.append(_Kernel(cfg).run(seeds))
-            (snaps, logs, blown), (lane_snaps, lane_logs, lane_blown) = runs
+            (snaps, logs, blown, finish), \
+                (lane_snaps, lane_logs, lane_blown, lane_finish) = runs
             assert snaps.tobytes() == lane_snaps.tobytes(), size
             assert logs == lane_logs and blown == lane_blown == {}
+            assert finish == lane_finish == {}
             if forcing in ("jumps", "both"):
                 assert all(len(log) > 5 for log in logs)
             if forcing == "none":
@@ -529,6 +532,145 @@ class TestEnsemble:
         time_se = float(sq.std(ddof=1) / np.sqrt(n_eff))
         assert abs(ens_mean - time_mean) <= \
             3.0 * np.hypot(ens_se, time_se)
+
+
+def _stop_path(traj: Trajectory) -> tuple:
+    return (traj.times.copy(), traj.coeffs.copy(), traj.jump_log,
+            traj.stopped)
+
+
+def _norm_h_at_least(snaps, radius):
+    return norm_h_sq(snaps) >= radius ** 2
+
+
+def _norm_h_at_most(snaps, radius):
+    return norm_h_sq(snaps) <= radius ** 2
+
+
+def _mode1_at_least(snaps, level):
+    return snaps[..., 0] >= level
+
+
+def _stopped_reference(cfg: SimConfig, n_traj: int, until) -> list:
+    """ensemble(..., until=until) read off one unstopped block: a row is cut
+    at its first snapshot where until holds, unless it blew up at or
+    before that step."""
+    seeds = [derive_seed(cfg.seed, i) for i in range(n_traj)]
+    snaps, logs, blown, _ = _Kernel(cfg).run(seeds)
+    times = integrator._save_times(cfg)
+    save_every = round(cfg.dt_save / cfg.dt)
+    out = []
+    for r in range(n_traj):
+        bad_step = round(blown[r][0] / cfg.dt) if r in blown else np.inf
+        hits = [s for s in np.flatnonzero(until(snaps[r][:, None])[:, 0])
+                if s * save_every < bad_step]
+        if hits:
+            end = hits[0] + 1
+            out.append((times[:end], snaps[r, :end],
+                        tuple(e for e in logs[r] if e.time <= times[end - 1]),
+                        True))
+        elif r in blown:
+            out.append(BlowUp(r, *blown[r]))
+        else:
+            out.append((times, snaps[r], tuple(logs[r]), False))
+    return out
+
+
+def _same_stops(a, b) -> bool:
+    def same(x, y):
+        if isinstance(x, BlowUp) or isinstance(y, BlowUp):
+            return x == y
+        return (x[0].tobytes() == y[0].tobytes()
+                and x[1].tobytes() == y[1].tobytes()
+                and x[2] == y[2] and x[3] == y[3])
+    return len(a) == len(b) and all(same(x, y) for x, y in zip(a, b))
+
+
+def _kinds(results) -> set:
+    return {"blown" if isinstance(r, BlowUp)
+            else "stopped" if r[3] else "full" for r in results}
+
+
+class TestFirstPassage:
+    _strong = replace(forced_model(t_end=0.2, amplitude=160.0, seed=5),
+                      x0=0.1 * basis_field(1, 8))
+    _jumpy = replace(forced_model(t_end=0.2),
+                     jumps=JumpSpec(20.0, ExponentialMarks(2.0),
+                                    ConstantDirection(basis_field(1, 8))))
+    # config, rows, until, the kinds of result the case must produce
+    STOP_CASES = {
+        # rows 2, 6 and 10 leave the ball before they blow up, rows 0 and 3
+        # blow up first, the others never leave it
+        "blow_after_finish": (_strong, 12,
+                              partial(_norm_h_at_least, radius=60.0),
+                              {"stopped", "blown", "full"}),
+        # from the edge of the stable starts, rows 0, 1, 2, 4, 7, 8 and 11
+        # blow up by t = 0.066; reset to zero, they would be inside the
+        # ball long before their siblings enter it at t = 0.14 to 0.24
+        "reset_rows": (replace(forced_model(t_end=0.3),
+                               x0=56.0 * basis_field(1, 8)), 12,
+                       partial(_norm_h_at_most, radius=1.0),
+                       {"stopped", "blown"}),
+        # many jump events after a row's finish in its last chunk
+        "jumps": (_jumpy, 12, partial(_mode1_at_least, level=0.5),
+                  {"stopped", "full"}),
+        # 3 rows of 4 modes take the lanes route
+        "lanes": (_linear_config("both", 4), 3,
+                  partial(_mode1_at_least, level=1.5), {"stopped", "full"}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(STOP_CASES))
+    def test_stop_equals_cut_full_run(self, monkeypatch, case):
+        # a finished row is its unstopped path cut at the finish, with the
+        # jump events up to then; a blow-up after the finish is dropped and
+        # a reset row never finishes; the same in a block or alone, for any
+        # chunking of the noise
+        cfg, n_traj, until, kinds = self.STOP_CASES[case]
+        expected = _stopped_reference(cfg, n_traj, until)
+        assert _kinds(expected) == kinds
+        if case == "jumps":
+            # the kernel logs events past a finish within its chunk
+            seeds = [derive_seed(cfg.seed, i) for i in range(n_traj)]
+            _, logs, _, finish = _Kernel(cfg).run(seeds, until)
+            assert any(logs[r][-1].time > f * cfg.dt_save
+                       for r, f in finish.items() if logs[r])
+        for size in (1, 7, integrator.NOISE_CHUNK):
+            with monkeypatch.context() as m:
+                m.setattr(integrator, "NOISE_CHUNK", size)
+                got = ensemble(cfg, n_traj, _stop_path, until=until)
+            assert _same_stops(got, expected), size
+        for i in range(n_traj):
+            alone = integrator._run_block((cfg, i, 1, _stop_path, until))
+            assert _same_stops(alone, expected[i:i + 1]), i
+
+    def test_block_stops_after_last_finish(self, monkeypatch):
+        steps = []
+        plan = _Kernel._plan_chunk
+
+        def counted(self, i0, i1, rngs, plans):
+            steps.append(i1 - i0)
+            return plan(self, i0, i1, rngs, plans)
+
+        monkeypatch.setattr(_Kernel, "_plan_chunk", counted)
+        monkeypatch.setattr(integrator, "NOISE_CHUNK", 1)   # 1 step a chunk
+        cfg, _, until, _ = self.STOP_CASES["jumps"]
+        n_steps = round(cfg.t_end / cfg.dt)
+        save_every = round(cfg.dt_save / cfg.dt)
+        seeds = [derive_seed(cfg.seed, i) for i in (1, 4, 6)]
+        _, _, blown, finish = _Kernel(cfg).run(seeds, until)
+        assert not blown and sorted(finish) == [0, 1, 2]
+        assert sum(steps) == save_every * max(finish.values()) < n_steps
+        steps.clear()
+        # a row that never finishes keeps the block stepping to t_end
+        _, _, _, finish = _Kernel(cfg).run(seeds + [derive_seed(cfg.seed, 0)],
+                                           until)
+        assert sorted(finish) == [0, 1, 2] and sum(steps) == n_steps
+
+    def test_start_inside_finishes_at_once(self):
+        cfg, n_traj, until, _ = self.STOP_CASES["reset_rows"]
+        out = ensemble(replace(cfg, x0=None), n_traj, _stop_path, until=until)
+        assert all(r[3] and r[0].tolist() == [0.0] and r[2] == ()
+                   for r in out)
 
 
 def _final_mode(traj: Trajectory) -> float:
