@@ -18,7 +18,7 @@ fails loudly instead of polluting an estimate.
 """
 
 import math
-from dataclasses import dataclass, replace, field
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -26,7 +26,7 @@ import numpy as np
 from .spectral import SpectralField, mode_rates, norm_h_sq
 from .integrator import SimConfig, Trajectory, simulate, ensemble, \
     require_no_blowups
-from .lyapunov import DriftConstants, psi
+from .lyapunov import DriftConstants, psi, _cumulative_trapezoid
 from .reports import EstimateReport
 
 __all__ = [
@@ -207,18 +207,6 @@ class OccupationHistogram:
     def cdf_at_edges(self) -> np.ndarray:
         return np.concatenate(([0.0], np.cumsum(self.masses)))
 
-    def merge(self, other: "OccupationHistogram") -> "OccupationHistogram":
-        """Time-weighted combination; exact and commutative."""
-        if other.observable != self.observable:
-            raise ValueError("histograms observe different quantities")
-        if not np.array_equal(other.edges, self.edges):
-            raise ValueError("histograms use different bin edges")
-        t = self.total_time + other.total_time
-        m = (self.masses * self.total_time
-             + other.masses * other.total_time) / t
-        m = m / m.sum()
-        return OccupationHistogram(self.observable, self.edges, m, t)
-
     def to_dict(self) -> dict:
         return {
             "observable": self.observable,
@@ -305,17 +293,15 @@ def integrated_autocorr_time(series: np.ndarray) -> float:
     return max(tau, 1.0)
 
 
-def _batch_layout(n_samples: int, tau: float,
-                  min_batches: int = 30, max_batches: int = 100):
-    """Batch count and length: batches at least 20 correlation times long."""
+def _batch_layout(n_samples: int, tau: float):
+    """Batch count and length: 30 to 100 batches, each at least 20
+    correlation times long."""
     min_len = max(int(math.ceil(20.0 * tau)), 1)
-    n_batches = n_samples // min_len
-    if n_batches > max_batches:
-        n_batches = max_batches
-    if n_batches < min_batches:
+    n_batches = min(n_samples // min_len, 100)
+    if n_batches < 30:
         raise ValueError(
             f"series too short: {n_samples} samples support only "
-            f"{n_batches} batches of {min_len} (need {min_batches})")
+            f"{n_batches} batches of {min_len} (need 30)")
     return n_batches, n_samples // n_batches
 
 
@@ -527,19 +513,9 @@ def ergodic_decay(cfg: SimConfig, x0: SpectralField, y0: SpectralField,
     }
 
     if int(window.sum()) >= 3:
-        tw = t_grid[window]
-        logd = np.log(d_vals[window])
-        slope, intercept = np.polyfit(tw, logd, 1)
-        fit = slope * tw + intercept
-        resid = logd - fit
-        m = tw.size
-        denom = float(np.sum((tw - tw.mean()) ** 2))
-        se_slope = math.sqrt(max(float(resid @ resid), 0.0)
-                             / max(m - 2, 1) / denom)
-        ss_tot = float(np.sum((logd - logd.mean()) ** 2))
-        extra["r_squared"] = 1.0 - float(resid @ resid) / ss_tot \
-            if ss_tot > 0 else 1.0
-        value, half = -float(slope), 3.0 * se_slope
+        slope, se_slope, extra["r_squared"] = _log_linear_fit(
+            t_grid[window], np.log(d_vals[window]))
+        value, half = -slope, 3.0 * se_slope
     else:
         flags += ["signal_below_noise", "lower_bound"]
         above = np.nonzero(window)[0]
@@ -561,6 +537,20 @@ def ergodic_decay(cfg: SimConfig, x0: SpectralField, y0: SpectralField,
         flags=tuple(flags),
         extra=extra,
     )
+
+
+def _log_linear_fit(t: np.ndarray, logy: np.ndarray) -> tuple:
+    """Least-squares line through (t, logy) at three or more distinct t.
+
+    Returns the slope, its standard error and R^2 (1 when logy is flat).
+    """
+    slope, intercept = np.polyfit(t, logy, 1)
+    resid = logy - (slope * t + intercept)
+    rss = float(resid @ resid)
+    denom = float(np.sum((t - t.mean()) ** 2))
+    se = math.sqrt(max(rss, 0.0) / max(t.size - 2, 1) / denom)
+    ss_tot = float(np.sum((logy - logy.mean()) ** 2))
+    return float(slope), se, 1.0 - rss / ss_tot if ss_tot > 0 else 1.0
 
 
 # ----------------------------------------------------------- MDP functional
@@ -618,7 +608,6 @@ class HittingSummary:
     tail_r_squared: float | None
     exp_moments: tuple            # (lam, estimate or None, flag)
     flags: tuple = ()
-    extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -691,12 +680,8 @@ def hitting_times(cfg: SimConfig, constants: DriftConstants, n_traj: int,
         tail_times = grid[keep]
         tail_log = np.log(surv[keep])
         if tail_times.size >= 3 and np.ptp(tail_times) > 0:
-            slope, intercept = np.polyfit(tail_times, tail_log, 1)
-            fit = slope * tail_times + intercept
-            resid = tail_log - fit
-            ss_tot = float(np.sum((tail_log - tail_log.mean()) ** 2))
-            r_sq = 1.0 - float(resid @ resid) / ss_tot if ss_tot > 0 else 1.0
-            rate = -float(slope)
+            slope, _, r_sq = _log_linear_fit(tail_times, tail_log)
+            rate = -slope
         else:
             flags.append("tail_unresolved")
 
@@ -730,10 +715,7 @@ def hitting_times(cfg: SimConfig, constants: DriftConstants, n_traj: int,
 # ------------------------------------------------------ deviation rate probe
 
 def _running_averages(traj: Trajectory, obs: Observable, indices):
-    vals = obs.values(traj.coeffs)
-    dt = np.diff(traj.times)
-    cum = np.concatenate(([0.0],
-                          np.cumsum(0.5 * dt * (vals[1:] + vals[:-1]))))
+    cum = _cumulative_trapezoid(obs.values(traj.coeffs), traj.times)
     idx = np.asarray(indices, dtype=int)
     return cum[idx] / traj.times[idx]
 

@@ -594,10 +594,10 @@ def _est_sigma2(cfg: RunConfig, exp: dict, n_workers: int):
                               "half_width": rep.half_width, "n": rep.n}]
 
 
-def _time_average(cfg: RunConfig, obs: Observable, traj: Trajectory,
-                  burn_frac=0.1) -> float:
-    """Long-run mean of obs after burn-in along traj, the path of cfg.sim."""
-    reports = path_averages(traj, burn_frac * cfg.sim.t_end, [obs])
+def _time_average(cfg: RunConfig, obs: Observable, traj: Trajectory) -> float:
+    """Long-run mean of obs along traj, the path of cfg.sim, after a
+    burn-in of a tenth of t_end."""
+    reports = path_averages(traj, 0.1 * cfg.sim.t_end, [obs])
     return reports[obs.name].value
 
 
@@ -684,6 +684,15 @@ def _est_tailprobe(cfg: RunConfig, exp: dict, n_workers: int):
                            "experiment.observable")
     r_grid = exp.get("r_grid", [0.0, 0.05, 0.1])
     t_grid = exp.get("t_grid", [cfg.sim.t_end])
+    if not isinstance(t_grid, list) or not t_grid:
+        raise ConfigError("experiment.t_grid: expected a nonempty list")
+    t_grid = [_as_number(t, f"experiment.t_grid[{i}]", positive=True)
+              for i, t in enumerate(t_grid)]
+    t_max = max(t_grid)
+    if not _is_multiple(t_max, cfg.sim.dt_save):
+        raise ConfigError(f"experiment.t_grid: largest time must be an "
+                          f"integer multiple of model.dt_save = "
+                          f"{cfg.sim.dt_save}, got {t_max}")
     n_traj = _as_int(exp.get("n_traj", 100), "experiment.n_traj", minimum=2)
     mu_ref = exp.get("mu_reference")
     if mu_ref is None:

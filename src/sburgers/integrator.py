@@ -32,9 +32,14 @@ like blown ones, and a block stops stepping once each row is blown or
 finished.  The chunk therefore also bounds how far a block steps past
 its last finish.
 
+The step formula lives in two _Kernel helpers: _gaussian_increment is
+the noise term e^(-alpha_k h) beta_k sqrt(h) xi_k and _deterministic the
+rest, e^(-alpha_k h) a_k + phi_k(h) [drift]_k.  A chunk's noise terms are
+computed in one _gaussian_increment call before its steps, and the
+split steps around jump events go through substep, which calls both.
 Without a state-dependent drift and with at most LANE_LIMIT coefficients,
-each coefficient of each row is stepped as a Python-float recurrence with
-the roundings of the array route.
+each coefficient of each row is stepped by _lane, the Python-float twin of
+_deterministic with the same roundings.
 """
 
 import math
@@ -234,20 +239,33 @@ class _Kernel:
             out = comp if out is None else out + comp
         return out
 
+    def _deterministic(self, c: tuple, a: np.ndarray) -> np.ndarray:
+        """decay a + phi d for the step coefficients c from the states a,
+        with d the drift at a held over the step."""
+        decay, phi, _, pd = c
+        out = decay * a
+        if pd is not None:
+            out += pd
+        elif self.state_drift:
+            out += phi * self.drift(a)
+        return out
+
+    @staticmethod
+    def _gaussian_increment(decay, bsh, xi) -> np.ndarray:
+        """The noise term decay (beta sqrt(h)) xi of a step."""
+        return decay * (bsh * xi)
+
     def substep(self, a: np.ndarray, h: float, xi) -> np.ndarray:
         """One jump-free step of length h > 0 from the states a, (R, N).
 
         xi holds the standard normal draws of the step (None without
         Gaussian forcing).
         """
-        decay, phi, bsh, pd = self.coef(h, keep=False)
-        out = decay * a
-        if pd is not None:
-            out += pd
-        elif self.state_drift:
-            out += phi * self.drift(a)
+        c = self.coef(h, keep=False)
+        out = self._deterministic(c, a)
+        decay, _, bsh, _ = c
         if bsh is not None:
-            out += decay * (bsh * xi)
+            out += self._gaussian_increment(decay, bsh, xi)
         return out
 
     def _event_steps(self, jump_ss, n_steps: int) -> list:
@@ -391,9 +409,9 @@ class _Kernel:
                     # x + -0.0 is x, bit for bit, so -0.0 is no noise at all
                     path = np.full((i1 - i0, n_rows, n), -0.0)
                 else:
-                    # the draws become the noise term decay*((beta sqrt h)*xi)
-                    path *= np.array([c[2] for c in table])[which][:, None]
-                    path *= np.array([c[0] for c in table])[which][:, None]
+                    decay = np.array([c[0] for c in table])[which][:, None]
+                    bsh = np.array([c[2] for c in table])[which][:, None]
+                    path = self._gaussian_increment(decay, bsh, path)
                 # each step adds its deterministic part to its noise term
                 step_chunk(a, path, table, which.tolist(), split, i0, logs,
                            stopped)
@@ -427,14 +445,8 @@ class _Kernel:
     def _step_arrays(self, a, path, table, which, split, i0, logs,
                      stopped) -> None:
         """Step j of the chunk takes all rows from a to path[j] at once."""
-        state_drift = self.state_drift
         for j, w in enumerate(which):
-            decay, phi, _, pd = table[w]
-            new = decay * a
-            if pd is not None:
-                new += pd
-            elif state_drift:
-                new += phi * self.drift(a)
+            new = self._deterministic(table[w], a)
             nxt = path[j]            # not path[j] += new: that copies back
             nxt += new
             for r, events, z, k in split.get(j, ()):
@@ -477,8 +489,9 @@ class _Kernel:
 
 
 def _lane(v: float, which: list, ds: list, ps, xs):
-    """Yield v <- ds[w] v (+ ps[w]) + x over the steps (w, x).  Without ps
-    nothing is added, since 0.0 would turn -0.0 into +0.0."""
+    """Yield v <- ds[w] v (+ ps[w]) + x over the steps (w, x), x the noise
+    term of _Kernel._gaussian_increment.  Without ps nothing is added,
+    since 0.0 would turn -0.0 into +0.0."""
     if ps is None:
         for w, x in zip(which, xs):
             v = ds[w] * v + x

@@ -11,7 +11,10 @@ The workhorse function is psi(x) = (1 + ||x||_H^2)^(1/2).  Its gradient and
 Hessian are globally bounded by 1 in operator norm, the Dirichlet form term
 <Laplacian x, grad psi> equals -||x||_V^2 / psi, and the forcing enters only
 through two constants: the squared HS norm of the Gaussian amplitudes and
-the jump second moment M.  Together they give the generator bound
+the jump second moment M.  The generator is evaluated through grad_psi and
+hess_psi_apply, the functions the tests check against finite differences:
+the trace term from the Hessian diagonal <Hess psi e_k, e_k>, the jump
+remainder from the gradient.  Together they give the generator bound
 
     L psi(x) <= -(1 + ||x||_V^2)^(1/2) + c1,
     c1 = 1 + (||Q||_HS^2 + M) / 2,
@@ -80,14 +83,10 @@ class DriftConstants:
 
     @classmethod
     def from_specs(cls, gaussian: GaussianSpec | None,
-                   jumps: JumpSpec | None,
-                   m_est: float | None = None) -> "DriftConstants":
+                   jumps: JumpSpec | None) -> "DriftConstants":
         hs = gaussian.hs_norm_sq if gaussian is not None else 0.0
-        if m_est is None:
-            if jumps is None:
-                m_est = 0.0
-            else:
-                m_est = hypothesis_constants(jumps, 0.0).m_est
+        m_est = hypothesis_constants(jumps, 0.0).m_est \
+            if jumps is not None else 0.0
         c1 = 1.0 + 0.5 * (hs + m_est)
         return cls(hs_norm_sq=hs, m_est=m_est, c1=c1, k_radius=2.0 * c1)
 
@@ -136,7 +135,7 @@ class GeneratorTerms:
     value: np.ndarray           # sum of the exact terms
     bound: np.ndarray           # -(1 + ||x||_V^2)^(1/2) + c1
     margin: np.ndarray          # bound - value
-    ok: np.ndarray              # every exact term within its bound, up to tol
+    ok: np.ndarray              # every term within bound, up to DEFAULT_TOL
 
 
 def _jump_remainder(a: np.ndarray, jumps: JumpSpec) -> np.ndarray:
@@ -147,7 +146,7 @@ def _jump_remainder(a: np.ndarray, jumps: JumpSpec) -> np.ndarray:
     u, w = jumps.marks.quadrature()
     g = jumps.direction.field_at(a)
     p = psi(a)
-    slope = np.vecdot(a / _col(p), g)
+    slope = np.vecdot(grad_psi(a), g)
     vals = np.empty(np.shape(p) + (u.size,))
     for k, uk in enumerate(u.tolist()):
         vals[..., k] = psi(a + uk * g) - p - uk * slope
@@ -157,13 +156,12 @@ def _jump_remainder(a: np.ndarray, jumps: JumpSpec) -> np.ndarray:
 def generator_upper_bound(a: np.ndarray,
                           constants: DriftConstants,
                           gaussian: GaussianSpec | None = None,
-                          jumps: JumpSpec | None = None,
-                          tol: float = DEFAULT_TOL) -> GeneratorTerms:
+                          jumps: JumpSpec | None = None) -> GeneratorTerms:
     """Evaluate L psi exactly at each state against the drift bound.
 
     ok is False where the exact value exceeds -(1 + ||x||_V^2)^(1/2) + c1
-    beyond tol, or where an intermediate exact term exceeds its declared
-    bound.
+    beyond DEFAULT_TOL, or where an intermediate exact term exceeds its
+    declared bound.
     """
     p = psi(a)
     vsq = norm_v_sq(a)
@@ -173,9 +171,12 @@ def generator_upper_bound(a: np.ndarray,
     transport = np.vecdot(np.ascontiguousarray(_quadratic_term(a)), a) / p
 
     if gaussian is not None:
-        pc = _col(p)
-        trace_exact = 0.5 * np.sum(gaussian.betas ** 2
-                                   * (1.0 / pc - a ** 2 / pc ** 3), axis=-1)
+        # <Hess psi e_k, e_k> by one hess_psi_apply call per basis vector,
+        # so no (..., N, N) array is built
+        diag = np.empty(np.shape(a))
+        for k, e in enumerate(np.eye(np.shape(a)[-1])):
+            diag[..., k] = hess_psi_apply(a, e)[..., k]
+        trace_exact = 0.5 * np.sum(gaussian.betas ** 2 * diag, axis=-1)
     else:
         trace_exact = np.zeros_like(p)
     trace_bound = 0.5 * constants.hs_norm_sq
@@ -186,6 +187,7 @@ def generator_upper_bound(a: np.ndarray,
 
     value = lin + transport + trace_exact + jump_exact
     bound = -np.sqrt(1.0 + vsq) + constants.c1
+    tol = DEFAULT_TOL
     ok = ((trace_exact <= trace_bound + tol)
           & (jump_exact <= jump_bound + tol) & (value <= bound + tol))
     return GeneratorTerms(lin, transport, trace_exact, trace_bound,
@@ -209,8 +211,7 @@ class DriftReport:
 def drift_condition_check(a: np.ndarray,
                           constants: DriftConstants,
                           gaussian: GaussianSpec | None = None,
-                          jumps: JumpSpec | None = None,
-                          tol: float = DEFAULT_TOL) -> DriftReport:
+                          jumps: JumpSpec | None = None) -> DriftReport:
     """Classify each state against the centre set and check the drift.
 
     The geometric statement is
@@ -219,19 +220,19 @@ def drift_condition_check(a: np.ndarray,
     with lhs = ((1 + ||x||_V^2)^(1/2) - c1) / psi(x).  When forcing specs
     are passed, the exact generator value must also stay below
     -(1 + ||x||_V^2)^(1/2) + c1, and ok is the conjunction; without them
-    generator is None and ok is the geometric statement alone.
+    generator is None and ok is the geometric statement alone.  Every
+    comparison allows DEFAULT_TOL.
     """
     p = psi(a)
     v = np.sqrt(norm_v_sq(a))
     in_k = v <= constants.k_radius
     lhs = (np.sqrt(1.0 + v * v) - constants.c1) / p
-    satisfied = lhs >= np.where(in_k, -constants.c1, 0.5) - tol
+    satisfied = lhs >= np.where(in_k, -constants.c1, 0.5) - DEFAULT_TOL
 
     generator = None
     ok = satisfied
     if gaussian is not None or jumps is not None:
-        generator = generator_upper_bound(a, constants, gaussian, jumps,
-                                          tol=tol)
+        generator = generator_upper_bound(a, constants, gaussian, jumps)
         ok = satisfied & generator.ok
     return DriftReport(psi=p, v_norm=v, in_k=in_k, lhs=lhs,
                        satisfied=satisfied, generator=generator, ok=ok)
@@ -302,10 +303,15 @@ def exp_martingale_path(traj: Trajectory, lam: float, m_lambda: float,
     """
     plam = psi_lambda(traj.coeffs, lam)
     h_vals = h_upper(traj.coeffs, lam, m_lambda, hs_norm_sq)
-    dt = np.diff(traj.times)
-    cum = np.concatenate(([0.0],
-                          np.cumsum(0.5 * dt * (h_vals[1:] + h_vals[:-1]))))
+    cum = _cumulative_trapezoid(h_vals, traj.times)
     return np.exp(plam - plam[0] - cum)
+
+
+def _cumulative_trapezoid(values: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Trapezoid integrals of values over [times[0], times[i]], one per i."""
+    dt = np.diff(times)
+    return np.concatenate(([0.0],
+                           np.cumsum(0.5 * dt * (values[1:] + values[:-1]))))
 
 
 def _moment_reduce(traj: Trajectory, lam: float) -> tuple:

@@ -100,9 +100,6 @@ class ExponentialMarks:
         s, w = _laguerre_rule()
         return s / self.rate, w
 
-    def to_dict(self):
-        return {"name": "exponential", "rate": self.rate}
-
 
 @dataclass(frozen=True)
 class DeterministicMarks:
@@ -137,9 +134,6 @@ class DeterministicMarks:
     def quadrature(self):
         return np.array([self.value]), np.array([1.0])
 
-    def to_dict(self):
-        return {"name": "deterministic", "value": self.value}
-
 
 # ------------------------------------------------------------ direction maps
 
@@ -154,19 +148,12 @@ class ConstantDirection:
         return norm_h(self.g0)
 
     @property
-    def lipschitz(self) -> float:
-        return 0.0
-
-    @property
     def state_independent(self) -> bool:
         return True
 
     def field_at(self, coeffs: np.ndarray) -> np.ndarray:
         """G at each state of coeffs, shape (..., N); a read-only view."""
         return np.broadcast_to(self.g0.coeffs, np.shape(coeffs))
-
-    def to_dict(self):
-        return {"name": "constant", "coeffs": [float(c) for c in self.g0.coeffs]}
 
 
 @dataclass(frozen=True)
@@ -191,10 +178,6 @@ class SaturatedDirection:
         return self.amplitude
 
     @property
-    def lipschitz(self) -> float:
-        return self.amplitude
-
-    @property
     def state_independent(self) -> bool:
         return False
 
@@ -203,10 +186,6 @@ class SaturatedDirection:
         unit = self.g0.coeffs / norm_h(self.g0)
         r = np.sqrt(norm_h_sq(coeffs))[..., None]
         return self.amplitude * np.tanh(r) * unit
-
-    def to_dict(self):
-        return {"name": "saturated", "amplitude": self.amplitude,
-                "coeffs": [float(c) for c in self.g0.coeffs]}
 
 
 # -------------------------------------------------------------------- specs
@@ -259,12 +238,6 @@ class JumpSpec:
     def __post_init__(self):
         if not self.intensity >= 0:
             raise ValueError("intensity must be nonnegative")
-
-    @property
-    def lipschitz_constant(self) -> float:
-        """K with integral ||f(x,u)-f(y,u)||^2 n(du) <= K ||x-y||_H^2."""
-        return (self.intensity * self.marks.second_moment
-                * self.direction.lipschitz ** 2)
 
     @property
     def compensator_coefficient(self) -> float:

@@ -33,7 +33,6 @@ __all__ = [
     "norm_v_sq",
     "norm_h",
     "norm_v",
-    "inner_h",
     "burgers_nonlinearity",
     "tail_energy_fraction",
 ]
@@ -147,13 +146,6 @@ def norm_h(x: SpectralField) -> float:
 def norm_v(x: SpectralField) -> float:
     """Dirichlet norm, sqrt(sum (pi k)^2 a_k^2).  Always >= pi * norm_h."""
     return float(np.sqrt(norm_v_sq(x.coeffs)))
-
-
-def inner_h(x: SpectralField, y: SpectralField) -> float:
-    """L2 inner product of two fields on the same truncation."""
-    if x.n_modes != y.n_modes:
-        raise ValueError("mode count mismatch")
-    return float(np.dot(x.coeffs, y.coeffs))
 
 
 def _quadratic_exact(a: np.ndarray) -> np.ndarray:

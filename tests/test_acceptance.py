@@ -109,10 +109,9 @@ def test_03_drift_condition():
     assert len(states) == 10_000
 
     geo_bad = int(np.sum(
-        ~drift_condition_check(states, constants, tol=1e-9).satisfied))
+        ~drift_condition_check(states, constants).satisfied))
     chain_bad = int(np.sum(
-        ~drift_condition_check(states[::20], constants, gauss, jumps,
-                               tol=1e-9).ok))
+        ~drift_condition_check(states[::20], constants, gauss, jumps).ok))
 
     # adversarial shell around the centre-set boundary ||x||_V = 2 c1
     dirs = [basis_field(1, N_MODES) * (1.0 / math.pi),
@@ -124,7 +123,7 @@ def test_03_drift_condition():
         [constants.k_radius]])
     grid = np.array([(d * float(v)).coeffs for d in dirs for v in radii])
     grid_bad = int(np.sum(
-        ~drift_condition_check(grid, constants, gauss, jumps, tol=1e-9).ok))
+        ~drift_condition_check(grid, constants, gauss, jumps).ok))
 
     # negative control: halving c1 must break the chain somewhere
     halved = constants.corrupted(constants.c1 / 2.0)

@@ -160,29 +160,6 @@ class TestOccupationMeasure:
         paired = hf.masses.reshape(8, 2).sum(axis=1)
         assert paired == pytest.approx(hc.masses, abs=1e-12)
 
-    def test_merge_matches_whole(self):
-        rng = np.random.default_rng(9)
-        vals = rng.normal(size=301)
-        edges = np.linspace(-4, 4, 21)
-        whole = occupation_measure(path_trajectory(vals, 0.01),
-                                   mode_coefficient(1), edges)
-        h1 = occupation_measure(path_trajectory(vals[:151], 0.01),
-                                mode_coefficient(1), edges)
-        h2 = occupation_measure(path_trajectory(vals[150:], 0.01),
-                                mode_coefficient(1), edges)
-        merged = h1.merge(h2)
-        assert merged.masses == pytest.approx(whole.masses, abs=1e-12)
-        assert merged.total_time == pytest.approx(whole.total_time)
-
-    def test_merge_mismatch_rejected(self):
-        traj = path_trajectory(np.zeros(5), 0.1)
-        h = occupation_measure(traj, mode_coefficient(1),
-                               np.array([-1.0, 0.5, 1.0]))
-        other = occupation_measure(traj, mode_coefficient(1),
-                                   np.array([-1.0, 0.0, 1.0]))
-        with pytest.raises(ValueError):
-            h.merge(other)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             OccupationHistogram("x", np.array([0.0, 1.0, 2.0]),

@@ -20,6 +20,7 @@ from sburgers.harness import (
     write_trajectory_csv,
 )
 from sburgers.integrator import BLOCK_ROWS, simulate
+from sburgers.noise import SaturatedDirection
 
 
 def base_raw(**overrides) -> dict:
@@ -102,11 +103,10 @@ class TestConfigParsing:
         raw["jump"]["direction"] = {"kind": "saturated",
                                     "coefficients": [0.5, 0.25],
                                     "amplitude": 2.0}
-        jumps = parse_config(raw).sim.jumps
-        d = jumps.direction.to_dict()
-        assert d["name"] == "saturated"
-        assert d["amplitude"] == 2.0
-        assert d["coeffs"][:2] == [0.5, 0.25]
+        d = parse_config(raw).sim.jumps.direction
+        assert isinstance(d, SaturatedDirection)
+        assert d.amplitude == 2.0
+        assert d.g0.coeffs[:2].tolist() == [0.5, 0.25]
 
     def test_explicit_betas(self):
         raw = base_raw(gaussian={"betas": [1.0, 0.5, 0.25, 0.125]})
@@ -612,6 +612,20 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert "experiment.t_max" in err and "t_end" not in err
+
+    def test_tailprobe_t_grid_off_save_grid_exit_two(self, tmp_path,
+                                                     capsys):
+        # 0.055 is no multiple of dt_save = 0.01; an empty grid has no end
+        for t_grid in ([0.05, 0.055], []):
+            raw = base_raw(experiment={"kind": "estimate", "n_traj": 4,
+                                       "mu_reference": 0.0,
+                                       "t_grid": t_grid})
+            path = write_config(tmp_path, raw)
+            code = main(["estimate", "tailprobe", "--config", path,
+                         "--out", str(tmp_path / "out")])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert "experiment.t_grid" in err and "t_end" not in err
 
     def test_expmoment_domain_error_exit_two(self, tmp_path, capsys):
         raw = base_raw(experiment={"kind": "estimate", "theta": 0.5,

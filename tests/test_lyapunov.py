@@ -1,7 +1,8 @@
 """Lyapunov calculus and drift/martingale inequality checks.
 
 Derivative identities are verified against central finite differences
-(the independent oracle for the calculus), the jump remainder at the origin
+(the independent oracle for the calculus), the generator's trace and jump
+terms against differences of psi alone, the jump remainder at the origin
 against scipy.integrate.quad of (sqrt(1+u^2)-1) * density, and every
 deterministic inequality on randomized states.  The layer is array-first:
 states go in as coefficient arrays of shape (..., N), and a block of states
@@ -213,6 +214,52 @@ class TestGeneratorBound:
                                   default_jumps())
         assert not t.ok
         assert t.value > t.bound
+
+
+class TestGeneratorOracle:
+    """The exact generator terms against differences of psi alone.
+
+    Nothing here calls grad_psi or hess_psi_apply, which the generator
+    evaluates its trace and jump terms through.
+    """
+
+    @pytest.mark.parametrize("n_modes", [8, 33])
+    @pytest.mark.parametrize("direction", ["constant", "saturated"])
+    @pytest.mark.parametrize("marks", ["exponential", "deterministic"])
+    def test_exact_terms_match_psi_differences(self, n_modes, direction,
+                                               marks):
+        rng = np.random.default_rng(70 + n_modes)
+        a = rng.standard_normal((25, n_modes)) \
+            * 10.0 ** rng.uniform(-1.0, 1.0, (25, 1))
+        gauss = GaussianSpec.power_decay(n_modes, normalize_to=1.0)
+        mark_law = ExponentialMarks(2.0) if marks == "exponential" \
+            else DeterministicMarks(0.7)
+        jumps = JumpSpec(1.3, mark_law, _direction(direction, n_modes))
+        t = generator_upper_bound(a, DriftConstants.from_specs(gauss, jumps),
+                                  gauss, jumps)
+        p = psi(a)
+
+        # fourth-order central second difference along each e_k
+        h = 1e-2
+        step = np.eye(n_modes) * h
+
+        def along(s):
+            return psi(a[:, None, :] + s * step)       # (states, k)
+
+        second = (-along(2) + 16.0 * along(1) - 30.0 * p[:, None]
+                  + 16.0 * along(-1) - along(-2)) / (12.0 * h * h)
+        trace = 0.5 * second @ gauss.betas ** 2
+        np.testing.assert_allclose(t.trace_exact, trace, rtol=1e-6, atol=0)
+
+        # jump remainder with the slope <grad psi, g> as a central difference
+        eps = 1e-4
+        g = jumps.direction.field_at(a)
+        slope = (psi(a + eps * g) - psi(a - eps * g)) / (2.0 * eps)
+        u, w = mark_law.quadrature()
+        rem = np.stack([psi(a + uk * g) - p - uk * slope for uk in u],
+                       axis=-1)
+        jump = jumps.intensity * rem @ w
+        np.testing.assert_allclose(t.jump_exact, jump, rtol=1e-6, atol=0)
 
 
 class TestDriftCondition:

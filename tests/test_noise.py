@@ -196,21 +196,6 @@ class TestAmplitudeAndCompensator:
             for j in range(7):
                 assert np.array_equal(block[i, j], d.field_at(a[i, j]))
 
-    def test_squared_displacement_lipschitz(self):
-        # integral ||f(x,u)-f(y,u)||^2 n(du) <= K ||x-y||^2 with the declared K
-        d = SaturatedDirection(basis_field(1, 4), amplitude=0.8)
-        spec = JumpSpec(1.0, ExponentialMarks(2.0), d)
-        k_declared = spec.lipschitz_constant
-        assert k_declared == pytest.approx(1.0 * 0.5 * 0.64, rel=1e-14)
-        rng = np.random.default_rng(8)
-        for _ in range(200):
-            x = SpectralField(rng.standard_normal(4))
-            y = SpectralField(rng.standard_normal(4))
-            gap_sq = float(np.sum((d.field_at(x.coeffs)
-                                   - d.field_at(y.coeffs)) ** 2))
-            lhs = spec.intensity * spec.marks.second_moment * gap_sq
-            rhs = k_declared * float(np.sum((x.coeffs - y.coeffs) ** 2))
-            assert lhs <= rhs + 1e-12
 
 
 class TestHypothesisConstants:
