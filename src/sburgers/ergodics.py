@@ -59,9 +59,6 @@ class EnvelopeViolation(ValueError):
 
 
 # ------------------------------------------------------------- observables
-#
-# Evaluation functions are module-level (wrapped in functools.partial) so
-# observables survive pickling into worker processes.
 
 def _mode_value(coeffs, k):
     return coeffs[..., k - 1]

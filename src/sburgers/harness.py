@@ -57,7 +57,7 @@ from .ergodics import (
     norm_h_squared_observable, psi_observable, tanh_mode_observable,
     observable_dictionary, occupation_measure, path_averages,
     sigma_squared, ergodic_decay, MdpConfig, mdp_functional,
-    hitting_times, deviation_tail_probe,
+    hitting_times, deviation_tail_probe, EnvelopeViolation,
 )
 
 __all__ = [
@@ -107,6 +107,13 @@ def _as_int(value, path: str, minimum=None) -> int:
     if minimum is not None and value < minimum:
         raise ConfigError(f"{path}: must be >= {minimum}, got {value}")
     return value
+
+
+def _as_number_list(value, path: str, **bounds) -> list:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{path}: expected a nonempty list, got {value!r}")
+    return [_as_number(v, f"{path}[{i}]", **bounds)
+            for i, v in enumerate(value)]
 
 
 def _as_block(value, path: str) -> dict:
@@ -597,7 +604,15 @@ def _est_sigma2(cfg: RunConfig, exp: dict, n_workers: int):
 def _time_average(cfg: RunConfig, obs: Observable, traj: Trajectory) -> float:
     """Long-run mean of obs along traj, the path of cfg.sim, after a
     burn-in of a tenth of t_end."""
-    reports = path_averages(traj, 0.1 * cfg.sim.t_end, [obs])
+    try:
+        reports = path_averages(traj, 0.1 * cfg.sim.t_end, [obs])
+    except EnvelopeViolation:
+        raise
+    except ValueError as err:
+        raise ConfigError(
+            f"model.t_end: a path of length {cfg.sim.t_end} is too short "
+            f"for the self-referenced mean ({err}); set "
+            f"experiment.mu_reference or lengthen model.t_end") from err
     return reports[obs.name].value
 
 
@@ -682,12 +697,10 @@ def _est_occupation(cfg: RunConfig, exp: dict, n_workers: int):
 def _est_tailprobe(cfg: RunConfig, exp: dict, n_workers: int):
     obs = parse_observable(exp.get("observable", {"kind": "mode", "k": 1}),
                            "experiment.observable")
-    r_grid = exp.get("r_grid", [0.0, 0.05, 0.1])
-    t_grid = exp.get("t_grid", [cfg.sim.t_end])
-    if not isinstance(t_grid, list) or not t_grid:
-        raise ConfigError("experiment.t_grid: expected a nonempty list")
-    t_grid = [_as_number(t, f"experiment.t_grid[{i}]", positive=True)
-              for i, t in enumerate(t_grid)]
+    r_grid = _as_number_list(exp.get("r_grid", [0.0, 0.05, 0.1]),
+                             "experiment.r_grid", nonnegative=True)
+    t_grid = _as_number_list(exp.get("t_grid", [cfg.sim.t_end]),
+                             "experiment.t_grid", positive=True)
     t_max = max(t_grid)
     if not _is_multiple(t_max, cfg.sim.dt_save):
         raise ConfigError(f"experiment.t_grid: largest time must be an "

@@ -23,6 +23,9 @@ a batch of one and ensemble steps blocks of BLOCK_ROWS rows.  Every row
 keeps its own seed streams, only the rows with an event in a step are split
 at it, and every operation gives a row the same bits whatever the other
 rows are, so a path is the same alone, in any block and on any worker.
+With more than one worker on Linux, ensemble splits its blocks into
+contiguous shares: the caller runs the first, and a child forked for each
+other share sends its reduced results back pickled through a pipe.
 
 Steps fill one (steps, R, N) buffer per chunk; snapshots and blow-ups are
 taken from it once per chunk.  An ensemble may also give a first-passage
@@ -43,6 +46,10 @@ _deterministic with the same roundings.
 """
 
 import math
+import os
+import pickle
+import signal
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +74,7 @@ __all__ = [
 BLOWUP_NORM = 1e6
 # Below this summed squared norm of a chunk no row can exceed BLOWUP_NORM.
 _SAFE_NORM_SQ = BLOWUP_NORM ** 2 * (1.0 - 1e-9)
-# Rows stepped together by ensemble, and the unit of work of its pool.
+# Rows stepped together by ensemble, and the unit of work it shares out.
 BLOCK_ROWS = 100
 # Gaussian draws held at once per block (rows x steps x modes), which bounds
 # the memory of the pre-drawn noise whatever the path length.
@@ -75,6 +82,9 @@ NOISE_CHUNK = 1 << 13
 # Rows x modes up to which _Kernel._step_lanes beats the numpy step
 # (measured crossover: between 16 and 20 lanes, BENCH_5.json).
 LANE_LIMIT = 16
+# ensemble forks its workers on Linux only: os.fork is missing on Windows
+# and unsafe with the system frameworks of macOS.
+_FORK = sys.platform == "linux"
 
 
 class BlowUpError(RuntimeError):
@@ -560,10 +570,15 @@ def ensemble(cfg: SimConfig, n_traj: int, reducer, n_workers: int = 1,
     """Run n_traj independent trajectories and reduce each one.
 
     Trajectory i uses the sub-seed derive_seed(cfg.seed, i).  Rows are
-    stepped in lockstep blocks of BLOCK_ROWS, and with n_workers > 1 the
-    blocks go to a process pool; results are identical for any n_workers.
+    stepped in lockstep blocks of BLOCK_ROWS.  With n_workers > 1 on Linux
+    the blocks are split into min(n_workers, blocks) contiguous shares:
+    this process runs the first and a forked child each of the others, so
+    n_workers counts processes, this one included.  Elsewhere every block
+    runs in this process.  Results are identical for any n_workers.
     A trajectory that blows up contributes a BlowUp record at its index
-    instead of a reducer value; siblings are unaffected.
+    instead of a reducer value; siblings are unaffected.  An exception
+    raised in a child is raised again here with its type, or as a
+    RuntimeError carrying its repr when it does not pickle.
 
     With until, a first-passage stop: a trajectory finishes at its first
     save-grid snapshot where until holds, and the reducer gets it cut
@@ -574,22 +589,80 @@ def ensemble(cfg: SimConfig, n_traj: int, reducer, n_workers: int = 1,
 
     Parameters
     ----------
-    reducer : callable Trajectory -> picklable value.  With n_workers > 1 it
-        must be importable (module level) for the process pool.
+    reducer : callable Trajectory -> value.  Children inherit it, so any
+        callable will do, but with n_workers > 1 its values must pickle.
     until : callable, snapshots (k, R, N) -> (k, R) bool mask, or None.
         It must decide each row from that row alone, so that a row
-        finishes at the same snapshot in any block, and be picklable like
-        the reducer.
+        finishes at the same snapshot in any block.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
     blocks = [(cfg, first, min(BLOCK_ROWS, n_traj - first), reducer, until)
               for first in range(0, n_traj, BLOCK_ROWS)]
-    if n_workers <= 1 or len(blocks) == 1:
-        return [v for block in map(_run_block, blocks) for v in block]
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=min(n_workers, len(blocks))) as ex:
-        return [v for block in ex.map(_run_block, blocks) for v in block]
+    n = min(n_workers, len(blocks)) if _FORK else 1
+    if n <= 1:
+        return _run_share(blocks)
+    return _fan_out([blocks[len(blocks) * i // n:len(blocks) * (i + 1) // n]
+                     for i in range(n)])
+
+
+def _run_share(blocks) -> list:
+    return [v for block in blocks for v in _run_block(block)]
+
+
+def _fan_out(shares) -> list:
+    """_run_share over all shares, in order: shares[1:] in forked children,
+    each sending its results through a pipe, and shares[0] here meanwhile.
+    If this process raises, the children still running are killed."""
+    running = {}                  # pid -> read end of the child's pipe
+    try:
+        for share in shares[1:]:
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _child(share, w)              # does not return
+            os.close(w)
+            running[pid] = open(r, "rb")
+        out = _run_share(shares[0])
+        for pid, pipe in list(running.items()):
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del running[pid]
+            if not data:
+                raise RuntimeError(
+                    f"ensemble worker {pid} sent no result (exit code "
+                    f"{os.waitstatus_to_exitcode(status)})")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            out += value
+        return out
+    finally:
+        for pid, pipe in running.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _child(share, w: int) -> None:
+    """Run share in a forked child, write (ok, results or exception) to w
+    and exit, without atexit handlers or flushing inherited buffers."""
+    code = 1
+    try:
+        try:
+            payload = pickle.dumps((True, _run_share(share)))
+        except Exception as err:
+            try:
+                payload = pickle.dumps((False, err))
+                pickle.loads(payload)          # some exceptions do not load
+            except Exception:
+                payload = pickle.dumps((False, RuntimeError(repr(err))))
+        with open(w, "wb") as pipe:
+            pipe.write(payload)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def require_no_blowups(results: list) -> list:

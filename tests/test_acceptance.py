@@ -322,7 +322,7 @@ def test_10_reproducibility(tmp_path):
     workers_same = serial == pooled
 
     # nor the size of the lockstep batch a trajectory is stepped in; the
-    # last size spans two blocks, which the pool runs on two workers
+    # last size spans two blocks, which two processes share
     wide = ensemble(ecfg, BLOCK_ROWS + 1, _final_mode1, n_workers=2)
     alone = simulate(replace(ecfg, seed=derive_seed(ecfg.seed, BLOCK_ROWS)))
     batch_same = wide[:20] == serial \

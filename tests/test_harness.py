@@ -627,6 +627,52 @@ class TestCli:
             err = capsys.readouterr().err
             assert "experiment.t_grid" in err and "t_end" not in err
 
+    @pytest.mark.parametrize("r_grid, field", [
+        (0.1, "experiment.r_grid:"), (["a"], "experiment.r_grid[0]:")])
+    def test_tailprobe_r_grid_not_numbers_exit_two(self, tmp_path, capsys,
+                                                   r_grid, field):
+        raw = base_raw(experiment={"kind": "estimate", "n_traj": 4,
+                                   "mu_reference": 0.0, "r_grid": r_grid})
+        path = write_config(tmp_path, raw)
+        code = main(["estimate", "tailprobe", "--config", path,
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("estimator", ["mdp", "tailprobe"])
+    def test_self_referenced_mean_short_path_exit_two(self, tmp_path, capsys,
+                                                      estimator):
+        # the shipped path has 91 samples after burn-in, too few batches
+        path = Path(__file__).resolve().parents[1] / "configs" / \
+            "jumps_only.json"
+        code = main(["estimate", estimator, "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: model.t_end")
+        assert "experiment.mu_reference" in err
+
+    def test_hitting_fans_out_without_pool_modules(self, tmp_path):
+        # the fan-out is os.fork and pipes: no executor or pool machinery
+        raw = base_raw(experiment={"kind": "estimate",
+                                   "n_traj": BLOCK_ROWS + 1, "t_max": 0.2,
+                                   "initial_v_norm": 7.0})
+        raw["model"].update(n_modes=8, dt=2e-3)
+        path = write_config(tmp_path, raw)
+        src = str(Path(sburgers.__file__).resolve().parents[1])
+        code = ("import sys\n"
+                "from sburgers.cli import main\n"
+                f"code = main(['estimate', 'hitting', '--config', {path!r}, "
+                f"'--threads', '2', '--out', {str(tmp_path / 'out')!r}])\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+                "('concurrent', 'multiprocessing')))\n"
+                "sys.exit(code)\n")
+        run = subprocess.run([sys.executable, "-c", code],
+                             env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, timeout=60,
+                             check=True)
+        assert run.stdout.splitlines()[-1] == "[]"
+
     def test_expmoment_domain_error_exit_two(self, tmp_path, capsys):
         raw = base_raw(experiment={"kind": "estimate", "theta": 0.5,
                                    "lam": 2.5, "n_traj": 4})

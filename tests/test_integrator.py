@@ -4,6 +4,11 @@ The jumps-only configuration is checked against the closed-form piecewise
 mild solution (tests/oracles.py), which shares no code with the stepper.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -483,7 +488,7 @@ class TestEnsemble:
 
     def test_batch_size_and_worker_invariance(self):
         # row i is the same path alone, in blocks of 7, 8, 9 and across a
-        # block boundary, stepped in this process or on a pool worker
+        # block boundary, stepped in this process or in a forked child
         cfg = forced_model()
         sizes = (1, 7, 8, 9, BLOCK_ROWS + 1)
         runs = {(k, w): ensemble(cfg, k, _path, n_workers=w)
@@ -495,6 +500,67 @@ class TestEnsemble:
         for i in (0, 8, BLOCK_ROWS - 1, BLOCK_ROWS):
             solo = simulate(replace(cfg, seed=derive_seed(cfg.seed, i)))
             assert _same_paths(full[i:i + 1], [_path(solo)]), i
+
+    def test_uneven_shares_keep_row_order(self):
+        # 5 full blocks and a partial one; 4 workers get uneven shares
+        cfg = forced_model()
+        n_traj = 5 * BLOCK_ROWS + 7
+        serial = ensemble(cfg, n_traj, _path, n_workers=1)
+        assert sum(len(p[1]) for p in serial) > 0
+        for w in (2, 3, 4, 7):
+            assert _same_paths(ensemble(cfg, n_traj, _path, n_workers=w),
+                               serial), w
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="forks on Linux only")
+    def test_caller_runs_its_own_share(self, monkeypatch):
+        cfg = linear_single_mode(0.02, seed=4)
+        pids = set(ensemble(cfg, 3 * BLOCK_ROWS, lambda t: os.getpid(),
+                            n_workers=2))
+        assert os.getpid() in pids and len(pids) >= 2
+        monkeypatch.setattr(integrator, "_FORK", False)
+        assert set(ensemble(cfg, 3 * BLOCK_ROWS, lambda t: os.getpid(),
+                            n_workers=2)) == {os.getpid()}
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="forks on Linux only")
+    @pytest.mark.parametrize("error, raised", [
+        (LookupError("in a child"), LookupError),
+        # BlowUpError pickles but does not unpickle: its __init__ takes two
+        (BlowUpError(1.0, 2e6), RuntimeError),
+    ])
+    def test_child_error_raised_here_and_children_reaped(self, error,
+                                                         raised):
+        caller = os.getpid()
+
+        def reducer(traj):
+            if os.getpid() != caller:
+                raise error
+            return 0.0
+
+        cfg = linear_single_mode(0.02, seed=4)
+        with pytest.raises(raised) as e:
+            ensemble(cfg, 4 * BLOCK_ROWS, reducer, n_workers=3)
+        assert type(e.value) is raised
+        if raised is RuntimeError:
+            assert repr(error) in str(e.value)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_unflushed_stdout_written_once(self):
+        # a forked child must leave without flushing the buffer it inherits;
+        # PYTHONUNBUFFERED would leave nothing in the buffer to flush
+        src = str(Path(integrator.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        code = ("import sys\n"
+                "from sburgers.integrator import BLOCK_ROWS, SimConfig, "
+                "ensemble\n"
+                "sys.stdout.write('before the fan-out\\n')\n"
+                "ensemble(SimConfig(n_modes=1, t_end=0.02), BLOCK_ROWS + 1, "
+                "lambda t: 0, n_workers=2)\n")
+        run = subprocess.run([sys.executable, "-c", code],
+                             env=dict(env, PYTHONPATH=src),
+                             capture_output=True, text=True, timeout=60,
+                             check=True)
+        assert run.stdout == "before the fan-out\n"
 
     def test_rows_equal_simulate_with_b_off(self):
         cfg = forced_model(nonlinearity=False)
