@@ -24,7 +24,7 @@ print("simulating 300 time units of the linear single-mode model...")
 traj = simulate(cfg)
 obs = mode_coefficient(1)
 
-reports = invariant_estimate(cfg, 10.0, cfg.t_end, [obs])
+reports = invariant_estimate(cfg, 10.0, [obs])
 rep = reports[obs.name]
 exact_var = 1.0 / (2.0 * math.pi ** 2)
 print(f"\nstationary mean of a_1: {rep.value:+.5f} "

@@ -40,7 +40,7 @@ cfg = SimConfig(n_modes=N, dt=2e-3, t_end=1.0, dt_save=1e-2,
 
 print(f"\nfull model: 400 starts at |x|_V = {2 * constants.k_radius}, "
       f"target set radius {constants.k_radius}")
-summary = hitting_times(cfg, constants, 400, 1.0)
+summary = hitting_times(cfg, constants, 400)
 q = np.nanquantile(summary.samples, [0.1, 0.5, 0.9])
 print(f"entrance time quantiles: 10% {q[0]:.3f}, "
       f"median {q[1]:.3f}, 90% {q[2]:.3f}")

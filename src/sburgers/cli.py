@@ -40,17 +40,20 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override the config seed")
         p.add_argument("--out", default=None, metavar="DIR",
                        help="output directory (default: config output block)")
+
+    def ensembles(p):
+        common(p)
         p.add_argument("--threads", type=int, default=1, metavar="N",
                        help="trajectory-level worker processes")
 
     common(sub.add_parser("simulate", help="run one trajectory and persist "
                                            "snapshots, jumps, manifest"))
-    common(sub.add_parser("verify", help="check drift and martingale "
-                                         "inequalities along a path"))
+    ensembles(sub.add_parser("verify", help="check drift and martingale "
+                                            "inequalities along a path"))
     est = sub.add_parser("estimate", help="run one named estimator")
     est.add_argument("estimator", metavar="ESTIMATOR",
                      help="one of: " + ", ".join(ESTIMATORS))
-    common(est)
+    ensembles(est)
     return parser
 
 
@@ -62,7 +65,7 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors already; normalize the rest
         return EXIT_USAGE if err.code not in (0,) else EXIT_OK
 
-    if args.threads is not None and args.threads < 1:
+    if args.command != "simulate" and args.threads < 1:
         print("error: --threads must be at least 1", file=sys.stderr)
         return EXIT_USAGE
     if args.seed is not None and args.seed < 0:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .spectral import SpectralField, mode_rates, norm_h_sq
 from .integrator import SimConfig, Trajectory, simulate, ensemble, \
-    require_no_blowups
+    require_no_blowups, _is_multiple
 from .lyapunov import DriftConstants, psi, _cumulative_trapezoid
 from .reports import EstimateReport
 
@@ -76,8 +76,8 @@ def _norm_h_value(coeffs):
 class Observable:
     """A named scalar function of the state with a declared envelope.
 
-    fn maps a coefficient array (either one state of shape (N,) or a
-    snapshot matrix of shape (n, N)) to values of matching leading shape.
+    fn maps a coefficient array of shape (..., N), one state per row, to
+    one value per state.
     envelope is one of "psi", "psi_sq", "const"; for "const" the bound
     field holds the constant.  Every evaluation checks |value| <= envelope.
     """
@@ -101,7 +101,7 @@ class Observable:
         return np.full(coeffs.shape[:-1], self.bound)
 
     def values(self, coeffs: np.ndarray) -> np.ndarray:
-        """Evaluate on a snapshot matrix (n, N), asserting the envelope."""
+        """Evaluate on states (..., N), asserting the envelope."""
         coeffs = np.asarray(coeffs, dtype=float)
         vals = np.asarray(self.fn(coeffs), dtype=float)
         env = self._envelope_values(coeffs)
@@ -113,10 +113,6 @@ class Observable:
                 f"observable {self.name!r} broke its envelope: "
                 f"|{vals.flat[i]:.6g}| > {env.flat[i]:.6g}")
         return vals
-
-    def __call__(self, x) -> float:
-        coeffs = x.coeffs if isinstance(x, SpectralField) else np.asarray(x)
-        return float(self.values(coeffs[None, :])[0])
 
 
 def mode_coefficient(k: int) -> Observable:
@@ -190,16 +186,6 @@ class OccupationHistogram:
             raise ValueError("masses must sum to one")
         if not self.total_time > 0:
             raise ValueError("total_time must be positive")
-
-    @property
-    def n_bins(self) -> int:
-        return self.masses.size
-
-    def centers(self) -> np.ndarray:
-        return 0.5 * (self.edges[:-1] + self.edges[1:])
-
-    def mean(self) -> float:
-        return float(np.dot(self.centers(), self.masses))
 
     def cdf_at_edges(self) -> np.ndarray:
         return np.concatenate(([0.0], np.cumsum(self.masses)))
@@ -290,22 +276,36 @@ def integrated_autocorr_time(series: np.ndarray) -> float:
     return max(tau, 1.0)
 
 
-def _batch_layout(n_samples: int, tau: float):
-    """Batch count and length: 30 to 100 batches, each at least 20
-    correlation times long."""
-    min_len = max(int(math.ceil(20.0 * tau)), 1)
-    n_batches = min(n_samples // min_len, 100)
-    if n_batches < 30:
-        raise ValueError(
-            f"series too short: {n_samples} samples support only "
-            f"{n_batches} batches of {min_len} (need 30)")
-    return n_batches, n_samples // n_batches
+def _batch_series(traj: Trajectory, obs: Observable, burn_in: float,
+                  n_batches: int | None = None) -> tuple:
+    """Batch means of obs along traj from burn_in on.
 
-
-def _batch_means(series: np.ndarray, n_batches: int,
-                 batch_len: int) -> np.ndarray:
-    used = n_batches * batch_len
-    return series[:used].reshape(n_batches, batch_len).mean(axis=1)
+    Returns the snapshot times kept, the integrated autocorrelation time
+    of the series and the batch length (both in samples), and the batch
+    means.  By default there are 30 to 100 batches, each at least 20
+    correlation times long; n_batches (at least 30) fixes the count.  The
+    samples left over after the last whole batch are dropped.
+    """
+    mask = traj.times >= burn_in - 1e-12
+    times = traj.times[mask]
+    if times.size < 4:
+        raise ValueError("insufficient post-burn-in samples")
+    series = obs.values(traj.coeffs[mask])
+    tau = integrated_autocorr_time(series)
+    if n_batches is None:
+        min_len = max(int(math.ceil(20.0 * tau)), 1)
+        n_batches = min(series.size // min_len, 100)
+        if n_batches < 30:
+            raise ValueError(
+                f"series too short: {series.size} samples support only "
+                f"{n_batches} batches of {min_len} (need 30)")
+    elif n_batches < 30:
+        raise ValueError("need at least 30 batches")
+    b_len = series.size // n_batches
+    if b_len < 1:
+        raise ValueError("series too short for that many batches")
+    used = series[:n_batches * b_len]
+    return times, tau, b_len, used.reshape(n_batches, b_len).mean(axis=1)
 
 
 def _halves_differ(batch_means: np.ndarray) -> bool:
@@ -322,21 +322,20 @@ def _halves_differ(batch_means: np.ndarray) -> bool:
 
 # --------------------------------------------------- invariant estimation
 
-def invariant_estimate(cfg: SimConfig, burn_in: float, t_end: float,
+def invariant_estimate(cfg: SimConfig, burn_in: float,
                        observables=None) -> dict:
     """Long-run time averages after burn-in, one report per observable.
 
-    Runs a single trajectory to t_end, drops snapshots before burn_in and
-    returns batch-means estimates.  The Lyapunov-function average (key
+    Runs a single trajectory to cfg.t_end, drops snapshots before burn_in
+    and returns batch-means estimates.  The Lyapunov-function average (key
     "psi") is always included so integrability of the invariant law can be
     monitored directly.
     """
-    if not 0.0 <= burn_in < t_end:
+    if not 0.0 <= burn_in < cfg.t_end:
         raise ValueError("need 0 <= burn_in < t_end")
     if observables is None:
         observables = [mode_coefficient(1), norm_h_observable(),
                        norm_h_squared_observable()]
-    cfg = replace(cfg, t_end=t_end) if t_end != cfg.t_end else cfg
     return path_averages(simulate(cfg), burn_in, observables)
 
 
@@ -347,19 +346,11 @@ def path_averages(traj: Trajectory, burn_in: float, observables) -> dict:
     observables = list(observables)
     if not any(o.name == "psi" for o in observables):
         observables.append(psi_observable())
-    mask = traj.times >= burn_in - 1e-12
-    coeffs = traj.coeffs[mask]
-    times = traj.times[mask]
-    if coeffs.shape[0] < 4:
-        raise ValueError("insufficient post-burn-in samples")
-    duration = float(times[-1] - times[0])
 
     out = {}
     for obs in observables:
-        series = obs.values(coeffs)
-        tau = integrated_autocorr_time(series)
-        n_b, b_len = _batch_layout(series.size, tau)
-        bm = _batch_means(series, n_b, b_len)
+        times, tau, b_len, bm = _batch_series(traj, obs, burn_in)
+        n_b = bm.size
         se = float(bm.std(ddof=1) / math.sqrt(n_b))
         flags = ("nonstationary",) if _halves_differ(bm) else ()
         out[obs.name] = EstimateReport(
@@ -371,7 +362,7 @@ def path_averages(traj: Trajectory, burn_in: float, observables) -> dict:
             flags=flags,
             extra={
                 "burn_in": burn_in,
-                "duration": duration,
+                "duration": float(times[-1] - times[0]),
                 "autocorr_time_samples": tau,
                 "batch_length_samples": b_len,
             },
@@ -389,28 +380,12 @@ def sigma_squared(traj: Trajectory, obs: Observable,
     nonstationarity flag is raised when the two halves of the series give
     estimates more than three combined standard errors apart.
     """
-    mask = traj.times >= burn_in - 1e-12
-    times = traj.times[mask]
-    if times.size < 4:
-        raise ValueError("insufficient post-burn-in samples")
+    times, tau, b_len, bm = _batch_series(traj, obs, burn_in, n_batches)
     dts = np.diff(times)
     if not np.allclose(dts, dts[0], rtol=1e-9):
         raise ValueError("snapshots must be uniformly spaced")
-    dt = float(dts[0])
-
-    series = obs.values(traj.coeffs[mask])
-    tau = integrated_autocorr_time(series)
-    if n_batches is None:
-        n_b, b_len = _batch_layout(series.size, tau)
-    else:
-        if n_batches < 30:
-            raise ValueError("need at least 30 batches")
-        n_b = n_batches
-        b_len = series.size // n_b
-        if b_len < 1:
-            raise ValueError("series too short for that many batches")
-    bm = _batch_means(series, n_b, b_len)
-    batch_duration = b_len * dt
+    n_b = bm.size
+    batch_duration = b_len * float(dts[0])
     var_bm = float(bm.var(ddof=1))
     value = batch_duration * var_bm
     se = value * math.sqrt(2.0 / (n_b - 1))
@@ -438,12 +413,13 @@ def sigma_squared(traj: Trajectory, obs: Observable,
 
 # ------------------------------------------------------- mixing-rate probe
 
-def _grid_indices(t_grid, dt_save: float, n_snapshots: int) -> np.ndarray:
+def _grid_indices(t_grid, cfg: SimConfig) -> np.ndarray:
+    """Save-grid index of each time in t_grid, all in [0, cfg.t_end]."""
+    last = int(round(cfg.t_end / cfg.dt_save))
     idx = []
     for t in t_grid:
-        i = int(round(t / dt_save))
-        if abs(i * dt_save - t) > 1e-9 * max(1.0, t) or not \
-                0 <= i < n_snapshots:
+        i = int(round(t / cfg.dt_save))
+        if not _is_multiple(t, cfg.dt_save) or not 0 <= i <= last:
             raise ValueError(f"time {t} is not on the snapshot grid")
         idx.append(i)
     return np.array(idx, dtype=int)
@@ -474,22 +450,19 @@ def ergodic_decay(cfg: SimConfig, x0: SpectralField, y0: SpectralField,
     if n_traj < 2:
         raise ValueError("need at least two pairs")
     t_grid = np.asarray(list(t_grid), dtype=float)
-    n_snap = int(round(cfg.t_end / cfg.dt_save)) + 1
-    indices = _grid_indices(t_grid, cfg.dt_save, n_snap)
+    indices = _grid_indices(t_grid, cfg)
 
     # pair i is trajectory i of both ensembles: same sub-seed, same noise
     reducer = partial(_snapshots_at, indices=tuple(indices.tolist()))
     from_x = ensemble(replace(cfg, x0=x0), n_traj, reducer, n_workers)
     from_y = ensemble(replace(cfg, x0=y0), n_traj, reducer, n_workers)
     require_no_blowups(from_x + from_y)
+    from_x, from_y = np.stack(from_x), np.stack(from_y)   # (n_traj, n_t, N)
 
     # diff[i, g, t] = g(X_t^x) - g(X_t^y) for pair i
-    n_g, n_t = len(observables), indices.size
-    diffs = np.empty((n_traj, n_g, n_t))
-    for i in range(n_traj):
-        cx, cy = from_x[i], from_y[i]
-        for g, obs in enumerate(observables):
-            diffs[i, g] = obs.values(cx) - obs.values(cy)
+    n_t = indices.size
+    diffs = np.stack([obs.values(from_x) - obs.values(from_y)
+                      for obs in observables], axis=1)
 
     mean_diff = diffs.mean(axis=0)                       # (n_g, n_t)
     d_abs = np.abs(mean_diff)
@@ -596,7 +569,7 @@ class HittingSummary:
     """First-entrance statistics for the dissipation centre set."""
 
     radius: float
-    t_max: float
+    t_max: float                  # the horizon, cfg.t_end
     samples: np.ndarray           # nan = censored at t_max
     n_censored: int
     tail_times: np.ndarray
@@ -636,20 +609,19 @@ def _entrance_time(traj: Trajectory) -> float:
 
 
 def hitting_times(cfg: SimConfig, constants: DriftConstants, n_traj: int,
-                  t_max: float, lam_grid=None,
                   n_workers: int = 1) -> HittingSummary:
     """Entrance-time samples for the set {||x||_V <= k_radius}.
 
     Each trajectory stops at its first save-grid snapshot inside the set,
-    which is its entrance time; one that has not entered by t_max is
-    censored (nan) and counted.  The survival curve P(tau > t) is fitted
-    log-linearly over an interior quantile window, and exponential moments
-    E[exp(lam tau)] are reported only for lam below 0.8 of the fitted tail
-    rate (with a lower-bound flag when censoring truncates the average).
-    Raises EnsembleBlowUpError when any trajectory blows up before it
-    enters.
+    which is its entrance time; one that has not entered by the horizon
+    cfg.t_end is censored (nan) and counted.  The survival curve
+    P(tau > t) is fitted log-linearly over an interior quantile window.
+    Exponential moments E[exp(lam tau)] are reported at lam = 0.25, 0.5
+    and 1.2 times the fitted tail rate, each estimated only below 0.8 of
+    that rate (with a lower-bound flag when censoring truncates the
+    average).  Raises EnsembleBlowUpError when any trajectory blows up
+    before it enters.
     """
-    cfg = replace(cfg, t_end=t_max) if cfg.t_end != t_max else cfg
     until = partial(_inside_v_ball, radius=constants.k_radius)
     out = require_no_blowups(ensemble(cfg, n_traj, _entrance_time,
                                       n_workers=n_workers, until=until))
@@ -669,10 +641,8 @@ def hitting_times(cfg: SimConfig, constants: DriftConstants, n_traj: int,
     else:
         qs = np.quantile(finite, np.linspace(0.30, 0.95, 12))
         grid = np.unique(qs)
-        surv = np.array([
-            float(np.mean(np.where(np.isnan(taus), math.inf, taus) > t))
-            for t in grid
-        ])
+        surv = np.mean(np.where(np.isnan(taus), math.inf, taus)
+                       > grid[:, None], axis=1)
         keep = surv > 0
         tail_times = grid[keep]
         tail_log = np.log(surv[keep])
@@ -682,13 +652,12 @@ def hitting_times(cfg: SimConfig, constants: DriftConstants, n_traj: int,
         else:
             flags.append("tail_unresolved")
 
-    if lam_grid is None:
-        lam_grid = () if rate is None or rate <= 0 else \
-            (0.25 * rate, 0.5 * rate, 1.2 * rate)
+    lam_grid = () if rate is None or rate <= 0 else \
+        (0.25 * rate, 0.5 * rate, 1.2 * rate)
     moments = []
-    filled = np.where(np.isnan(taus), t_max, taus)
+    filled = np.where(np.isnan(taus), cfg.t_end, taus)
     for lam in lam_grid:
-        if rate is not None and rate > 0 and lam < 0.8 * rate:
+        if lam < 0.8 * rate:
             est = float(np.mean(np.exp(lam * filled)))
             moments.append((float(lam), est,
                             "lower_bound" if censored else "ok"))
@@ -697,7 +666,7 @@ def hitting_times(cfg: SimConfig, constants: DriftConstants, n_traj: int,
 
     return HittingSummary(
         radius=constants.k_radius,
-        t_max=t_max,
+        t_max=cfg.t_end,
         samples=taus,
         n_censored=censored,
         tail_times=tail_times,
@@ -733,10 +702,8 @@ def deviation_tail_probe(cfg: SimConfig, obs: Observable, r_grid, t_grid,
     r_grid = [float(r) for r in r_grid]
     if t_grid[0] <= 0:
         raise ValueError("probe times must be positive")
-    t_max = t_grid[-1]
-    cfg = replace(cfg, t_end=t_max) if cfg.t_end != t_max else cfg
-    n_snap = int(round(cfg.t_end / cfg.dt_save)) + 1
-    indices = _grid_indices(t_grid, cfg.dt_save, n_snap)
+    cfg = replace(cfg, t_end=t_grid[-1])
+    indices = _grid_indices(t_grid, cfg)
 
     reducer = partial(_running_averages, obs=obs, indices=tuple(indices))
     out = require_no_blowups(ensemble(cfg, n_traj, reducer,

@@ -43,14 +43,14 @@ from . import __version__
 from .spectral import SpectralField, basis_field, random_field, zero_field
 from .noise import (
     GaussianSpec, JumpSpec, ExponentialMarks, DeterministicMarks,
-    ConstantDirection, SaturatedDirection, hypothesis_constants,
+    ConstantDirection, SaturatedDirection,
 )
 from .integrator import SimConfig, Trajectory, simulate, ensemble, \
     derive_seed, require_no_blowups, BlowUpError, EnsembleBlowUpError, \
     _is_multiple
 from .lyapunov import (
     DriftConstants, drift_condition_check, dissipation_term_gap,
-    jump_taylor_gap, exp_martingale_path, exp_integral_moment,
+    jump_taylor_gap, exp_martingale_path, exp_integral_moment, tilt_constants,
 )
 from .ergodics import (
     Observable, mode_coefficient, norm_h_observable,
@@ -243,6 +243,9 @@ def _parse_initial(block, n_modes: int, seed: int) -> SpectralField | None:
 
 
 def parse_observable(block, path: str = "observable") -> Observable:
+    """The observable a config block names; no block means mode 1."""
+    if block is None:
+        return mode_coefficient(1)
     block = _as_block(block, path)
     kind = _require(block, "kind", path)
     if kind == "mode":
@@ -358,14 +361,9 @@ def write_trajectory_csv(path, traj: Trajectory, cfg_hash: str) -> None:
 
 
 def write_jump_log(path, traj: Trajectory, cfg_hash: str) -> None:
-    with open(path, "w") as fh:
-        for ev in traj.jump_log:
-            fh.write(json.dumps({
-                "config_hash": cfg_hash,
-                "time": ev.time,
-                "mark": ev.mark,
-                "pre_norm_h": ev.pre_norm_h,
-            }, sort_keys=True) + "\n")
+    _records_jsonl(path, ({"config_hash": cfg_hash, "time": ev.time,
+                           "mark": ev.mark, "pre_norm_h": ev.pre_norm_h}
+                          for ev in traj.jump_log))
 
 
 def write_manifest(path, cfg: RunConfig, seeds, outputs,
@@ -526,11 +524,7 @@ def run_verify(cfg: RunConfig, out_dir=None, n_workers: int = 1) -> dict:
 
         # statistical supermartingale check (reported, not a failure count)
         mart = {"lam": lam, "n": n_mart}
-        if cfg.sim.jumps is not None:
-            m_lambda = hypothesis_constants(cfg.sim.jumps, lam).m_lambda_est
-        else:
-            m_lambda = 0.0
-        hs = cfg.sim.gaussian.hs_norm_sq if cfg.sim.gaussian else 0.0
+        m_lambda, hs = tilt_constants(cfg.sim, lam)
         vals = np.array(require_no_blowups(ensemble(
             cfg.sim, n_mart,
             partial(_martingale_end, lam=lam, m_lambda=m_lambda, hs=hs),
@@ -588,8 +582,7 @@ def _est_gamma(cfg: RunConfig, exp: dict, n_workers: int):
 
 
 def _est_sigma2(cfg: RunConfig, exp: dict, n_workers: int):
-    obs = parse_observable(exp.get("observable", {"kind": "mode", "k": 1}),
-                           "experiment.observable")
+    obs = parse_observable(exp.get("observable"), "experiment.observable")
     burn = _as_number(exp.get("burn_in", 0.0), "experiment.burn_in",
                       nonnegative=True)
     traj = simulate(cfg.sim)
@@ -617,8 +610,7 @@ def _time_average(cfg: RunConfig, obs: Observable, traj: Trajectory) -> float:
 
 
 def _est_mdp(cfg: RunConfig, exp: dict, n_workers: int):
-    obs = parse_observable(exp.get("observable", {"kind": "mode", "k": 1}),
-                           "experiment.observable")
+    obs = parse_observable(exp.get("observable"), "experiment.observable")
     exponent = _as_number(exp.get("exponent", 0.25), "experiment.exponent")
     prefactor = _as_number(exp.get("prefactor", 1.0),
                            "experiment.prefactor", positive=True)
@@ -657,7 +649,7 @@ def _est_hitting(cfg: RunConfig, exp: dict, n_workers: int):
                         "experiment.initial_v_norm", positive=True)
     x0 = (v_norm / math.pi) * basis_field(1, sim.n_modes)
     summary = hitting_times(replace(sim, x0=x0, t_end=t_max), constants,
-                            n_traj, t_max, n_workers=n_workers)
+                            n_traj, n_workers=n_workers)
     d = summary.to_dict()
     d["config_hash"] = cfg.hash
     rows = [{"t": t, "log_survival": s}
@@ -677,8 +669,7 @@ def _est_expmoment(cfg: RunConfig, exp: dict, n_workers: int):
 
 
 def _est_occupation(cfg: RunConfig, exp: dict, n_workers: int):
-    obs = parse_observable(exp.get("observable", {"kind": "mode", "k": 1}),
-                           "experiment.observable")
+    obs = parse_observable(exp.get("observable"), "experiment.observable")
     bins = exp.get("bins", 40)
     if isinstance(bins, list):
         bins = np.array([_as_number(b, "experiment.bins[]") for b in bins])
@@ -695,17 +686,16 @@ def _est_occupation(cfg: RunConfig, exp: dict, n_workers: int):
 
 
 def _est_tailprobe(cfg: RunConfig, exp: dict, n_workers: int):
-    obs = parse_observable(exp.get("observable", {"kind": "mode", "k": 1}),
-                           "experiment.observable")
+    obs = parse_observable(exp.get("observable"), "experiment.observable")
     r_grid = _as_number_list(exp.get("r_grid", [0.0, 0.05, 0.1]),
                              "experiment.r_grid", nonnegative=True)
     t_grid = _as_number_list(exp.get("t_grid", [cfg.sim.t_end]),
                              "experiment.t_grid", positive=True)
-    t_max = max(t_grid)
-    if not _is_multiple(t_max, cfg.sim.dt_save):
-        raise ConfigError(f"experiment.t_grid: largest time must be an "
-                          f"integer multiple of model.dt_save = "
-                          f"{cfg.sim.dt_save}, got {t_max}")
+    for i, t in enumerate(t_grid):
+        if not _is_multiple(t, cfg.sim.dt_save):
+            raise ConfigError(f"experiment.t_grid[{i}]: must be an integer "
+                              f"multiple of model.dt_save = "
+                              f"{cfg.sim.dt_save}, got {t}")
     n_traj = _as_int(exp.get("n_traj", 100), "experiment.n_traj", minimum=2)
     mu_ref = exp.get("mu_reference")
     if mu_ref is None:

@@ -538,13 +538,13 @@ def derive_seed(seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _run_block(args) -> list:
+def _run_block(cfg: SimConfig, first: int, n_rows: int, reducer,
+               until) -> list:
     """Trajectories first .. first + n_rows - 1 of an ensemble, reduced.
 
     A finished row's Trajectory ends at its finish snapshot, and its jump
     log at the events up to that time.
     """
-    cfg, first, n_rows, reducer, until = args
     seeds = [derive_seed(cfg.seed, first + r) for r in range(n_rows)]
     snaps, logs, blown, finish = _Kernel(cfg).run(seeds, until)
     times = _save_times(cfg)
@@ -597,22 +597,23 @@ def ensemble(cfg: SimConfig, n_traj: int, reducer, n_workers: int = 1,
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
-    blocks = [(cfg, first, min(BLOCK_ROWS, n_traj - first), reducer, until)
-              for first in range(0, n_traj, BLOCK_ROWS)]
-    n = min(n_workers, len(blocks)) if _FORK else 1
+    firsts = range(0, n_traj, BLOCK_ROWS)
+    n = min(n_workers, len(firsts)) if _FORK else 1
+
+    def run(share) -> list:
+        return [v for first in share for v in _run_block(
+            cfg, first, min(BLOCK_ROWS, n_traj - first), reducer, until)]
+
     if n <= 1:
-        return _run_share(blocks)
-    return _fan_out([blocks[len(blocks) * i // n:len(blocks) * (i + 1) // n]
-                     for i in range(n)])
+        return run(firsts)
+    return _fan_out(run, [firsts[len(firsts) * i // n:
+                                 len(firsts) * (i + 1) // n]
+                          for i in range(n)])
 
 
-def _run_share(blocks) -> list:
-    return [v for block in blocks for v in _run_block(block)]
-
-
-def _fan_out(shares) -> list:
-    """_run_share over all shares, in order: shares[1:] in forked children,
-    each sending its results through a pipe, and shares[0] here meanwhile.
+def _fan_out(run, shares) -> list:
+    """run over all shares, in order: shares[1:] in forked children, each
+    sending its results through a pipe, and shares[0] here meanwhile.
     If this process raises, the children still running are killed."""
     running = {}                  # pid -> read end of the child's pipe
     try:
@@ -620,10 +621,10 @@ def _fan_out(shares) -> list:
             r, w = os.pipe()
             pid = os.fork()
             if pid == 0:
-                _child(share, w)              # does not return
+                _child(run, share, w)         # does not return
             os.close(w)
             running[pid] = open(r, "rb")
-        out = _run_share(shares[0])
+        out = run(shares[0])
         for pid, pipe in list(running.items()):
             with pipe:
                 data = pipe.read()
@@ -645,13 +646,13 @@ def _fan_out(shares) -> list:
             os.waitpid(pid, 0)
 
 
-def _child(share, w: int) -> None:
-    """Run share in a forked child, write (ok, results or exception) to w
+def _child(run, share, w: int) -> None:
+    """run(share) in a forked child: write (ok, results or exception) to w
     and exit, without atexit handlers or flushing inherited buffers."""
     code = 1
     try:
         try:
-            payload = pickle.dumps((True, _run_share(share)))
+            payload = pickle.dumps((True, run(share)))
         except Exception as err:
             try:
                 payload = pickle.dumps((False, err))

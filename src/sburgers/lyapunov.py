@@ -55,6 +55,7 @@ __all__ = [
     "psi_lambda",
     "grad_psi_lambda",
     "h_upper",
+    "tilt_constants",
     "dissipation_term_gap",
     "jump_taylor_gap",
     "exp_martingale_path",
@@ -263,6 +264,15 @@ def h_upper(a: np.ndarray, lam: float, m_lambda: float,
             + lam * lam * hs_norm_sq + 0.5 * lam * lam * m_lambda)
 
 
+def tilt_constants(cfg: SimConfig, lam: float) -> tuple:
+    """(M_lambda, ||Q||_HS^2) of cfg's forcing at tilt lambda, the two
+    constants of h_upper; each is 0 when its forcing is off."""
+    m_lambda = hypothesis_constants(cfg.jumps, lam).m_lambda_est \
+        if cfg.jumps is not None else 0.0
+    hs = cfg.gaussian.hs_norm_sq if cfg.gaussian is not None else 0.0
+    return m_lambda, hs
+
+
 def dissipation_term_gap(a: np.ndarray, lam: float) -> np.ndarray:
     """Slack of lambda^2 ||x||_V^2 / psi_lambda >= (1+lambda^2||x||_V^2)^(1/2) - 1.
 
@@ -342,11 +352,7 @@ def exp_integral_moment(cfg: SimConfig, theta: float, lam: float,
         raise ValueError("theta must lie in (0, 1)")
     if not lam > 0:
         raise ValueError("tilt must be positive")
-    if cfg.jumps is not None:
-        m_lambda = hypothesis_constants(cfg.jumps, lam).m_lambda_est
-    else:
-        m_lambda = 0.0
-    hs = cfg.gaussian.hs_norm_sq if cfg.gaussian is not None else 0.0
+    m_lambda, hs = tilt_constants(cfg, lam)
     x0 = cfg.x0.coeffs if cfg.x0 is not None else np.zeros(cfg.n_modes)
 
     out = require_no_blowups(ensemble(cfg, n_traj,

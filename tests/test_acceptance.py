@@ -237,7 +237,7 @@ def test_08_hitting_time_tails():
     start_norm = 4.0 * constants.c1
     x0 = (start_norm / math.pi) * basis_field(1, N_MODES)
     cfg = default_model(t_end=1.0, dt=2e-3, dt_save=1e-2, seed=20, x0=x0)
-    summary = hitting_times(cfg, constants, 1000, 1.0)
+    summary = hitting_times(cfg, constants, 1000)
 
     decreasing = bool(np.all(np.diff(summary.tail_log_survival) < 0))
     r2 = summary.tail_r_squared or 0.0

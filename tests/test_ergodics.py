@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm as normal_law
 
-from sburgers.spectral import SpectralField, basis_field, zero_field
+from sburgers.spectral import basis_field, zero_field
 from sburgers.noise import (
     GaussianSpec, JumpSpec, ExponentialMarks, ConstantDirection,
 )
@@ -25,8 +25,8 @@ from sburgers.ergodics import (
     Observable, EnvelopeViolation, OccupationHistogram, MdpConfig,
     mode_coefficient, norm_h_observable, norm_h_squared_observable,
     psi_observable, tanh_mode_observable, observable_dictionary,
-    occupation_measure, kolmogorov_distance,
-    invariant_estimate, integrated_autocorr_time, sigma_squared,
+    occupation_measure, kolmogorov_distance, invariant_estimate,
+    path_averages, integrated_autocorr_time, sigma_squared,
     ergodic_decay, mdp_functional, hitting_times, deviation_tail_probe,
 )
 
@@ -73,8 +73,8 @@ def small_jump_model(n_modes=8, dt=2e-3, t_end=1.0, dt_save=0.02, seed=0,
 class TestObservable:
     def test_mode_coefficient(self):
         obs = mode_coefficient(2)
-        x = SpectralField(np.array([0.3, -0.7, 0.1]))
-        assert obs(x) == pytest.approx(-0.7)
+        x = np.array([0.3, -0.7, 0.1])
+        assert obs.values(x) == pytest.approx(-0.7)
         assert obs.name == "a_2"
 
     def test_mode_index_validated(self):
@@ -82,21 +82,20 @@ class TestObservable:
             mode_coefficient(0)
 
     def test_norm_and_psi(self):
-        x = SpectralField(np.array([3.0, 4.0]))
-        assert norm_h_observable()(x) == pytest.approx(5.0)
-        assert norm_h_squared_observable()(x) == pytest.approx(25.0)
-        assert psi_observable()(x) == pytest.approx(math.sqrt(26.0))
+        x = np.array([3.0, 4.0])
+        assert norm_h_observable().values(x) == pytest.approx(5.0)
+        assert norm_h_squared_observable().values(x) == pytest.approx(25.0)
+        assert psi_observable().values(x) == pytest.approx(math.sqrt(26.0))
 
     def test_tanh_bounded(self):
         obs = tanh_mode_observable(1, 2.0)
-        x = SpectralField(np.array([50.0]))
-        assert abs(obs(x)) <= 1.0
+        assert abs(obs.values(np.array([50.0]))) <= 1.0
 
     def test_envelope_violation_raises(self):
         bad = Observable("bad", lambda c: 2.0 + 0.0 * c[..., 0],
                          "const", 1.0)
         with pytest.raises(EnvelopeViolation):
-            bad(SpectralField(np.array([0.0, 0.0])))
+            bad.values(np.array([0.0, 0.0]))
 
     def test_envelope_kinds_validated(self):
         with pytest.raises(ValueError):
@@ -121,12 +120,19 @@ class TestObservable:
             observable_dictionary(4)
 
     def test_matrix_and_single_agree(self):
-        obs = tanh_mode_observable(3)
+        # a stack of paths gives each path's and each state's values bit
+        # for bit, so ergodic_decay may evaluate whole ensembles at once
         rng = np.random.default_rng(6)
-        states = rng.normal(size=(20, 4))
-        vals = obs.values(states)
-        for i in range(20):
-            assert vals[i] == pytest.approx(obs(states[i]), rel=1e-12)
+        stack = rng.normal(scale=3.0, size=(5, 7, 12))
+        for obs in (mode_coefficient(3), tanh_mode_observable(3, 2.0),
+                    norm_h_observable(), norm_h_squared_observable(),
+                    psi_observable()):
+            vals = obs.values(stack)
+            assert vals.shape == (5, 7)
+            for a in range(5):
+                assert vals[a].tobytes() == obs.values(stack[a]).tobytes()
+                for b in range(7):
+                    assert vals[a, b] == obs.values(stack[a, b]), obs.name
 
 
 class TestOccupationMeasure:
@@ -210,7 +216,7 @@ class TestInvariantEstimate:
     def test_forcing_off_point_mass(self):
         cfg = SimConfig(n_modes=4, dt=0.01, t_end=8.0, dt_save=0.01,
                         nonlinearity_on=False)
-        reports = invariant_estimate(cfg, 1.0, 8.0)
+        reports = invariant_estimate(cfg, 1.0)
         assert reports["psi"].value == pytest.approx(1.0, abs=1e-12)
         assert reports["psi"].half_width <= 1e-12
         assert reports["a_1"].value == pytest.approx(0.0, abs=1e-12)
@@ -218,20 +224,20 @@ class TestInvariantEstimate:
     def test_burn_in_validated(self):
         cfg = SimConfig(n_modes=2, dt=0.01, t_end=1.0, dt_save=0.01)
         with pytest.raises(ValueError):
-            invariant_estimate(cfg, 1.0, 1.0)
+            invariant_estimate(cfg, 1.0)
 
     def test_short_series_rejected(self):
         cfg = SimConfig(n_modes=2, dt=0.01, t_end=1.0, dt_save=0.01,
                         gaussian=GaussianSpec(np.array([1.0, 0.5])))
         with pytest.raises(ValueError):
-            invariant_estimate(cfg, 0.0, 1.0)
+            invariant_estimate(cfg, 0.0)
 
     def test_linear_mode_variance(self):
         # stationary second moment of the single-mode OU model
         cfg = SimConfig(n_modes=1, dt=1e-3, t_end=300.0, dt_save=0.01,
                         gaussian=GaussianSpec(np.array([1.0])),
                         nonlinearity_on=False, seed=42)
-        reports = invariant_estimate(cfg, 10.0, 300.0)
+        reports = invariant_estimate(cfg, 10.0)
         rep = reports["norm_h_sq"]
         assert rep.value == pytest.approx(OU_VARIANCE, rel=0.05)
         assert rep.n >= 30
@@ -239,10 +245,10 @@ class TestInvariantEstimate:
 
     def test_jump_model_stable_under_doubling(self):
         base = small_jump_model(dt=4e-3, t_end=200.0, dt_save=0.02)
-        r1 = invariant_estimate(base, 10.0, 200.0)["psi"]
+        r1 = invariant_estimate(base, 10.0)["psi"]
         r2 = invariant_estimate(
             small_jump_model(dt=4e-3, t_end=400.0, dt_save=0.02, seed=7),
-            10.0, 400.0)["psi"]
+            10.0)["psi"]
         assert math.isfinite(r1.value) and math.isfinite(r2.value)
         assert abs(r1.value - r2.value) <= r1.half_width + r2.half_width
 
@@ -285,6 +291,16 @@ class TestSigmaSquared:
         rep = sigma_squared(path_trajectory(base + drift, 0.01),
                             mode_coefficient(1), n_batches=40)
         assert "nonstationary" in rep.flags
+
+    def test_mean_matches_path_averages(self, ou_long_path):
+        # one batch-means core: the same series, tau and batch means
+        traj = path_trajectory(ou_long_path[:100000], 0.01)
+        obs = mode_coefficient(1)
+        rep = sigma_squared(traj, obs, burn_in=1.0)
+        avg = path_averages(traj, 1.0, [obs])[obs.name]
+        assert rep.extra["mean"] == avg.value
+        assert rep.extra["autocorr_time_samples"] == \
+            avg.extra["autocorr_time_samples"]
 
     def test_batch_count_floor(self):
         traj = path_trajectory(np.random.default_rng(13).normal(size=500),
@@ -389,7 +405,7 @@ class TestHittingTimes:
         cfg = SimConfig(n_modes=4, dt=0.01, t_end=2.0, dt_save=0.01,
                         nonlinearity_on=False)
         constants = DriftConstants.from_specs(None, None)
-        summary = hitting_times(cfg, constants, n_traj=3, t_max=2.0)
+        summary = hitting_times(cfg, constants, n_traj=3)
         assert np.all(summary.samples == 0.0)
         assert summary.n_censored == 0
 
@@ -399,7 +415,7 @@ class TestHittingTimes:
         constants = DriftConstants.from_specs(gauss, None)
         coarse = SimConfig(n_modes=8, dt=1e-3, t_end=1.0, dt_save=1e-3,
                            nonlinearity_on=True, x0=x0)
-        summary = hitting_times(coarse, constants, n_traj=2, t_max=1.0)
+        summary = hitting_times(coarse, constants, n_traj=2)
         tau = summary.samples[0]
         assert summary.samples[1] == tau
 
@@ -415,7 +431,7 @@ class TestHittingTimes:
         constants = DriftConstants.from_specs(cfg.gaussian, cfg.jumps)
         x0 = (2.0 * constants.k_radius / PI) * basis_field(1, 8)
         summary = hitting_times(SimConfig(**{**cfg.__dict__, "x0": x0}),
-                                constants, n_traj=400, t_max=1.0)
+                                constants, n_traj=400)
         assert summary.n_censored == 0
         assert summary.tail_rate is not None and summary.tail_rate > 0
         assert summary.tail_r_squared >= 0.8
@@ -430,17 +446,17 @@ class TestHittingTimes:
         constants = DriftConstants.from_specs(cfg.gaussian, cfg.jumps)
         x0 = (2.0 * constants.k_radius / PI) * basis_field(1, 8)
         summary = hitting_times(SimConfig(**{**cfg.__dict__, "x0": x0}),
-                                constants, n_traj=3, t_max=0.02,
-                                lam_grid=(1.0,))
+                                constants, n_traj=3)
         assert "all_censored" in summary.flags
         assert summary.tail_rate is None
-        assert summary.exp_moments[0][1] is None
+        assert summary.t_max == 0.02
+        assert summary.exp_moments == ()
 
     def test_to_dict_roundtrips(self):
         cfg = SimConfig(n_modes=4, dt=0.01, t_end=2.0, dt_save=0.01,
                         nonlinearity_on=False)
         constants = DriftConstants.from_specs(None, None)
-        d = hitting_times(cfg, constants, n_traj=2, t_max=2.0).to_dict()
+        d = hitting_times(cfg, constants, n_traj=2).to_dict()
         assert d["n"] == 2 and d["n_censored"] == 0
 
 
@@ -470,7 +486,7 @@ class TestHittingStop:
     def test_samples_equal_full_horizon(self, reference, n_traj, n_workers):
         cfg, constants, taus = reference
         assert 0 < np.isnan(taus).sum() < taus.size
-        summary = hitting_times(cfg, constants, n_traj, cfg.t_end,
+        summary = hitting_times(cfg, constants, n_traj,
                                 n_workers=n_workers)
         assert summary.samples.tobytes() == taus[:n_traj].tobytes()
 
@@ -484,7 +500,7 @@ class TestHittingStop:
 
         monkeypatch.setattr(_Kernel, "_plan_chunk", counted)
         cfg, constants = self.far_start(1.0)
-        summary = hitting_times(cfg, constants, 100, 1.0)
+        summary = hitting_times(cfg, constants, 100)
         assert summary.n_censored == 0
         assert sum(steps) < round(1.0 / cfg.dt)
 

@@ -199,6 +199,7 @@ class TestObservableSpecs:
     def test_mode(self):
         obs = parse_observable({"kind": "mode", "k": 2})
         assert obs.name == "a_2"
+        assert parse_observable(None).name == "a_1"
 
     def test_tanh_mode(self):
         obs = parse_observable({"kind": "tanh_mode", "k": 1, "c": 2.0})
@@ -615,8 +616,11 @@ class TestCli:
 
     def test_tailprobe_t_grid_off_save_grid_exit_two(self, tmp_path,
                                                      capsys):
-        # 0.055 is no multiple of dt_save = 0.01; an empty grid has no end
-        for t_grid in ([0.05, 0.055], []):
+        # 0.055 is no multiple of dt_save = 0.01, whether or not it is the
+        # largest time; an empty grid has no end
+        for t_grid, field in (([0.05, 0.055], "experiment.t_grid[1]"),
+                              ([0.055, 0.1], "experiment.t_grid[0]"),
+                              ([], "experiment.t_grid")):
             raw = base_raw(experiment={"kind": "estimate", "n_traj": 4,
                                        "mu_reference": 0.0,
                                        "t_grid": t_grid})
@@ -625,7 +629,7 @@ class TestCli:
                          "--out", str(tmp_path / "out")])
             assert code == 2
             err = capsys.readouterr().err
-            assert "experiment.t_grid" in err and "t_end" not in err
+            assert field in err and "t_end" not in err
 
     @pytest.mark.parametrize("r_grid, field", [
         (0.1, "experiment.r_grid:"), (["a"], "experiment.r_grid[0]:")])
@@ -684,7 +688,11 @@ class TestCli:
 
     def test_bad_threads_exit_two(self, tmp_path, capsys):
         path = write_config(tmp_path, base_raw())
-        assert main(["simulate", "--config", path, "--threads", "0"]) == 2
+        assert main(["estimate", "occupation", "--config", path,
+                     "--threads", "0"]) == 2
+        assert "--threads" in capsys.readouterr().err
+        # simulate runs one path and takes no --threads
+        assert main(["simulate", "--config", path, "--threads", "2"]) == 2
         capsys.readouterr()
 
     def test_estimate_happy_path(self, tmp_path, capsys):

@@ -706,7 +706,7 @@ class TestFirstPassage:
                 got = ensemble(cfg, n_traj, _stop_path, until=until)
             assert _same_stops(got, expected), size
         for i in range(n_traj):
-            alone = integrator._run_block((cfg, i, 1, _stop_path, until))
+            alone = integrator._run_block(cfg, i, 1, _stop_path, until)
             assert _same_stops(alone, expected[i:i + 1]), i
 
     def test_block_stops_after_last_finish(self, monkeypatch):
