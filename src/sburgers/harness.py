@@ -57,7 +57,7 @@ from .ergodics import (
     norm_h_squared_observable, psi_observable, tanh_mode_observable,
     observable_dictionary, occupation_measure, path_averages,
     sigma_squared, ergodic_decay, MdpConfig, mdp_functional,
-    hitting_times, deviation_tail_probe, EnvelopeViolation,
+    hitting_times, deviation_tail_probe, EnvelopeViolation, _sorted_unique,
 )
 
 __all__ = [
@@ -473,7 +473,11 @@ def run_verify(cfg: RunConfig, out_dir=None, n_workers: int = 1) -> dict:
     family, and the jump expansion gap at fixed mark sizes.  A small
     supermartingale ensemble is also run (on n_workers processes); its
     outcome is reported but only deterministic failures count toward the
-    failure total (and the exit status of the CLI).
+    failure total (and the exit status of the CLI).  The checked path,
+    the one simulate(cfg.sim) gives, is stepped as one more row of the
+    ensemble's first block, in this process.  If it blows up the run
+    raises BlowUpError whatever the supermartingale paths did; otherwise
+    their blow-ups raise EnsembleBlowUpError.
 
     experiment block knobs: n_states (cap), lam (tilt), c1_override
     (negative-control corruption of the drift constant), supermartingale
@@ -492,7 +496,13 @@ def run_verify(cfg: RunConfig, out_dir=None, n_workers: int = 1) -> dict:
             _as_number(override, "experiment.c1_override", positive=True))
 
     def produce(out):
-        traj = simulate(cfg.sim)
+        # the checked path rides as one more row of the first block of the
+        # supermartingale ensemble
+        m_lambda, hs = tilt_constants(cfg.sim, lam)
+        traj, ends = ensemble(
+            cfg.sim, n_mart,
+            partial(_martingale_end, lam=lam, m_lambda=m_lambda, hs=hs),
+            n_workers=n_workers, main=True)
         take = min(n_states, traj.n_snapshots)
         idx = np.linspace(0, traj.n_snapshots - 1, take).astype(int)
         states = traj.coeffs[idx]
@@ -524,11 +534,7 @@ def run_verify(cfg: RunConfig, out_dir=None, n_workers: int = 1) -> dict:
 
         # statistical supermartingale check (reported, not a failure count)
         mart = {"lam": lam, "n": n_mart}
-        m_lambda, hs = tilt_constants(cfg.sim, lam)
-        vals = np.array(require_no_blowups(ensemble(
-            cfg.sim, n_mart,
-            partial(_martingale_end, lam=lam, m_lambda=m_lambda, hs=hs),
-            n_workers=n_workers)))
+        vals = np.array(require_no_blowups(ends))
         mart["mean"] = float(vals.mean())
         mart["std_err"] = float(vals.std(ddof=1) / math.sqrt(n_mart))
         mart["within_bound"] = bool(
@@ -567,7 +573,7 @@ def _est_gamma(cfg: RunConfig, exp: dict, n_workers: int):
     t_grid = np.linspace(sim.dt_save,
                          sim.t_end, n_points)
     t_grid = np.round(t_grid / sim.dt_save) * sim.dt_save
-    t_grid = np.unique(t_grid)
+    t_grid = _sorted_unique(t_grid)
     if sim.n_modes >= 8:
         observables = observable_dictionary(sim.n_modes)
     else:

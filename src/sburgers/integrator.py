@@ -19,10 +19,13 @@ pre-event state.  Event times and marks are drawn up front from a dedicated
 stream, so the Gaussian stream ordering never depends on where events land.
 
 Paths are stepped in lockstep as the rows of one (R, N) state: simulate is
-a batch of one and ensemble steps blocks of BLOCK_ROWS rows.  Every row
-keeps its own seed streams, only the rows with an event in a step are split
-at it, and every operation gives a row the same bits whatever the other
-rows are, so a path is the same alone, in any block and on any worker.
+a batch of one and ensemble steps blocks of up to BLOCK_ROWS trajectories.
+Every row keeps its own seed streams and its own start, only the rows with
+an event in a step are split at it, and every operation gives a row the
+same bits whatever the other rows are, so a path is the same alone, in any
+block and on any worker.  A block therefore also holds the rows of one
+trajectory from several starts (the pairs of a mixing estimate), and the
+first block can carry the path simulate gives (verify's main path).
 With more than one worker on Linux, ensemble splits its blocks into
 contiguous shares: the caller runs the first, and a child forked for each
 other share sends its reduced results back pickled through a pipe.
@@ -50,7 +53,7 @@ import os
 import pickle
 import signal
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -362,8 +365,11 @@ class _Kernel:
             xi[:, r] = z[first]      # split steps overwrite their rows
         return xi, split
 
-    def run(self, seeds, until=None) -> tuple:
-        """Step one path per seed in lockstep from cfg.x0.
+    def run(self, seeds, starts, until=None) -> tuple:
+        """Step one path per seed in lockstep, row r from starts[r].
+
+        starts is an (R, N) array, one start row per seed; cfg.x0 is not
+        read.
 
         Returns the snapshots, shape (R, n_saves + 1, N), the jump logs,
         {row: (time, norm)} for the rows that left the trust region, found
@@ -386,15 +392,16 @@ class _Kernel:
         n_steps = int(round(cfg.t_end / dt))
         save_every = int(round(cfg.dt_save / dt))
 
+        # the two streams SeedSequence(seed).spawn(2) gives, made directly
         rngs, plans = [], []
         for seed in seeds:
-            jump_ss, wiener_ss = np.random.SeedSequence(seed).spawn(2)
-            rngs.append(np.random.default_rng(wiener_ss))
-            plans.append(self._event_steps(jump_ss, n_steps)
-                         if self.jumps is not None else [])
+            rngs.append(np.random.default_rng(
+                np.random.SeedSequence(seed, spawn_key=(1,))))
+            plans.append(self._event_steps(
+                np.random.SeedSequence(seed, spawn_key=(0,)), n_steps)
+                if self.jumps is not None else [])
 
-        a = np.zeros((n_rows, n)) if cfg.x0 is None else \
-            np.tile(cfg.x0.coeffs, (n_rows, 1))
+        a = np.asarray(starts, dtype=float)
         snaps = np.empty((n_rows, n_steps // save_every + 1, n))
         snaps[:, 0] = a
         logs = [[] for _ in seeds]
@@ -518,6 +525,17 @@ def _save_times(cfg: SimConfig) -> np.ndarray:
     return np.arange(n_saves + 1) * cfg.dt_save
 
 
+def _start_rows(cfg: SimConfig, starts) -> np.ndarray:
+    """The start fields (None: the zero field) as rows, shape (G, N)."""
+    rows = np.zeros((len(starts), cfg.n_modes))
+    for g, x in enumerate(starts):
+        if x is not None:
+            if x.n_modes != cfg.n_modes:
+                raise ValueError("start length does not match n_modes")
+            rows[g] = x.coeffs
+    return rows
+
+
 def simulate(cfg: SimConfig) -> Trajectory:
     """Integrate one path on [0, t_end] and record the save-grid snapshots.
 
@@ -525,7 +543,8 @@ def simulate(cfg: SimConfig) -> Trajectory:
     the full event log.  Raises BlowUpError if ||x||_H exceeds 1e6 or any
     coefficient stops being finite.
     """
-    snaps, logs, blown, _ = _Kernel(cfg).run([cfg.seed])
+    snaps, logs, blown, _ = _Kernel(cfg).run([cfg.seed],
+                                             _start_rows(cfg, [cfg.x0]))
     if blown:
         raise BlowUpError(*blown[0])
     return Trajectory(times=_save_times(cfg), coeffs=snaps[0],
@@ -538,47 +557,72 @@ def derive_seed(seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _run_block(cfg: SimConfig, first: int, n_rows: int, reducer,
-               until) -> list:
+def _run_block(cfg: SimConfig, first: int, n_rows: int, reducer, until,
+               starts: np.ndarray, main: bool = False) -> tuple:
     """Trajectories first .. first + n_rows - 1 of an ensemble, reduced.
 
-    A finished row's Trajectory ends at its finish snapshot, and its jump
-    log at the events up to that time.
+    Each runs from every start row of starts, (G, N), with its one
+    sub-seed.  Returns (path, groups): groups[g] holds the results from
+    starts[g] in trajectory order.  With main, the path simulate(cfg) gives
+    is stepped as one more row and returned unreduced as path (None
+    otherwise); BlowUpError is raised if it blows up.  A finished row's
+    Trajectory ends at its finish snapshot, and its jump log at the events
+    up to that time.
     """
-    seeds = [derive_seed(cfg.seed, first + r) for r in range(n_rows)]
-    snaps, logs, blown, finish = _Kernel(cfg).run(seeds, until)
+    seeds = [derive_seed(cfg.seed, first + r) for r in range(n_rows)] \
+        * len(starts)
+    rows = np.repeat(starts, n_rows, axis=0)
+    if main:
+        seeds.insert(0, cfg.seed)
+        rows = np.concatenate([_start_rows(cfg, [cfg.x0]), rows])
+    snaps, logs, blown, finish = _Kernel(cfg).run(seeds, rows, until)
     times = _save_times(cfg)
     times.flags.writeable = False          # shared by the block's rows
-    out = []
-    for r in range(n_rows):
-        if r in blown:
-            out.append(BlowUp(first + r, *blown[r]))
-        elif r in finish:
-            f = finish[r]
-            out.append(reducer(Trajectory(
-                times=times[:f + 1], coeffs=snaps[r, :f + 1],
-                jump_log=tuple(e for e in logs[r] if e.time <= times[f]),
-                stopped=True)))
-        else:
-            out.append(reducer(Trajectory(times=times, coeffs=snaps[r],
-                                          jump_log=tuple(logs[r]))))
-    return out
+
+    def trajectory(j: int) -> Trajectory:
+        if j not in finish:
+            return Trajectory(times=times, coeffs=snaps[j],
+                              jump_log=tuple(logs[j]))
+        f = finish[j]
+        return Trajectory(
+            times=times[:f + 1], coeffs=snaps[j, :f + 1],
+            jump_log=tuple(e for e in logs[j] if e.time <= times[f]),
+            stopped=True)
+
+    path = None
+    if main:
+        if 0 in blown:
+            raise BlowUpError(*blown[0])
+        path = trajectory(0)
+        # its own copy, so the block's snapshots are freed once reduced
+        path = replace(path, coeffs=path.coeffs.copy())
+    groups = []
+    for g in range(len(starts)):
+        out = []
+        for r in range(n_rows):
+            j = main + g * n_rows + r
+            out.append(BlowUp(first + r, *blown[j]) if j in blown
+                       else reducer(trajectory(j)))
+        groups.append(out)
+    return path, groups
 
 
 def ensemble(cfg: SimConfig, n_traj: int, reducer, n_workers: int = 1,
-             until=None) -> list:
+             until=None, starts=None, main: bool = False):
     """Run n_traj independent trajectories and reduce each one.
 
-    Trajectory i uses the sub-seed derive_seed(cfg.seed, i).  Rows are
-    stepped in lockstep blocks of BLOCK_ROWS.  With n_workers > 1 on Linux
-    the blocks are split into min(n_workers, blocks) contiguous shares:
-    this process runs the first and a forked child each of the others, so
-    n_workers counts processes, this one included.  Elsewhere every block
-    runs in this process.  Results are identical for any n_workers.
-    A trajectory that blows up contributes a BlowUp record at its index
-    instead of a reducer value; siblings are unaffected.  An exception
-    raised in a child is raised again here with its type, or as a
-    RuntimeError carrying its repr when it does not pickle.
+    Trajectory i uses the sub-seed derive_seed(cfg.seed, i) and starts
+    from cfg.x0, or from each field of starts.  Rows are stepped in
+    lockstep blocks of BLOCK_ROWS trajectories, each with all its starts.
+    With n_workers > 1 on Linux the blocks are split into
+    min(n_workers, blocks) contiguous shares: this process runs the first
+    and a forked child each of the others, so n_workers counts processes,
+    this one included.  Elsewhere every block runs in this process.
+    Results are identical for any n_workers.  A trajectory that blows up
+    contributes a BlowUp record, carrying its index i, instead of a
+    reducer value; siblings are unaffected.  An exception raised in a
+    child is raised again here with its type, or as a RuntimeError
+    carrying its repr when it does not pickle.
 
     With until, a first-passage stop: a trajectory finishes at its first
     save-grid snapshot where until holds, and the reducer gets it cut
@@ -594,21 +638,36 @@ def ensemble(cfg: SimConfig, n_traj: int, reducer, n_workers: int = 1,
     until : callable, snapshots (k, R, N) -> (k, R) bool mask, or None.
         It must decide each row from that row alone, so that a row
         finishes at the same snapshot in any block.
+    starts : sequence of G start fields (None: the zero field), or None
+        for (cfg.x0,).  Trajectory i runs from each of them with the same
+        noise, and the results are start-major: entry g * n_traj + i is
+        trajectory i from starts[g].
+    main : if True, the path simulate(cfg) gives (seed cfg.seed, from
+        cfg.x0) is stepped as one more row of the first block, which this
+        process runs, and (its Trajectory, results) is returned.  If that
+        path blows up, BlowUpError is raised as simulate raises it,
+        whatever the other rows did.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
+    rows = _start_rows(cfg, [cfg.x0] if starts is None else starts)
     firsts = range(0, n_traj, BLOCK_ROWS)
     n = min(n_workers, len(firsts)) if _FORK else 1
 
     def run(share) -> list:
-        return [v for first in share for v in _run_block(
-            cfg, first, min(BLOCK_ROWS, n_traj - first), reducer, until)]
+        return [_run_block(cfg, first, min(BLOCK_ROWS, n_traj - first),
+                           reducer, until, rows, main and first == 0)
+                for first in share]
 
     if n <= 1:
-        return run(firsts)
-    return _fan_out(run, [firsts[len(firsts) * i // n:
-                                 len(firsts) * (i + 1) // n]
-                          for i in range(n)])
+        blocks = run(firsts)
+    else:
+        blocks = _fan_out(run, [firsts[len(firsts) * i // n:
+                                       len(firsts) * (i + 1) // n]
+                                for i in range(n)])
+    values = [v for g in range(len(rows)) for _, groups in blocks
+              for v in groups[g]]
+    return (blocks[0][0], values) if main else values
 
 
 def _fan_out(run, shares) -> list:

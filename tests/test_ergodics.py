@@ -18,8 +18,9 @@ from sburgers.spectral import basis_field, zero_field
 from sburgers.noise import (
     GaussianSpec, JumpSpec, ExponentialMarks, ConstantDirection,
 )
-from sburgers.integrator import SimConfig, Trajectory, _Kernel, simulate, \
-    ensemble
+from sburgers import ergodics, integrator
+from sburgers.integrator import BLOCK_ROWS, BlowUp, EnsembleBlowUpError, \
+    SimConfig, Trajectory, _Kernel, simulate, ensemble
 from sburgers.lyapunov import DriftConstants
 from sburgers.ergodics import (
     Observable, EnvelopeViolation, OccupationHistogram, MdpConfig,
@@ -341,6 +342,71 @@ class TestErgodicDecay:
         assert rep.value - rep.half_width > 0
         assert "finite_dictionary" in rep.flags
 
+    def test_pairs_share_blocks_and_workers_do_not_show(self, monkeypatch):
+        # pair i is trajectory i of separate ensembles from x0 and from y0,
+        # and the report is the same for any worker count, over two blocks
+        cfg = small_jump_model(t_end=0.1, dt=2e-3, dt_save=0.01, seed=17)
+        x0, y0 = 2.0 * basis_field(1, 8), zero_field(8)
+        n_traj = BLOCK_ROWS + 1
+        seen = []
+        keep = ergodics.require_no_blowups
+
+        def paths_seen(results):
+            seen.append(results)
+            return keep(results)
+
+        monkeypatch.setattr(ergodics, "require_no_blowups", paths_seen)
+        reports = [ergodic_decay(cfg, x0, y0, observable_dictionary(8),
+                                 np.arange(1, 11) * 0.01, n_traj,
+                                 n_workers=w).to_dict() for w in (1, 2, 3)]
+        assert reports[0]["value"] > 0
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+        reducer = partial(ergodics._snapshots_at, indices=range(1, 11))
+        ref = [p for start in (x0, y0)
+               for p in ensemble(replace(cfg, x0=start), n_traj, reducer)]
+        for paths in seen:
+            assert np.stack(paths).tobytes() == np.stack(ref).tobytes()
+
+    def test_blowup_records_per_start(self, monkeypatch):
+        # the trust region shrunk to the median peak norm: the records are
+        # those of the ensemble from x0, then those from y0, each numbered
+        # by its pair, out of 2 n_traj
+        cfg = small_jump_model(t_end=0.1, dt=2e-3, dt_save=2e-3, seed=3)
+        x0, y0 = 0.3 * basis_field(1, 8), -0.3 * basis_field(1, 8)
+        n_traj = 12
+        peaks = [p for start in (x0, y0)
+                 for p in ensemble(replace(cfg, x0=start), n_traj,
+                                   lambda traj: traj.norm_h().max())]
+        norm = float(np.median(peaks))
+        monkeypatch.setattr(integrator, "BLOWUP_NORM", norm)
+        monkeypatch.setattr(integrator, "_SAFE_NORM_SQ",
+                            norm ** 2 * (1.0 - 1e-9))
+        per_start = [[r for r in ensemble(replace(cfg, x0=start), n_traj,
+                                          lambda traj: None)
+                      if isinstance(r, BlowUp)] for start in (x0, y0)]
+        assert all(0 < len(rs) < n_traj for rs in per_start)
+        records = per_start[0] + per_start[1]
+        with pytest.raises(EnsembleBlowUpError) as err:
+            ergodic_decay(cfg, x0, y0, [mode_coefficient(1)], [0.05, 0.1],
+                          n_traj)
+        assert err.value.records == tuple(records)
+        assert str(err.value).startswith(
+            f"{len(records)} of {2 * n_traj} trajectories blew up")
+
+    def test_one_kernel_loop_per_block(self, monkeypatch):
+        rows = []
+        run = _Kernel.run
+
+        def counted(self, seeds, starts, until=None):
+            rows.append(len(seeds))
+            return run(self, seeds, starts, until)
+
+        monkeypatch.setattr(_Kernel, "run", counted)
+        cfg = small_jump_model(t_end=0.1, dt=2e-3, dt_save=0.01)
+        ergodic_decay(cfg, basis_field(1, 8), zero_field(8),
+                      [mode_coefficient(1)], [0.05, 0.1], n_traj=6)
+        assert rows == [12]
+
     def test_empty_dictionary_rejected(self):
         cfg = small_jump_model(t_end=0.2, dt=0.01, dt_save=0.05)
         with pytest.raises(ValueError):
@@ -401,6 +467,24 @@ class TestMdpFunctional:
 
 
 class TestHittingTimes:
+    def test_quantile_grid_matches_numpy(self):
+        # the survival grid is np.unique(np.quantile(...)) bit for bit,
+        # ties, one-sample sets and t at 0.5 included
+        rng = np.random.default_rng(8)
+        q = np.linspace(0.30, 0.95, 12)
+        for size in [1, 2, 3, 5, 11, 12, 13, 100, 499]:
+            for samples in (rng.exponential(size=size),
+                            np.round(rng.exponential(size=size), 2),
+                            0.01 * rng.integers(0, 4, size)):
+                s = np.sort(samples)
+                got = ergodics._linear_quantiles(s, q)
+                assert got.tobytes() == np.quantile(s, q).tobytes()
+                assert ergodics._sorted_unique(got).tobytes() == \
+                    np.unique(got).tobytes()
+        t = np.round(np.linspace(0.01, 1.0, 37) / 0.03) * 0.03
+        assert ergodics._sorted_unique(t).tobytes() == \
+            np.unique(t).tobytes()
+
     def test_start_inside_is_zero(self):
         cfg = SimConfig(n_modes=4, dt=0.01, t_end=2.0, dt_save=0.01,
                         nonlinearity_on=False)

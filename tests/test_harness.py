@@ -6,20 +6,23 @@ import math
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sburgers
-from sburgers import harness
+from sburgers import harness, integrator
 from sburgers.cli import main
 from sburgers.harness import (
     ConfigError, ESTIMATORS, config_hash, load_config, parse_config,
     parse_observable, run_estimate, run_simulate, run_verify,
     write_trajectory_csv,
 )
-from sburgers.integrator import BLOCK_ROWS, simulate
+from sburgers.integrator import BLOCK_ROWS, BlowUp, BlowUpError, \
+    EnsembleBlowUpError, ensemble, simulate
+from sburgers.lyapunov import tilt_constants
 from sburgers.noise import SaturatedDirection
 
 
@@ -351,6 +354,112 @@ class TestVerifyRunner:
         assert mart["std_err"] >= 0
 
 
+def _lower_blowup_norm(monkeypatch, norm: float) -> None:
+    monkeypatch.setattr(integrator, "BLOWUP_NORM", norm)
+    monkeypatch.setattr(integrator, "_SAFE_NORM_SQ",
+                        norm ** 2 * (1.0 - 1e-9))
+
+
+class TestVerifyMainRow:
+    """verify steps its checked path as one more row of the first block of
+    the supermartingale ensemble."""
+
+    @staticmethod
+    def _cfg(n_mart: int):
+        # dt_save = dt, so every step's norm is on the save grid
+        raw = base_raw(experiment={"kind": "verify", "n_states": 10 ** 6,
+                                   "n_mart": n_mart, "lam": 0.5})
+        raw["model"].update(n_modes=8, dt=2e-3, t_end=0.1, dt_save=2e-3)
+        return parse_config(raw)
+
+    @staticmethod
+    def _ends(cfg, n_mart: int) -> list:
+        """The supermartingale reductions of a separate ensemble run."""
+        m_lambda, hs = tilt_constants(cfg.sim, 0.5)
+        return ensemble(cfg.sim, n_mart, partial(
+            harness._martingale_end, lam=0.5, m_lambda=m_lambda, hs=hs))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("n_mart", [4, BLOCK_ROWS + 1])
+    def test_rows_equal_separate_runs(self, tmp_path, monkeypatch, n_mart,
+                                      threads):
+        cfg = self._cfg(n_mart)
+        seen = {}
+        check, keep = harness.drift_condition_check, harness.require_no_blowups
+
+        def states_seen(states, *args):
+            seen["states"] = states.copy()
+            return check(states, *args)
+
+        def ends_seen(results):
+            seen["ends"] = list(results)
+            return keep(results)
+
+        monkeypatch.setattr(harness, "drift_condition_check", states_seen)
+        monkeypatch.setattr(harness, "require_no_blowups", ends_seen)
+        run_verify(cfg, out_dir=tmp_path, n_workers=threads)
+        assert seen["states"].tobytes() == simulate(cfg.sim).coeffs.tobytes()
+        assert seen["ends"] == self._ends(cfg, n_mart)
+
+    def test_one_kernel_loop(self, tmp_path, monkeypatch):
+        rows = []
+        run = integrator._Kernel.run
+
+        def counted(self, seeds, starts, until=None):
+            rows.append(len(seeds))
+            return run(self, seeds, starts, until)
+
+        monkeypatch.setattr(integrator._Kernel, "run", counted)
+        run_verify(self._cfg(BLOCK_ROWS), out_dir=tmp_path)
+        assert rows == [BLOCK_ROWS + 1]
+
+    def test_main_path_blowup_comes_first(self, tmp_path, monkeypatch,
+                                          capsys):
+        # the trust region shrunk to just below the main path's peak: it
+        # and some supermartingale paths, in both blocks, leave it
+        cfg = self._cfg(BLOCK_ROWS + 1)
+        peak = simulate(cfg.sim).norm_h().max()
+        _lower_blowup_norm(monkeypatch, peak * (1.0 - 1e-6))
+        blown = [r.index for r in self._ends(cfg, BLOCK_ROWS + 1)
+                 if isinstance(r, BlowUp)]
+        assert 0 < len(blown) and max(blown) == BLOCK_ROWS
+        with pytest.raises(BlowUpError) as err:
+            simulate(cfg.sim)
+        path = write_config(tmp_path, cfg.raw)
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            assert main(["verify", "--config", path, "--threads", threads,
+                         "--out", str(out)]) == 3
+            assert capsys.readouterr().err == f"blow-up: {err.value}\n"
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["blowup_count"] == 1
+            assert manifest["outputs"] == []
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_supermartingale_blowups_numbered_from_zero(self, tmp_path,
+                                                        monkeypatch,
+                                                        threads):
+        # the trust region shrunk above the main path's peak and the median
+        # peak of the others: only supermartingale paths leave it, and they
+        # keep their indices
+        n_mart = BLOCK_ROWS + 1
+        cfg = self._cfg(n_mart)
+        peaks = ensemble(cfg.sim, n_mart, lambda traj: traj.norm_h().max())
+        peak = max(simulate(cfg.sim).norm_h().max(), np.median(peaks))
+        _lower_blowup_norm(monkeypatch, peak * (1.0 + 1e-6))
+        records = [r for r in self._ends(cfg, n_mart)
+                   if isinstance(r, BlowUp)]
+        assert 0 < len(records) < n_mart
+        with pytest.raises(EnsembleBlowUpError) as err:
+            run_verify(cfg, out_dir=tmp_path, n_workers=threads)
+        assert err.value.records == tuple(records)
+        assert str(err.value).startswith(
+            f"{len(records)} of {n_mart} trajectories blew up; "
+            f"first: index {records[0].index}")
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["blowup_count"] == len(records)
+
+
 def linear_single_mode(t_end, dt=1e-3, dt_save=1e-2, seed=7, **exp):
     return parse_config({
         "model": {"n_modes": 1, "dt": dt, "t_end": t_end,
@@ -676,6 +785,28 @@ class TestCli:
                              capture_output=True, text=True, timeout=60,
                              check=True)
         assert run.stdout.splitlines()[-1] == "[]"
+
+    def test_hitting_and_gamma_leave_numpy_ma_unloaded(self, tmp_path):
+        # np.quantile and a plain np.unique import numpy.ma (about 13 ms);
+        # the estimators compute the same numbers without them
+        raw = base_raw(experiment={"kind": "estimate", "n_traj": 40,
+                                   "t_max": 0.2, "initial_v_norm": 7.0})
+        raw["model"].update(n_modes=8, dt=2e-3, t_end=0.2)
+        path = write_config(tmp_path, raw)
+        src = str(Path(sburgers.__file__).resolve().parents[1])
+        code = ("import sys\n"
+                "from sburgers.cli import main\n"
+                "for name in ('hitting', 'gamma'):\n"
+                f"    code = main(['estimate', name, '--config', {path!r}, "
+                f"'--out', {str(tmp_path / 'out')!r}])\n"
+                "    print(name, code, 'numpy.ma' in sys.modules)\n")
+        run = subprocess.run([sys.executable, "-c", code],
+                             env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, timeout=60,
+                             check=True)
+        seen = [ln for ln in run.stdout.splitlines()
+                if ln.startswith(("hitting ", "gamma "))]
+        assert seen == ["hitting 0 False", "gamma 0 False"]
 
     def test_expmoment_domain_error_exit_two(self, tmp_path, capsys):
         raw = base_raw(experiment={"kind": "estimate", "theta": 0.5,

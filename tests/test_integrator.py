@@ -21,7 +21,7 @@ from functools import partial
 
 from sburgers.noise import (
     GaussianSpec, JumpSpec, ExponentialMarks, ConstantDirection,
-    SaturatedDirection,
+    SaturatedDirection, sample_jump_times,
 )
 from sburgers import integrator
 from sburgers.integrator import (
@@ -302,6 +302,11 @@ def forced_model(t_end=0.1, dt=2e-3, amplitude=1.0, nonlinearity=True,
                      nonlinearity_on=nonlinearity, seed=seed)
 
 
+def _x0_rows(cfg: SimConfig, n_rows: int) -> np.ndarray:
+    """cfg.x0 as the start row of each of n_rows kernel rows."""
+    return integrator._start_rows(cfg, [cfg.x0] * n_rows)
+
+
 def _path(traj: Trajectory) -> tuple:
     return traj.coeffs.copy(), traj.jump_log
 
@@ -321,7 +326,7 @@ class TestStepTable:
         cfg = replace(linear_single_mode(100.0, dt=1e-3, dt_save=1.0),
                       jumps=spec)
         kern = _Kernel(cfg)
-        snaps, logs, blown, finish = kern.run([5])
+        snaps, logs, blown, finish = kern.run([5], _x0_rows(cfg, 1))
         assert not blown and not finish and len(logs[0]) > 50
         assert 1 <= len(kern.coefs) <= 20
 
@@ -367,7 +372,8 @@ class TestLaneRoute:
                 with monkeypatch.context() as m:
                     m.setattr(integrator, "LANE_LIMIT", limit)
                     m.setattr(_Kernel, other, _refuse)
-                    runs.append(_Kernel(cfg).run(seeds))
+                    runs.append(_Kernel(cfg).run(
+                        seeds, _x0_rows(cfg, n_rows)))
             (snaps, logs, blown, finish), \
                 (lane_snaps, lane_logs, lane_blown, lane_finish) = runs
             assert snaps.tobytes() == lane_snaps.tobytes(), size
@@ -472,6 +478,58 @@ class TestBlowUp:
         assert require_no_blowups([1.0, 2.0]) == [1.0, 2.0]
 
 
+class TestSeedStreams:
+    # seeds of every size a row meets: small, above 2**63, and sub-seeds
+    SEEDS = [0, 5, 2 ** 63 + 11, derive_seed(7, 3)]
+
+    def test_row_draws_are_spawned_streams(self, monkeypatch):
+        # the reproducibility contract: a row's jump events come from the
+        # first stream of SeedSequence(seed).spawn(2) and its normals from
+        # the second
+        spawned = [np.random.SeedSequence(s).spawn(2) for s in self.SEEDS]
+        cfg = jumps_only_config(t_end=20.0)
+        _, logs, _, _ = _Kernel(cfg).run(self.SEEDS,
+                                         _x0_rows(cfg, len(self.SEEDS)))
+        for log, (jump_ss, _) in zip(logs, spawned):
+            events = sample_jump_times(cfg.jumps, cfg.t_end,
+                                       np.random.default_rng(jump_ss))
+            assert len(events) > 5
+            assert [(e.time, e.mark) for e in log] == events
+
+        cfg = SimConfig(n_modes=3, dt=0.01, t_end=0.2, dt_save=0.01,
+                        gaussian=GaussianSpec(np.array([1.0, 0.5, 0.25])),
+                        nonlinearity_on=False)
+        drawn = []
+        increment = _Kernel._gaussian_increment
+
+        def seen(decay, bsh, xi):
+            drawn.append(xi.copy())
+            return increment(decay, bsh, xi)
+
+        monkeypatch.setattr(_Kernel, "_gaussian_increment",
+                            staticmethod(seen))
+        _Kernel(cfg).run(self.SEEDS, _x0_rows(cfg, len(self.SEEDS)))
+        (xi,) = drawn                      # one chunk: (steps, rows, N)
+        for r, (_, wiener_ss) in enumerate(spawned):
+            ref = np.random.default_rng(wiener_ss).standard_normal((20, 3))
+            assert xi[:, r].tobytes() == ref.tobytes()
+
+    def test_rows_carry_their_own_start(self):
+        # one block holds the same seed from different starts; each row is
+        # the path simulate gives from its start
+        cfg = forced_model(t_end=0.06)
+        starts = [None, 2.0 * basis_field(1, 8), -1.0 * basis_field(3, 8)]
+        seeds = [cfg.seed, 4, cfg.seed]
+        snaps, _, blown, _ = _Kernel(cfg).run(
+            seeds, integrator._start_rows(cfg, starts))
+        assert not blown
+        for row, seed, x0 in zip(snaps, seeds, starts):
+            alone = simulate(replace(cfg, seed=seed, x0=x0))
+            assert row.tobytes() == alone.coeffs.tobytes()
+        with pytest.raises(ValueError, match="start length"):
+            integrator._start_rows(cfg, [basis_field(1, 3)])
+
+
 class TestEnsemble:
     def test_single_trajectory_matches_simulate(self):
         cfg = linear_single_mode(0.1, seed=9)
@@ -485,6 +543,21 @@ class TestEnsemble:
         serial = ensemble(cfg, 6, _final_mode, n_workers=1)
         parallel = ensemble(cfg, 6, _final_mode, n_workers=2)
         assert serial == parallel
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_starts_and_main_row(self, n_workers):
+        # with starts, results are start-major and trajectory i from each
+        # start is the ensemble from that start alone; the main row is the
+        # path simulate gives
+        cfg = forced_model(t_end=0.04)
+        starts = (2.0 * basis_field(1, 8), None)
+        n = BLOCK_ROWS + 1
+        path, out = ensemble(cfg, n, _path, n_workers, starts=starts,
+                             main=True)
+        assert _same_paths([_path(path)], [_path(simulate(cfg))])
+        ref = [v for x0 in starts
+               for v in ensemble(replace(cfg, x0=x0), n, _path)]
+        assert _same_paths(out, ref)
 
     def test_batch_size_and_worker_invariance(self):
         # row i is the same path alone, in blocks of 7, 8, 9 and across a
@@ -622,7 +695,7 @@ def _stopped_reference(cfg: SimConfig, n_traj: int, until) -> list:
     at its first snapshot where until holds, unless it blew up at or
     before that step."""
     seeds = [derive_seed(cfg.seed, i) for i in range(n_traj)]
-    snaps, logs, blown, _ = _Kernel(cfg).run(seeds)
+    snaps, logs, blown, _ = _Kernel(cfg).run(seeds, _x0_rows(cfg, n_traj))
     times = integrator._save_times(cfg)
     save_every = round(cfg.dt_save / cfg.dt)
     out = []
@@ -697,7 +770,8 @@ class TestFirstPassage:
         if case == "jumps":
             # the kernel logs events past a finish within its chunk
             seeds = [derive_seed(cfg.seed, i) for i in range(n_traj)]
-            _, logs, _, finish = _Kernel(cfg).run(seeds, until)
+            _, logs, _, finish = _Kernel(cfg).run(
+                seeds, _x0_rows(cfg, n_traj), until)
             assert any(logs[r][-1].time > f * cfg.dt_save
                        for r, f in finish.items() if logs[r])
         for size in (1, 7, integrator.NOISE_CHUNK):
@@ -706,7 +780,8 @@ class TestFirstPassage:
                 got = ensemble(cfg, n_traj, _stop_path, until=until)
             assert _same_stops(got, expected), size
         for i in range(n_traj):
-            alone = integrator._run_block(cfg, i, 1, _stop_path, until)
+            _, (alone,) = integrator._run_block(cfg, i, 1, _stop_path,
+                                                until, _x0_rows(cfg, 1))
             assert _same_stops(alone, expected[i:i + 1]), i
 
     def test_block_stops_after_last_finish(self, monkeypatch):
@@ -723,13 +798,14 @@ class TestFirstPassage:
         n_steps = round(cfg.t_end / cfg.dt)
         save_every = round(cfg.dt_save / cfg.dt)
         seeds = [derive_seed(cfg.seed, i) for i in (1, 4, 6)]
-        _, _, blown, finish = _Kernel(cfg).run(seeds, until)
+        _, _, blown, finish = _Kernel(cfg).run(seeds, _x0_rows(cfg, 3),
+                                               until)
         assert not blown and sorted(finish) == [0, 1, 2]
         assert sum(steps) == save_every * max(finish.values()) < n_steps
         steps.clear()
         # a row that never finishes keeps the block stepping to t_end
         _, _, _, finish = _Kernel(cfg).run(seeds + [derive_seed(cfg.seed, 0)],
-                                           until)
+                                           _x0_rows(cfg, 4), until)
         assert sorted(finish) == [0, 1, 2] and sum(steps) == n_steps
 
     def test_start_inside_finishes_at_once(self):
