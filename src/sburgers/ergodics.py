@@ -148,7 +148,8 @@ def observable_dictionary(n_modes: int) -> tuple:
 
     Eight mode coefficients plus eight bounded tanh compositions.  A finite
     dictionary under-estimates the supremum over the full envelope class,
-    so rates fitted from it are lower bounds by construction.
+    so the distance D_dict(t) it gives bounds the psi-distance from below
+    at each t.  A rate fitted to D_dict(t) does not bound gamma from below.
     """
     if n_modes < 8:
         raise ValueError("dictionary needs at least 8 modes")
@@ -438,11 +439,12 @@ def ergodic_decay(cfg: SimConfig, x0: SpectralField, y0: SpectralField,
     pair (common random numbers), forms D(t) = max over the dictionary of
     |mean difference|, and fits log D(t) linearly over the window where
     D(t) clears three standard errors.  Returns the fitted rate (value =
-    -slope); a finite dictionary makes this a lower-bound estimator.  When
-    no window point clears the noise the rate is reported as a lower bound
-    only (infinite when the paths coincide).  Pair i is trajectory i of one
-    ensemble from the starts x0 and y0, its two rows stepped in the same
-    block.  Raises EnsembleBlowUpError when any trajectory blows up.
+    -slope).  D(t) bounds the psi-distance of the two laws from below, but
+    the fitted rate does not bound gamma from below.  When no window point
+    clears the noise the rate is reported as a lower bound only (infinite
+    when the paths coincide).  Pair i is trajectory i of one ensemble from
+    the starts x0 and y0, its two rows stepped in the same block.  Raises
+    EnsembleBlowUpError when any trajectory blows up.
     """
     observables = list(observables)
     if not observables:

@@ -366,16 +366,15 @@ def write_jump_log(path, traj: Trajectory, cfg_hash: str) -> None:
                           for ev in traj.jump_log))
 
 
-def write_manifest(path, cfg: RunConfig, seeds, outputs,
-                   blowup_count: int, started: float,
-                   finished: float) -> None:
+def write_manifest(path, cfg: RunConfig, outputs, blowup_count: int,
+                   started: float, finished: float) -> None:
     manifest = {
         "config_hash": cfg.hash,
         "artifact_version": __version__,
         "started_at": started,
         "finished_at": finished,
         "seed": cfg.sim.seed,
-        "trajectory_seeds": list(seeds),
+        "trajectory_seeds": [cfg.sim.seed],
         "blowup_count": blowup_count,
         "outputs": [Path(o).name for o in outputs],
     }
@@ -422,11 +421,11 @@ def _run_recorded(cfg: RunConfig, out_dir, produce):
     except BlowUpError as err:
         count = len(err.records) if isinstance(err, EnsembleBlowUpError) \
             else 1
-        write_manifest(out / "manifest.json", cfg, [cfg.sim.seed], [],
-                       count, started, time.time())
+        write_manifest(out / "manifest.json", cfg, [], count, started,
+                       time.time())
         raise
-    write_manifest(out / "manifest.json", cfg, [cfg.sim.seed], outputs, 0,
-                   started, time.time())
+    write_manifest(out / "manifest.json", cfg, outputs, 0, started,
+                   time.time())
     return result
 
 

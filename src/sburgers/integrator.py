@@ -43,9 +43,12 @@ the noise term e^(-alpha_k h) beta_k sqrt(h) xi_k and _deterministic the
 rest, e^(-alpha_k h) a_k + phi_k(h) [drift]_k.  A chunk's noise terms are
 computed in one _gaussian_increment call before its steps, and the
 split steps around jump events go through substep, which calls both.
-Without a state-dependent drift and with at most LANE_LIMIT coefficients,
-each coefficient of each row is stepped by _lane, the Python-float twin of
-_deterministic with the same roundings.
+Each split step is planned once, when a row's events are sampled: its
+substep lengths, its events and its number of normal draws.
+Without any drift (B off, no jumps) and with at most LANE_LIMIT
+coefficients, each coefficient of each row is stepped by _lane, the
+Python-float twin of _deterministic with the same roundings.  Every other
+config steps on arrays, the only route that splits steps.
 """
 
 import math
@@ -224,8 +227,6 @@ class _Kernel:
         # a drift that does not depend on the state enters the table as phi*d
         self.fixed_drift = None if cfg.nonlinearity_on \
             else self.const_compensator
-        self.state_drift = cfg.nonlinearity_on or (
-            jumps is not None and self.const_compensator is None)
         self.coefs = {}   # step length -> (decay, phi, beta sqrt(h), phi d)
 
     def coef(self, h: float, keep: bool = True) -> tuple:
@@ -241,7 +242,8 @@ class _Kernel:
         return c
 
     def drift(self, a: np.ndarray) -> np.ndarray | None:
-        """B plus the jump compensator at the states a, shape (R, N)."""
+        """B plus the jump compensator at the states a, shape (R, N), or
+        None with neither."""
         out = None
         if self.cfg.nonlinearity_on:
             out = _quadratic_term(a)
@@ -259,8 +261,10 @@ class _Kernel:
         out = decay * a
         if pd is not None:
             out += pd
-        elif self.state_drift:
-            out += phi * self.drift(a)
+        else:
+            d = self.drift(a)
+            if d is not None:
+                out += phi * d
         return out
 
     @staticmethod
@@ -282,7 +286,14 @@ class _Kernel:
         return out
 
     def _event_steps(self, jump_ss, n_steps: int) -> list:
-        """This row's jump events as (step index, [(time, mark), ...])."""
+        """This row's split steps as (step index, pieces, draws), latest
+        first.
+
+        pieces are (h, event) in time order: a substep of length h, then
+        the event (time, mark) it ends at, or None for the rest of the
+        step.  draws counts the pieces with h != 0, one normal draw each;
+        a piece of length 0 is skipped.
+        """
         dt = self.cfg.dt
         events = sample_jump_times(self.jumps, self.cfg.t_end,
                                    np.random.default_rng(jump_ss))
@@ -300,40 +311,41 @@ class _Kernel:
                 grouped[-1][1].append((t, u))
             else:
                 grouped.append((i, [(t, u)]))
-        grouped.reverse()          # popped from the end, earliest first
-        return grouped
+        steps = []
+        for i, group in reversed(grouped):    # popped from the end
+            seg, pieces = i * dt, []
+            for t, u in group:
+                pieces.append((t - seg, (t, u)))
+                seg = t
+            pieces.append(((i + 1) * dt - seg, None))
+            steps.append((i, pieces, sum(h != 0.0 for h, _ in pieces)))
+        return steps
 
-    def _split_step(self, a: np.ndarray, i: int, events, z, k: int,
+    def _split_step(self, a: np.ndarray, pieces, z, k: int,
                     log: list) -> np.ndarray:
-        """Step i of one row a, (1, N), split at its events.
+        """One split step of one row a, (1, N), through its pieces.
 
         z[k], z[k + 1], ... are the row's normal draws for the substeps.
         """
-        dt = self.cfg.dt
-        seg = i * dt
-        for t, u in events:
-            h = t - seg
+        for h, event in pieces:
             if h != 0.0:
                 a = self.substep(a, h, None if z is None else z[k])
                 k += 1
-            row = a[0]
-            pre_norm = float(np.sqrt(norm_h_sq(row)))
-            a = a + self.jumps.direction.field_at(row) * u
-            log.append(JumpEvent(t, u, pre_norm))
-            seg = t
-        h = (i + 1) * dt - seg
-        if h != 0.0:
-            a = self.substep(a, h, None if z is None else z[k])
+            if event is not None:
+                t, u = event
+                row = a[0]
+                pre_norm = float(np.sqrt(norm_h_sq(row)))
+                a = a + self.jumps.direction.field_at(row) * u
+                log.append(JumpEvent(t, u, pre_norm))
         return a
 
     def _plan_chunk(self, i0: int, i1: int, rngs, plans):
         """Draw a chunk's normals and find the rows that split a step.
 
         Returns the draws of the unsplit steps, shape (i1 - i0, R, N) or
-        None, and {step offset: [(row, events, row draws, first draw)]}.
+        None, and {step offset: [(row, pieces, row draws, first draw)]}.
         """
         n = self.cfg.n_modes
-        dt = self.cfg.dt
         n_chunk = i1 - i0
         xi = None if self.betas is None else \
             np.empty((n_chunk, len(plans), n))
@@ -343,25 +355,20 @@ class _Kernel:
             while plan and plan[-1][0] < i1:
                 mine.append(plan.pop())
             if xi is None:
-                for i, events in mine:
-                    split.setdefault(i - i0, []).append((r, events, None, 0))
+                for i, pieces, _ in mine:
+                    split.setdefault(i - i0, []).append((r, pieces, None, 0))
                 continue
             if not mine:
                 xi[:, r] = rngs[r].standard_normal((n_chunk, n))
                 continue
-            # a split step draws once per substep of nonzero length
             count = np.ones(n_chunk, dtype=np.intp)
-            for i, events in mine:
-                seg, k = i * dt, 0
-                for t, _ in events:
-                    k += t - seg != 0.0
-                    seg = t
-                count[i - i0] = k + ((i + 1) * dt - seg != 0.0)
+            for i, _, draws in mine:
+                count[i - i0] = draws
             first = np.cumsum(count) - count
             z = rngs[r].standard_normal((int(first[-1] + count[-1]), n))
-            for i, events in mine:
+            for i, pieces, _ in mine:
                 split.setdefault(i - i0, []).append(
-                    (r, events, z, int(first[i - i0])))
+                    (r, pieces, z, int(first[i - i0])))
             xi[:, r] = z[first]      # split steps overwrite their rows
         return xi, split
 
@@ -409,8 +416,8 @@ class _Kernel:
         finish = {} if until is None else \
             dict.fromkeys(np.flatnonzero(until(a[None])[0]).tolist(), 0)
         stopped = set(finish)      # rows whose later states are not read
-        step_chunk = self._step_lanes if not self.state_drift \
-            and n_rows * n <= LANE_LIMIT else self._step_arrays
+        lanes = not cfg.nonlinearity_on and cfg.jumps is None \
+            and n_rows * n <= LANE_LIMIT
         chunk = max(1, NOISE_CHUNK // (n_rows * n))
         with np.errstate(over="ignore", invalid="ignore"):
             for i0 in range(0, n_steps, chunk):
@@ -430,8 +437,11 @@ class _Kernel:
                     bsh = np.array([c[2] for c in table])[which][:, None]
                     path = self._gaussian_increment(decay, bsh, path)
                 # each step adds its deterministic part to its noise term
-                step_chunk(a, path, table, which.tolist(), split, i0, logs,
-                           stopped)
+                if lanes:
+                    self._step_lanes(a, path, table, which.tolist(), stopped)
+                else:
+                    self._step_arrays(a, path, table, which.tolist(), split,
+                                      logs, stopped)
                 first = -(i0 + 1) % save_every
                 saved = path[first::save_every]
                 s0 = (i0 + first + 1) // save_every
@@ -459,64 +469,40 @@ class _Kernel:
                 a[list(stopped)] = 0.0
         return snaps, logs, blown, finish
 
-    def _step_arrays(self, a, path, table, which, split, i0, logs,
+    def _step_arrays(self, a, path, table, which, split, logs,
                      stopped) -> None:
         """Step j of the chunk takes all rows from a to path[j] at once."""
         for j, w in enumerate(which):
             new = self._deterministic(table[w], a)
             nxt = path[j]            # not path[j] += new: that copies back
             nxt += new
-            for r, events, z, k in split.get(j, ()):
+            for r, pieces, z, k in split.get(j, ()):
                 if r not in stopped:
-                    nxt[r] = self._split_step(a[r:r + 1], i0 + j, events, z,
-                                              k, logs[r])[0]
+                    nxt[r] = self._split_step(a[r:r + 1], pieces, z, k,
+                                              logs[r])[0]
             a = nxt
 
-    def _step_lanes(self, a, path, table, which, split, i0, logs,
-                    stopped) -> None:
-        """_step_arrays for a drift that does not depend on the state.
-
-        Between a row's split steps each of its coefficients is an affine
-        recurrence in Python floats with the roundings of _step_arrays; a
-        split step takes the whole row through _split_step.
-        """
-        n_chunk, n_rows, n = path.shape
+    def _step_lanes(self, a, path, table, which, stopped) -> None:
+        """_step_arrays without drift or jumps: each coefficient of each
+        row is the recurrence v <- decay v + noise in Python floats, with
+        the roundings of _step_arrays."""
         decays = [c[0].tolist() for c in table]
-        drifts = [c[3].tolist() for c in table if c[3] is not None] or None
-        for r in range(n_rows):
+        for r in range(path.shape[1]):
             if r in stopped:
                 continue
-            stops = [(j, *e[1:]) for j in sorted(split) for e in split[j]
-                     if e[0] == r]
-            row, start = a[r], 0
-            for j, events, z, k in stops + [(n_chunk, None, None, 0)]:
-                if j > start:
-                    for c, v in enumerate(row.tolist()):
-                        lane = path[start:j, r, c]
-                        ps = None if drifts is None else [p[c] for p in drifts]
-                        lane[:] = np.fromiter(
-                            _lane(v, which[start:j], [d[c] for d in decays],
-                                  ps, memoryview(lane)), float, j - start)
-                    row = path[j - 1, r]
-                if events is not None:
-                    path[j, r] = self._split_step(row[None], i0 + j, events,
-                                                  z, k, logs[r])[0]
-                    row = path[j, r]
-                start = j + 1
+            for c, v in enumerate(a[r].tolist()):
+                lane = path[:, r, c]
+                lane[:] = np.fromiter(
+                    _lane(v, which, [d[c] for d in decays], memoryview(lane)),
+                    float, len(lane))
 
 
-def _lane(v: float, which: list, ds: list, ps, xs):
-    """Yield v <- ds[w] v (+ ps[w]) + x over the steps (w, x), x the noise
-    term of _Kernel._gaussian_increment.  Without ps nothing is added,
-    since 0.0 would turn -0.0 into +0.0."""
-    if ps is None:
-        for w, x in zip(which, xs):
-            v = ds[w] * v + x
-            yield v
-    else:
-        for w, x in zip(which, xs):
-            v = ds[w] * v + ps[w] + x
-            yield v
+def _lane(v: float, which: list, ds: list, xs):
+    """Yield v <- ds[w] v + x over the steps (w, x), x the noise term of
+    _Kernel._gaussian_increment."""
+    for w, x in zip(which, xs):
+        v = ds[w] * v + x
+        yield v
 
 
 def _save_times(cfg: SimConfig) -> np.ndarray:

@@ -34,7 +34,6 @@ __all__ = [
     "norm_h",
     "norm_v",
     "burgers_nonlinearity",
-    "tail_energy_fraction",
 ]
 
 # Up to this truncation size a batch of states goes through one gathered
@@ -227,18 +226,3 @@ def burgers_nonlinearity(x: SpectralField) -> SpectralField:
     quadratically, B(c x) = c^2 B(x).
     """
     return SpectralField(_quadratic_term(x.coeffs))
-
-
-def tail_energy_fraction(x: SpectralField, top_fraction: float = 0.25) -> float:
-    """Share of H energy carried by the top fraction of modes.
-
-    A resolution diagnostic: values near zero mean the truncation resolves
-    the field, values near one mean energy is piling up at the grid cutoff.
-    """
-    if not 0.0 < top_fraction <= 1.0:
-        raise ValueError("top_fraction must lie in (0, 1]")
-    total = float(norm_h_sq(x.coeffs))
-    if total == 0.0:
-        return 0.0
-    n_top = max(1, int(np.ceil(top_fraction * x.n_modes)))
-    return float(norm_h_sq(x.coeffs[-n_top:])) / total

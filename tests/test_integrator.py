@@ -280,6 +280,33 @@ class TestJumpHandling:
             assert np.array_equal(traj.coeffs, ref.coeffs)
             assert traj.jump_log == ref.jump_log
 
+    def test_zero_length_pieces_draw_nothing(self, monkeypatch):
+        # an event at exactly 3 dt leaves the rest of its step of length 0,
+        # and two events at one time leave a piece of length 0 between
+        # them; such a piece neither steps nor draws normals
+        cfg = SimConfig(n_modes=3, dt=0.01, t_end=0.2, dt_save=0.02,
+                        gaussian=GaussianSpec(np.array([1.0, 0.5, 0.25])),
+                        jumps=JumpSpec(1.0, ExponentialMarks(2.0),
+                                       ConstantDirection(SpectralField(
+                                           np.array([0.8, 0.3, -0.1])))),
+                        nonlinearity_on=False, seed=9)
+        events = [(0.013, 0.7), (3 * cfg.dt, 1.1), (0.071, 0.4),
+                  (0.071, 0.9), (0.1234, 0.5), (0.155, 0.2)]
+
+        def fixed(spec, t_end, rng):
+            return list(events)
+
+        monkeypatch.setattr("sburgers.noise.sample_jump_times", fixed)
+        monkeypatch.setattr(integrator, "sample_jump_times", fixed)
+        for size in (1, 7, integrator.NOISE_CHUNK):
+            monkeypatch.setattr(integrator, "NOISE_CHUNK", size)
+            out = ensemble(cfg, 3, _path)
+            for i, (coeffs, log) in enumerate(out):
+                row = replace(cfg, seed=derive_seed(cfg.seed, i))
+                assert np.array_equal(coeffs, sequential_path(row, None)), \
+                    (size, i)
+                assert [(e.time, e.mark) for e in log] == events
+
     def test_zero_intensity_equals_heat_flow(self):
         spec = JumpSpec(0.0, ExponentialMarks(2.0),
                         ConstantDirection(basis_field(1, 2)))
@@ -361,14 +388,17 @@ class TestLaneRoute:
     @pytest.mark.parametrize("n_rows", [1, 3])
     def test_routes_agree_bit_for_bit(self, monkeypatch, forcing, n_modes,
                                       n_rows):
-        # the lanes route reproduces the array route's every bit, the sign
-        # of zeros included, whatever the chunking of the noise
+        # without jumps the lanes route reproduces the array route's every
+        # bit, the sign of zeros included, whatever the chunking of the
+        # noise; with jumps the array route runs even at LANE_LIMIT 10**6
         cfg = _linear_config(forcing, n_modes)
         seeds = [derive_seed(cfg.seed, i) for i in range(n_rows)]
+        jumps = forcing in ("jumps", "both")
+        refused = "_step_lanes" if jumps else "_step_arrays"
         for size in (1, 7, integrator.NOISE_CHUNK):
             monkeypatch.setattr(integrator, "NOISE_CHUNK", size)
             runs = []
-            for limit, other in ((0, "_step_lanes"), (10 ** 6, "_step_arrays")):
+            for limit, other in ((0, "_step_lanes"), (10 ** 6, refused)):
                 with monkeypatch.context() as m:
                     m.setattr(integrator, "LANE_LIMIT", limit)
                     m.setattr(_Kernel, other, _refuse)
@@ -379,7 +409,7 @@ class TestLaneRoute:
             assert snaps.tobytes() == lane_snaps.tobytes(), size
             assert logs == lane_logs and blown == lane_blown == {}
             assert finish == lane_finish == {}
-            if forcing in ("jumps", "both"):
+            if jumps:
                 assert all(len(log) > 5 for log in logs)
             if forcing == "none":
                 assert np.signbit(snaps[:, :, 1 if n_modes > 1 else 0]).all()
@@ -421,7 +451,8 @@ class TestBlowUp:
 
     # (index, time, norm) of every blow-up, measured before blow-ups were
     # found once per chunk: B on, 12 rows; B off and strong noise, 12 rows
-    # of 3 modes; B off with jumps, 6 rows of 2 modes (the lanes route)
+    # of 3 modes (the lanes route at LANE_LIMIT 10**6); B off with jumps,
+    # 6 rows of 2 modes (the array route at any LANE_LIMIT)
     BLOWUP_CASES = {
         "b_on": (forced_model(t_end=0.2, amplitude=160.0, seed=5), 12, [
             (0, 0.18, 45503006.56474131),
@@ -753,9 +784,14 @@ class TestFirstPassage:
         # many jump events after a row's finish in its last chunk
         "jumps": (_jumpy, 12, partial(_mode1_at_least, level=0.5),
                   {"stopped", "full"}),
-        # 3 rows of 4 modes take the lanes route
+        # B off with jumps: 3 rows of 4 modes on the array route
         "lanes": (_linear_config("both", 4), 3,
                   partial(_mode1_at_least, level=1.5), {"stopped", "full"}),
+        # B off without jumps: 3 rows of 4 modes take the lanes route; rows
+        # 0 and 2 first reach 0.55 at snapshots 23 and 2, row 1 never does
+        "lanes_no_jumps": (_linear_config("gaussian", 4), 3,
+                           partial(_mode1_at_least, level=0.55),
+                           {"stopped", "full"}),
     }
 
     @pytest.mark.parametrize("case", sorted(STOP_CASES))

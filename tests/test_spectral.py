@@ -17,7 +17,6 @@ from sburgers.spectral import (
     norm_h,
     norm_v,
     burgers_nonlinearity,
-    tail_energy_fraction,
     _quadratic_exact,
     _quadratic_gathered,
     _quadratic_term,
@@ -175,18 +174,3 @@ class TestAdvectionTerm:
                     (n, r)
                 assert np.array_equal(_quadratic_term(a[r - 1]),
                                       full[r - 1]), (n, r)
-
-
-class TestTailDiagnostic:
-    def test_low_mode_field(self):
-        assert tail_energy_fraction(basis_field(1, 8)) == 0.0
-
-    def test_top_mode_field(self):
-        assert tail_energy_fraction(basis_field(8, 8)) == 1.0
-
-    def test_flat_spectrum(self):
-        x = SpectralField(np.ones(8))
-        assert tail_energy_fraction(x) == pytest.approx(0.25)
-
-    def test_zero_field(self):
-        assert tail_energy_fraction(zero_field(4)) == 0.0
