@@ -9,9 +9,16 @@
 Exit codes: 0 success (verify: zero deterministic failures), 1 verify
 found failures, 2 usage or config or estimator-domain error, 3 trajectory
 blow-up.
+
+At interpreter exit every object still alive is frozen (``gc.freeze``), so
+the teardown collections skip them and the OS reclaims the memory in one
+step; every output file is closed before ``main`` returns, and the flushes
+of stdout and stderr and the other exit handlers still run.
 """
 
 import argparse
+import atexit
+import gc
 import json
 import sys
 
@@ -23,6 +30,9 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BLOWUP = 3
+
+# skip the teardown collections (~45 ms a run); the OS frees the memory at once
+atexit.register(gc.freeze)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -79,6 +79,8 @@ __all__ = [
 
 BLOWUP_NORM = 1e6
 # Below this summed squared norm of a chunk no row can exceed BLOWUP_NORM.
+# The sum is a ufunc reduction, not a BLAS dot, which wakes OpenBLAS's worker
+# thread above 10 000 elements.
 _SAFE_NORM_SQ = BLOWUP_NORM ** 2 * (1.0 - 1e-9)
 # Rows stepped together by ensemble, and the unit of work it shares out.
 BLOCK_ROWS = 100
@@ -447,7 +449,7 @@ class _Kernel:
                 s0 = (i0 + first + 1) // save_every
                 snaps[:, s0:s0 + len(saved)] = saved.swapaxes(0, 1)
                 bad = {}              # row -> its first bad step in the chunk
-                if not float(np.vdot(path, path)) <= _SAFE_NORM_SQ:
+                if not float(np.square(path).sum()) <= _SAFE_NORM_SQ:
                     norms = np.sqrt(norm_h_sq(path))
                     out = ~(norms <= BLOWUP_NORM)
                     for r in np.flatnonzero(out.any(axis=0)).tolist():

@@ -845,3 +845,90 @@ class TestCli:
         assert (tmp_path / "out" / "estimate.jsonl").exists()
         assert (tmp_path / "out" / "estimate.csv").exists()
         assert (tmp_path / "out" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("exit_code", [0, 1, 2, 3])
+    def test_process_exit_loses_nothing(self, tmp_path, exit_code):
+        # a real interpreter exit, teardown included, for each exit code
+        shipped = Path(__file__).resolve().parents[1] / "configs"
+        blowup = base_raw()
+        blowup["model"]["nonlinearity"] = False
+        blowup["model"]["initial_condition"] = {
+            "kind": "modes", "coefficients": [2e6]}
+        negative = base_raw(experiment={"kind": "verify", "n_states": 5,
+                                        "n_mart": 2, "c1_override": 0.5})
+        args, message = {
+            0: (["simulate", "--config", str(shipped / "jumps_only.json")],
+                None),
+            1: (["verify", "--config",
+                 write_config(tmp_path, negative, "verify.json")],
+                "verify: 5 inequality failures"),
+            2: (["estimate", "bogus",
+                 "--config", write_config(tmp_path, base_raw())],
+                "config error: unknown estimator 'bogus'"),
+            3: (["simulate", "--config",
+                 write_config(tmp_path, blowup, "blowup.json")],
+                "blow-up: ||x||_H"),
+        }[exit_code]
+        out = tmp_path / "out"
+        src = str(Path(sburgers.__file__).resolve().parents[1])
+        # block-buffered stdout, so an exit that skipped its flush would show
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        run = subprocess.run(
+            [sys.executable, "-m", "sburgers.cli", *args, "--out", str(out)],
+            env=dict(env, PYTHONPATH=src), stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True, timeout=60)
+        assert run.returncode == exit_code
+        paths = []
+        if exit_code in (0, 1):
+            result = json.loads(run.stdout.splitlines()[-1])
+            assert result["config_hash"]
+            paths += [Path(p) for p in result.get("outputs", [])]
+        if message is None:
+            assert run.stderr == ""
+        else:
+            assert run.stderr.startswith(message)
+        if (out / "manifest.json").exists():
+            manifest = json.loads((out / "manifest.json").read_text())
+            paths += [out / "manifest.json"]
+            paths += [out / name for name in manifest["outputs"]]
+        assert exit_code == 2 or paths
+        for p in paths:
+            assert p.stat().st_size > 0, p
+
+    @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(),
+                        reason="needs /proc/self/fd")
+    def test_main_leaves_no_file_open(self, tmp_path, capsys):
+        # the exit leaves live objects to the OS, so no output file may
+        # rely on a collection to be closed
+        fan_out = base_raw(experiment={"kind": "estimate",
+                                       "n_traj": BLOCK_ROWS + 1,
+                                       "t_max": 0.2, "initial_v_norm": 7.0})
+        fan_out["model"].update(n_modes=8, dt=2e-3)
+        verify = base_raw(experiment={"kind": "verify", "n_states": 5,
+                                      "n_mart": BLOCK_ROWS + 1})
+        sigma2 = {
+            "model": {"n_modes": 1, "dt": 1e-2, "t_end": 40.0,
+                      "dt_save": 1e-2, "nonlinearity": False},
+            "gaussian": {"betas": [1.0]},
+            "seed": 5,
+            "experiment": {"kind": "estimate",
+                           "observable": {"kind": "mode", "k": 1},
+                           "burn_in": 1.0, "n_batches": 30},
+        }
+        runs = [
+            ["simulate", "--config", write_config(tmp_path, base_raw(),
+                                                  "simulate.json")],
+            ["verify", "--config", write_config(tmp_path, verify,
+                                                "verify.json"),
+             "--threads", "2"],
+            ["estimate", "hitting", "--config",
+             write_config(tmp_path, fan_out, "hitting.json"),
+             "--threads", "2"],
+            ["estimate", "sigma2", "--config",
+             write_config(tmp_path, sigma2, "sigma2.json")],
+        ]
+        for i, argv in enumerate(runs):
+            before = sorted(os.listdir("/proc/self/fd"))
+            assert main(argv + ["--out", str(tmp_path / str(i))]) == 0
+            assert sorted(os.listdir("/proc/self/fd")) == before, argv
+        capsys.readouterr()
