@@ -18,8 +18,8 @@ enclosing step at each event; the displacement G(x-) u is applied to the
 pre-event state.  Event times and marks are drawn up front from a dedicated
 stream, so the Gaussian stream ordering never depends on where events land.
 
-Paths are stepped in lockstep as the rows of one (R, N) state: simulate is
-a batch of one and ensemble steps blocks of up to BLOCK_ROWS trajectories.
+Paths are stepped in lockstep as the R rows of one state: simulate is a
+batch of one and ensemble steps blocks of up to BLOCK_ROWS trajectories.
 Every row keeps its own seed streams and its own start, only the rows with
 an event in a step are split at it, and every operation gives a row the
 same bits whatever the other rows are, so a path is the same alone, in any
@@ -30,13 +30,22 @@ With more than one worker on Linux, ensemble splits its blocks into
 contiguous shares: the caller runs the first, and a child forked for each
 other share sends its reduced results back pickled through a pipe.
 
-Steps fill one (steps, R, N) buffer per chunk; snapshots and blow-ups are
-taken from it once per chunk.  An ensemble may also give a first-passage
-stop: a row finishes at its first snapshot where a row-wise test holds,
-a blow-up counts only at or before the finish, finished rows are reset
-like blown ones, and a block stops stepping once each row is blown or
-finished.  The chunk therefore also bounds how far a block steps past
-its last finish.
+The state is held mode-major, a C-contiguous (N, R) array whose column r
+is row r's state, and steps fill one (steps, N, R) buffer per chunk, so
+the Burgers term gathers its factors from the state without a copy and
+each step coefficient is an (N, 1) column.  numpy adds a sum over a
+strided last axis in another order than over a contiguous one, so a sum
+over modes on the transposed state would round a row differently in a
+block than alone.  Each such sum runs on a row-major (..., R, N) copy:
+the save-grid snapshots, the first-passage mask read from them, the
+blow-up norms and a state-dependent jump direction's field_at.
+
+Snapshots and blow-ups are taken from the chunk buffer once per chunk.
+An ensemble may also give a first-passage stop: a row finishes at its
+first snapshot where a row-wise test holds, a blow-up counts only at or
+before the finish, finished rows are reset like blown ones, and a block
+stops stepping once each row is blown or finished.  The chunk therefore
+also bounds how far a block steps past its last finish.
 
 The step formula lives in two _Kernel helpers: _gaussian_increment is
 the noise term e^(-alpha_k h) beta_k sqrt(h) xi_k and _deterministic the
@@ -207,6 +216,9 @@ class Trajectory:
 class _Kernel:
     """Per-config constants and the lockstep loop over R rows.
 
+    States are mode-major, (N, R): column r is row r's state.  A split
+    step around jump events steps its row as an (N, 1) column.
+
     Step coefficients are tabled by step length: a main step of simulate is
     (i + 1) dt - i dt, which takes only a handful of distinct values.  The
     lengths of the substeps around jump events are not tabled.
@@ -214,8 +226,10 @@ class _Kernel:
 
     def __init__(self, cfg: SimConfig):
         self.cfg = cfg
-        self.alpha = mode_rates(cfg.n_modes)
-        self.betas = cfg.gaussian.betas if cfg.gaussian is not None else None
+        # per-mode constants as (N, 1) columns of the mode-major state
+        self.alpha = mode_rates(cfg.n_modes)[:, None]
+        self.betas = cfg.gaussian.betas[:, None] \
+            if cfg.gaussian is not None else None
         if self.betas is not None and not np.any(self.betas):
             self.betas = None
         jumps = cfg.jumps
@@ -225,13 +239,14 @@ class _Kernel:
             self.comp_scale = jumps.compensator_coefficient
             if jumps.direction.state_independent:
                 g = jumps.direction.field_at(np.zeros(cfg.n_modes))
-                self.const_compensator = self.comp_scale * g
+                self.const_compensator = (self.comp_scale * g)[:, None]
         # a drift that does not depend on the state enters the table as phi*d
         self.fixed_drift = None if cfg.nonlinearity_on \
             else self.const_compensator
         self.coefs = {}   # step length -> (decay, phi, beta sqrt(h), phi d)
 
     def coef(self, h: float, keep: bool = True) -> tuple:
+        """The step coefficients of length h, each an (N, 1) column."""
         c = self.coefs.get(h)
         if c is None:
             decay = np.exp(-self.alpha * h)
@@ -244,21 +259,30 @@ class _Kernel:
         return c
 
     def drift(self, a: np.ndarray) -> np.ndarray | None:
-        """B plus the jump compensator at the states a, shape (R, N), or
-        None with neither."""
+        """B plus the jump compensator at the states a, (N, R), as a new
+        array that broadcasts to (N, R), or None with neither.
+
+        A state-dependent jump direction gets a row-major copy of a: its
+        norm is a sum over modes, which numpy adds in another order on the
+        strided last axis of a.T.
+        """
         out = None
         if self.cfg.nonlinearity_on:
-            out = _quadratic_term(a)
+            out = _quadratic_term(a.T).T
         if self.jumps is not None:
             comp = self.const_compensator
             if comp is None:
-                comp = self.comp_scale * self.jumps.direction.field_at(a)
-            out = comp if out is None else out + comp
+                comp = self.comp_scale * self.jumps.direction.field_at(
+                    np.ascontiguousarray(a.T)).T
+            if out is None:
+                out = np.array(comp)
+            else:
+                out += comp
         return out
 
     def _deterministic(self, c: tuple, a: np.ndarray) -> np.ndarray:
         """decay a + phi d for the step coefficients c from the states a,
-        with d the drift at a held over the step."""
+        (N, R), with d the drift at a held over the step."""
         decay, phi, _, pd = c
         out = decay * a
         if pd is not None:
@@ -266,25 +290,29 @@ class _Kernel:
         else:
             d = self.drift(a)
             if d is not None:
-                out += phi * d
+                d *= phi
+                out += d
         return out
 
     @staticmethod
     def _gaussian_increment(decay, bsh, xi) -> np.ndarray:
-        """The noise term decay (beta sqrt(h)) xi of a step."""
-        return decay * (bsh * xi)
+        """The noise term decay (beta sqrt(h)) xi of a step, written over
+        the draws xi and returned."""
+        xi *= bsh
+        xi *= decay
+        return xi
 
     def substep(self, a: np.ndarray, h: float, xi) -> np.ndarray:
-        """One jump-free step of length h > 0 from the states a, (R, N).
+        """One jump-free step of length h > 0 from the states a, (N, R).
 
-        xi holds the standard normal draws of the step (None without
-        Gaussian forcing).
+        xi holds the standard normal draws of the step, (N, R), and is not
+        written (None without Gaussian forcing).
         """
         c = self.coef(h, keep=False)
         out = self._deterministic(c, a)
         decay, _, bsh, _ = c
         if bsh is not None:
-            out += self._gaussian_increment(decay, bsh, xi)
+            out += self._gaussian_increment(decay, bsh, xi.copy())
         return out
 
     def _event_steps(self, jump_ss, n_steps: int) -> list:
@@ -325,32 +353,33 @@ class _Kernel:
 
     def _split_step(self, a: np.ndarray, pieces, z, k: int,
                     log: list) -> np.ndarray:
-        """One split step of one row a, (1, N), through its pieces.
+        """One split step of one row's state a, an (N, 1) column, through
+        its pieces.
 
         z[k], z[k + 1], ... are the row's normal draws for the substeps.
         """
         for h, event in pieces:
             if h != 0.0:
-                a = self.substep(a, h, None if z is None else z[k])
+                a = self.substep(a, h, None if z is None else z[k, :, None])
                 k += 1
             if event is not None:
                 t, u = event
-                row = a[0]
+                row = a[:, 0]
                 pre_norm = float(np.sqrt(norm_h_sq(row)))
-                a = a + self.jumps.direction.field_at(row) * u
+                a = a + (self.jumps.direction.field_at(row) * u)[:, None]
                 log.append(JumpEvent(t, u, pre_norm))
         return a
 
     def _plan_chunk(self, i0: int, i1: int, rngs, plans):
         """Draw a chunk's normals and find the rows that split a step.
 
-        Returns the draws of the unsplit steps, shape (i1 - i0, R, N) or
+        Returns the draws of the unsplit steps, shape (i1 - i0, N, R) or
         None, and {step offset: [(row, pieces, row draws, first draw)]}.
         """
         n = self.cfg.n_modes
         n_chunk = i1 - i0
         xi = None if self.betas is None else \
-            np.empty((n_chunk, len(plans), n))
+            np.empty((n_chunk, n, len(plans)))
         split = {}
         for r, plan in enumerate(plans):
             mine = []
@@ -361,7 +390,7 @@ class _Kernel:
                     split.setdefault(i - i0, []).append((r, pieces, None, 0))
                 continue
             if not mine:
-                xi[:, r] = rngs[r].standard_normal((n_chunk, n))
+                xi[:, :, r] = rngs[r].standard_normal((n_chunk, n))
                 continue
             count = np.ones(n_chunk, dtype=np.intp)
             for i, _, draws in mine:
@@ -371,7 +400,7 @@ class _Kernel:
             for i, pieces, _ in mine:
                 split.setdefault(i - i0, []).append(
                     (r, pieces, z, int(first[i - i0])))
-            xi[:, r] = z[first]      # split steps overwrite their rows
+            xi[:, :, r] = z[first]   # split steps overwrite their rows
         return xi, split
 
     def run(self, seeds, starts, until=None) -> tuple:
@@ -379,6 +408,11 @@ class _Kernel:
 
         starts is an (R, N) array, one start row per seed; cfg.x0 is not
         read.
+
+        The rows are stepped as one mode-major (N, R) state; the snapshots,
+        the until mask, the blow-up norms and a state-dependent direction's
+        field_at read row-major copies, because numpy sums a strided last
+        axis in another order than a contiguous one.
 
         Returns the snapshots, shape (R, n_saves + 1, N), the jump logs,
         {row: (time, norm)} for the rows that left the trust region, found
@@ -410,13 +444,14 @@ class _Kernel:
                 np.random.SeedSequence(seed, spawn_key=(0,)), n_steps)
                 if self.jumps is not None else [])
 
-        a = np.asarray(starts, dtype=float)
+        rows = np.asarray(starts, dtype=float)
+        a = np.ascontiguousarray(rows.T)          # mode-major, (N, R)
         snaps = np.empty((n_rows, n_steps // save_every + 1, n))
-        snaps[:, 0] = a
+        snaps[:, 0] = rows
         logs = [[] for _ in seeds]
         blown = {}
         finish = {} if until is None else \
-            dict.fromkeys(np.flatnonzero(until(a[None])[0]).tolist(), 0)
+            dict.fromkeys(np.flatnonzero(until(rows[None])[0]).tolist(), 0)
         stopped = set(finish)      # rows whose later states are not read
         lanes = not cfg.nonlinearity_on and cfg.jumps is None \
             and n_rows * n <= LANE_LIMIT
@@ -433,10 +468,10 @@ class _Kernel:
                 path, split = self._plan_chunk(i0, i1, rngs, plans)
                 if path is None:
                     # x + -0.0 is x, bit for bit, so -0.0 is no noise at all
-                    path = np.full((i1 - i0, n_rows, n), -0.0)
+                    path = np.full((i1 - i0, n, n_rows), -0.0)
                 else:
-                    decay = np.array([c[0] for c in table])[which][:, None]
-                    bsh = np.array([c[2] for c in table])[which][:, None]
+                    decay = np.array([c[0] for c in table])[which]
+                    bsh = np.array([c[2] for c in table])[which]
                     path = self._gaussian_increment(decay, bsh, path)
                 # each step adds its deterministic part to its noise term
                 if lanes:
@@ -445,12 +480,16 @@ class _Kernel:
                     self._step_arrays(a, path, table, which.tolist(), split,
                                       logs, stopped)
                 first = -(i0 + 1) % save_every
-                saved = path[first::save_every]
+                # row-major copies, (k, R, N), wherever a sum over modes
+                # runs: numpy adds a strided last axis in another order
+                saved = np.ascontiguousarray(
+                    path[first::save_every].transpose(0, 2, 1))
                 s0 = (i0 + first + 1) // save_every
                 snaps[:, s0:s0 + len(saved)] = saved.swapaxes(0, 1)
                 bad = {}              # row -> its first bad step in the chunk
                 if not float(np.square(path).sum()) <= _SAFE_NORM_SQ:
-                    norms = np.sqrt(norm_h_sq(path))
+                    norms = np.sqrt(norm_h_sq(np.ascontiguousarray(
+                        path.transpose(0, 2, 1))))
                     out = ~(norms <= BLOWUP_NORM)
                     for r in np.flatnonzero(out.any(axis=0)).tolist():
                         if r not in stopped:
@@ -468,7 +507,7 @@ class _Kernel:
                     blown[r] = ((i0 + k + 1) * dt, float(norms[k, r]))
                 stopped.update(bad)
                 a = path[-1]
-                a[list(stopped)] = 0.0
+                a[:, list(stopped)] = 0.0
         return snaps, logs, blown, finish
 
     def _step_arrays(self, a, path, table, which, split, logs,
@@ -480,20 +519,20 @@ class _Kernel:
             nxt += new
             for r, pieces, z, k in split.get(j, ()):
                 if r not in stopped:
-                    nxt[r] = self._split_step(a[r:r + 1], pieces, z, k,
-                                              logs[r])[0]
+                    nxt[:, r] = self._split_step(a[:, [r]], pieces, z, k,
+                                                 logs[r])[:, 0]
             a = nxt
 
     def _step_lanes(self, a, path, table, which, stopped) -> None:
         """_step_arrays without drift or jumps: each coefficient of each
         row is the recurrence v <- decay v + noise in Python floats, with
         the roundings of _step_arrays."""
-        decays = [c[0].tolist() for c in table]
-        for r in range(path.shape[1]):
+        decays = [c[0][:, 0].tolist() for c in table]
+        for r in range(path.shape[2]):
             if r in stopped:
                 continue
-            for c, v in enumerate(a[r].tolist()):
-                lane = path[:, r, c]
+            for c, v in enumerate(a[:, r].tolist()):
+                lane = path[:, c, r]
                 lane[:] = np.fromiter(
                     _lane(v, which, [d[c] for d in decays], memoryview(lane)),
                     float, len(lane))

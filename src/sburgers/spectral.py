@@ -14,8 +14,9 @@ arrays of shape (..., N) with one state per row.
 The advection term B(x) = x * x' couples modes quadratically and is computed
 exactly by the mode-coupling sum at every truncation size.  The integrator
 evaluates B on a whole batch of states at once; both routes of the sum give
-each row the same bits whatever the batch size, so an ensemble member does
-not depend on which rows it was stepped with.
+each row the same bits whatever the batch size and whatever its memory
+layout, so an ensemble member does not depend on which rows it was stepped
+with.
 """
 
 from dataclasses import dataclass
@@ -37,9 +38,11 @@ __all__ = [
 ]
 
 # Up to this truncation size a batch of states goes through one gathered
-# coupling sum; above it each row takes the 1-D convolution, which is faster
-# per row there (about 4 against 13 us per row at N = 32 and 100 rows, 23
-# against 18 us at N = 64, on a 2-CPU Xeon).
+# coupling sum; above it each row takes the 1-D convolution.  On the
+# mode-major state the integrator passes, the gathered sum costs about 2
+# against 10 us per row at N = 32 and 100 rows, and 14 against 17 us at
+# N = 64 (2-CPU Xeon).  The two routes round differently, so moving the
+# limit would change the output of every N between the old and new value.
 GATHER_LIMIT = 32
 
 _PI_OVER_SQRT2 = np.pi / np.sqrt(2.0)
@@ -168,41 +171,47 @@ def _quadratic_exact(a: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _coupling_tables(n: int):
-    """Flat outer-product indices and weights of the coupling sum.
+    """Factor pairs and weights of the coupling sum.
 
     Mode m of B collects exactly n - 1 products: k a_j a_k for j + k = m and
     -m a_l a_{l+m}.  Row t, column m - 1 of the tables holds the t-th of
-    them as an index into the flattened outer product a a^T and its weight.
+    them: pairs[0] and pairs[1] the 0-based indices of its two factors,
+    weight its weight.
     """
-    index = np.empty((n - 1, n), dtype=np.intp)
+    pairs = np.empty((2, n - 1, n), dtype=np.intp)
     weight = np.empty((n - 1, n))
     for m in range(1, n + 1):
-        terms = [((j - 1) * n + (m - j - 1), m - j) for j in range(1, m)]
-        terms += [((l - 1) * n + (l + m - 1), -m)
-                  for l in range(1, n - m + 1)]
-        index[:, m - 1] = [i for i, _ in terms]
-        weight[:, m - 1] = [w for _, w in terms]
+        terms = [(j - 1, m - j - 1, m - j) for j in range(1, m)]
+        terms += [(l - 1, l + m - 1, -m) for l in range(1, n - m + 1)]
+        pairs[:, :, m - 1] = [[t[0] for t in terms], [t[1] for t in terms]]
+        weight[:, m - 1] = [t[2] for t in terms]
     weight = weight[:, :, None]
-    index.flags.writeable = weight.flags.writeable = False
-    return index, weight
+    pairs.flags.writeable = weight.flags.writeable = False
+    return pairs, weight
 
 
 def _quadratic_gathered(a: np.ndarray) -> np.ndarray:
     """The exact coupling sum for a batch of states, shape (R, N).
 
-    Each output element is a sum of n - 1 weighted products added in a
-    fixed order along the leading axis of the gathered array, so a row's
-    result does not depend on R or on the other rows.
+    The factors are gathered by one take from the mode-major copy of a,
+    shape (N, R), which is a itself when a is the transposed view of a
+    C-contiguous (N, R) array, as the integrator passes it.  Each output
+    element is a sum of n - 1 weighted products added in a fixed order
+    along the leading axis of the gathered array, so a row's result does
+    not depend on R, on the other rows or on the layout of a.  The result
+    is the transposed view of a C-contiguous (N, R) array.
     """
     r, n = a.shape
     if n == 1:
         return np.zeros((r, 1))
-    index, weight = _coupling_tables(n)
-    at = a.T
-    outer = (at[:, None, :] * at[None, :, :]).reshape(n * n, r)
-    terms = outer[index]                       # (n - 1, n, R)
+    pairs, weight = _coupling_tables(n)
+    g = np.ascontiguousarray(a.T).take(pairs, axis=0)   # (2, n - 1, n, R)
+    terms = g[0]
+    terms *= g[1]
     terms *= weight
-    return _PI_OVER_SQRT2 * np.add.reduce(terms, axis=0).T
+    out = np.add.reduce(terms, axis=0)
+    out *= _PI_OVER_SQRT2
+    return out.T
 
 
 def _quadratic_term(a: np.ndarray) -> np.ndarray:

@@ -125,9 +125,9 @@ class TestDeterministicFlow:
         # the substep used around jump events equals a main step of run
         cfg = SimConfig(n_modes=4, dt=1e-3, t_end=1e-3, dt_save=1e-3,
                         nonlinearity_on=True, x0=basis_field(1, 4))
-        manual = _Kernel(cfg).substep(cfg.x0.coeffs[None, :], 1e-3, None)
+        manual = _Kernel(cfg).substep(cfg.x0.coeffs[:, None], 1e-3, None)
         traj = simulate(cfg)
-        assert np.allclose(manual[0], traj.coeffs[-1], atol=1e-15)
+        assert np.allclose(manual[:, 0], traj.coeffs[-1], atol=1e-15)
 
     def test_halving_dt_halves_flow_error(self):
         rng = np.random.default_rng(17)
@@ -509,6 +509,43 @@ class TestBlowUp:
         assert require_no_blowups([1.0, 2.0]) == [1.0, 2.0]
 
 
+class TestTracedBurgersTerm:
+    """Every B evaluation of the kernel goes through the module-level name
+    integrator._quadratic_term, which the benchmark's tracer wraps."""
+
+    @staticmethod
+    def _count_calls(monkeypatch) -> list:
+        calls = []
+        inner = integrator._quadratic_term
+
+        def counted(a):
+            calls.append(a.shape)
+            return inner(a)
+
+        monkeypatch.setattr(integrator, "_quadratic_term", counted)
+        return calls
+
+    def test_one_call_per_step_without_jumps(self, monkeypatch):
+        cfg = replace(forced_model(t_end=0.1), jumps=None)
+        calls = self._count_calls(monkeypatch)
+        simulate(cfg)
+        assert len(calls) == round(cfg.t_end / cfg.dt)
+
+    def test_one_more_call_per_substep_with_jumps(self, monkeypatch):
+        cfg = replace(forced_model(t_end=0.2, seed=3),
+                      jumps=JumpSpec(40.0, ExponentialMarks(2.0),
+                                     ConstantDirection(basis_field(1, 8))))
+        n_steps = round(cfg.t_end / cfg.dt)
+        plan = _Kernel(cfg)._event_steps(
+            np.random.SeedSequence(cfg.seed, spawn_key=(0,)), n_steps)
+        substeps = sum(h != 0.0 for _, pieces, _ in plan for h, _ in pieces)
+        assert substeps > 10
+        calls = self._count_calls(monkeypatch)
+        traj = simulate(cfg)
+        assert len(traj.jump_log) > 5
+        assert len(calls) == n_steps + substeps
+
+
 class TestSeedStreams:
     # seeds of every size a row meets: small, above 2**63, and sub-seeds
     SEEDS = [0, 5, 2 ** 63 + 11, derive_seed(7, 3)]
@@ -540,10 +577,10 @@ class TestSeedStreams:
         monkeypatch.setattr(_Kernel, "_gaussian_increment",
                             staticmethod(seen))
         _Kernel(cfg).run(self.SEEDS, _x0_rows(cfg, len(self.SEEDS)))
-        (xi,) = drawn                      # one chunk: (steps, rows, N)
+        (xi,) = drawn                      # one chunk: (steps, N, rows)
         for r, (_, wiener_ss) in enumerate(spawned):
             ref = np.random.default_rng(wiener_ss).standard_normal((20, 3))
-            assert xi[:, r].tobytes() == ref.tobytes()
+            assert xi[:, :, r].tobytes() == ref.tobytes()
 
     def test_rows_carry_their_own_start(self):
         # one block holds the same seed from different starts; each row is
@@ -673,6 +710,24 @@ class TestEnsemble:
                 for i in range(9)]
         assert sum(len(p[1]) for p in solo) > 0
         assert _same_paths(out, solo)
+
+    @pytest.mark.parametrize("b_on", [False, True])
+    def test_saturated_direction_rows_equal_simulate(self, b_on):
+        # a state-dependent direction takes each row's norm, a sum over
+        # modes whose rounding depends on the memory layout from N = 8 on
+        spec = JumpSpec(40.0, ExponentialMarks(2.0),
+                        SaturatedDirection(SpectralField(
+                            np.linspace(1.0, -0.6, 9)), 1.5))
+        cfg = SimConfig(n_modes=9, dt=0.01, t_end=0.5, dt_save=0.05,
+                        gaussian=GaussianSpec.power_decay(9),
+                        jumps=spec, nonlinearity_on=b_on, seed=12,
+                        x0=SpectralField(np.linspace(0.8, -0.4, 9)))
+        out = ensemble(cfg, 12, _path)
+        for i, (coeffs, log) in enumerate(out):
+            solo = simulate(replace(cfg, seed=derive_seed(cfg.seed, i)))
+            assert len(log) > 5
+            assert coeffs.tobytes() == solo.coeffs.tobytes(), i
+            assert log == solo.jump_log, i
 
     def test_distinct_subseeds(self):
         cfg = linear_single_mode(0.05, seed=33)

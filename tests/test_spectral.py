@@ -174,3 +174,18 @@ class TestAdvectionTerm:
                     (n, r)
                 assert np.array_equal(_quadratic_term(a[r - 1]),
                                       full[r - 1]), (n, r)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 32, 33])
+    def test_transposed_view_gives_the_same_bits(self, n):
+        # the integrator passes the transposed view of its mode-major
+        # (N, R) state; a row's result must not depend on that layout
+        rng = np.random.default_rng(10 + n)
+        for r in (1, 2, 21, 100):
+            m = rng.standard_normal((n, r)) * 3.0
+            ref = _quadratic_term(np.ascontiguousarray(m.T))
+            assert _quadratic_term(m.T).tobytes() == ref.tobytes(), (n, r)
+            for i in range(r):
+                assert _quadratic_term(m[:, i]).tobytes() \
+                    == ref[i].tobytes(), (n, r, i)
+            m.flags.writeable = False
+            assert _quadratic_term(m.T).tobytes() == ref.tobytes(), (n, r)
