@@ -39,10 +39,11 @@ __all__ = [
 
 # Up to this truncation size a batch of states goes through one gathered
 # coupling sum; above it each row takes the 1-D convolution.  On the
-# mode-major state the integrator passes, the gathered sum costs about 2
-# against 10 us per row at N = 32 and 100 rows, and 14 against 17 us at
-# N = 64 (2-CPU Xeon).  The two routes round differently, so moving the
-# limit would change the output of every N between the old and new value.
+# mode-major state the integrator passes, the gathered sum costs about 2.5
+# against 10 us per row at N = 32 and 100 rows; at N = 64 the two are about
+# even, 14-15 against 13-18 us (2-CPU Xeon).  The two routes round
+# differently, so moving the limit would change the output of every N
+# between the old and new value.
 GATHER_LIMIT = 32
 
 _PI_OVER_SQRT2 = np.pi / np.sqrt(2.0)
