@@ -116,6 +116,18 @@ def _as_number_list(value, path: str, **bounds) -> list:
             for i, v in enumerate(value)]
 
 
+def _require_finite(value, path: str) -> None:
+    """Raise ConfigError naming the first NaN or infinity inside value."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{path}: expected a finite number, got {value}")
+    if isinstance(value, dict):
+        for k, v in value.items():
+            _require_finite(v, f"{path}.{k}" if path else k)
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            _require_finite(v, f"{path}[{i}]")
+
+
 def _as_block(value, path: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{path}: expected an object, got {value!r}")
@@ -242,15 +254,22 @@ def _parse_initial(block, n_modes: int, seed: int) -> SpectralField | None:
         f"model.initial_condition.kind: unknown kind {kind!r}")
 
 
-def parse_observable(block, path: str = "observable") -> Observable:
-    """The observable a config block names; no block means mode 1."""
+def parse_observable(block, path: str = "observable",
+                     n_modes: int | None = None) -> Observable:
+    """The observable a config block names; no block means mode 1.
+
+    Given n_modes, a mode index k past it is a ConfigError.
+    """
     if block is None:
         return mode_coefficient(1)
     block = _as_block(block, path)
     kind = _require(block, "kind", path)
+    if kind in ("mode", "tanh_mode"):
+        k = _as_int(_require(block, "k", path), f"{path}.k", minimum=1)
+        if n_modes is not None and k > n_modes:
+            raise ConfigError(f"{path}.k: {k} exceeds n_modes={n_modes}")
     if kind == "mode":
-        return mode_coefficient(_as_int(_require(block, "k", path),
-                                        f"{path}.k", minimum=1))
+        return mode_coefficient(k)
     if kind == "norm_h":
         return norm_h_observable()
     if kind == "norm_h_sq":
@@ -259,8 +278,7 @@ def parse_observable(block, path: str = "observable") -> Observable:
         return psi_observable()
     if kind == "tanh_mode":
         return tanh_mode_observable(
-            _as_int(_require(block, "k", path), f"{path}.k", minimum=1),
-            _as_number(block.get("c", 1.0), f"{path}.c", positive=True))
+            k, _as_number(block.get("c", 1.0), f"{path}.c", positive=True))
     raise ConfigError(f"{path}.kind: unknown observable {kind!r}")
 
 
@@ -279,6 +297,7 @@ def parse_config(raw: dict, seed_override: int | None = None) -> RunConfig:
     """Validate a raw config dict and build the simulation config."""
     if not isinstance(raw, dict):
         raise ConfigError("top level: expected a JSON object")
+    _require_finite(raw, "")
     raw = dict(raw)
     if seed_override is not None:
         raw["seed"] = int(seed_override)
@@ -587,7 +606,8 @@ def _est_gamma(cfg: RunConfig, exp: dict, n_workers: int):
 
 
 def _est_sigma2(cfg: RunConfig, exp: dict, n_workers: int):
-    obs = parse_observable(exp.get("observable"), "experiment.observable")
+    obs = parse_observable(exp.get("observable"), "experiment.observable",
+                           cfg.sim.n_modes)
     burn = _as_number(exp.get("burn_in", 0.0), "experiment.burn_in",
                       nonnegative=True)
     traj = simulate(cfg.sim)
@@ -615,7 +635,8 @@ def _time_average(cfg: RunConfig, obs: Observable, traj: Trajectory) -> float:
 
 
 def _est_mdp(cfg: RunConfig, exp: dict, n_workers: int):
-    obs = parse_observable(exp.get("observable"), "experiment.observable")
+    obs = parse_observable(exp.get("observable"), "experiment.observable",
+                           cfg.sim.n_modes)
     exponent = _as_number(exp.get("exponent", 0.25), "experiment.exponent")
     prefactor = _as_number(exp.get("prefactor", 1.0),
                            "experiment.prefactor", positive=True)
@@ -674,10 +695,15 @@ def _est_expmoment(cfg: RunConfig, exp: dict, n_workers: int):
 
 
 def _est_occupation(cfg: RunConfig, exp: dict, n_workers: int):
-    obs = parse_observable(exp.get("observable"), "experiment.observable")
+    obs = parse_observable(exp.get("observable"), "experiment.observable",
+                           cfg.sim.n_modes)
     bins = exp.get("bins", 40)
     if isinstance(bins, list):
-        bins = np.array([_as_number(b, "experiment.bins[]") for b in bins])
+        bins = _as_number_list(bins, "experiment.bins")
+        if len(bins) < 2 or any(b >= c for b, c in zip(bins, bins[1:])):
+            raise ConfigError(f"experiment.bins: expected at least 2 "
+                              f"strictly increasing edges, got {bins}")
+        bins = np.array(bins)
     else:
         bins = _as_int(bins, "experiment.bins", minimum=1)
     traj = simulate(cfg.sim)
@@ -691,7 +717,8 @@ def _est_occupation(cfg: RunConfig, exp: dict, n_workers: int):
 
 
 def _est_tailprobe(cfg: RunConfig, exp: dict, n_workers: int):
-    obs = parse_observable(exp.get("observable"), "experiment.observable")
+    obs = parse_observable(exp.get("observable"), "experiment.observable",
+                           cfg.sim.n_modes)
     r_grid = _as_number_list(exp.get("r_grid", [0.0, 0.05, 0.1]),
                              "experiment.r_grid", nonnegative=True)
     t_grid = _as_number_list(exp.get("t_grid", [cfg.sim.t_end]),

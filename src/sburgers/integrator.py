@@ -20,7 +20,7 @@ stream, so the Gaussian stream ordering never depends on where events land.
 
 Paths are stepped in lockstep as the R rows of one state: simulate is a
 batch of one and ensemble steps blocks of up to BLOCK_ROWS trajectories.
-Every row keeps its own seed streams and its own start, only the rows with
+Every row has its own seed streams and its own start, only the rows with
 an event in a step are split at it, and every operation gives a row the
 same bits whatever the other rows are, so a path is the same alone, in any
 block and on any worker.  A block therefore also holds the rows of one
@@ -33,7 +33,7 @@ other share sends its reduced results back pickled through a pipe.
 The state is held mode-major, a C-contiguous (N, R) array whose column r
 is row r's state, and steps fill one (steps, N, R) buffer per chunk, so
 the Burgers term gathers its factors from the state without a copy and
-each step coefficient is an (N, 1) column.  numpy adds a sum over a
+a step's coefficients are (N, 1) columns.  numpy adds a sum over a
 strided last axis in another order than over a contiguous one, so a sum
 over modes on the transposed state would round a row differently in a
 block than alone.  Each such sum runs on a row-major (..., R, N) copy:
@@ -49,7 +49,11 @@ also bounds how far a block steps past its last finish.
 
 The step formula lives in two _Kernel helpers: _gaussian_increment is
 the noise term e^(-alpha_k h) beta_k sqrt(h) xi_k and _deterministic the
-rest, e^(-alpha_k h) a_k + phi_k(h) [drift]_k.  A chunk's noise terms are
+rest, e^(-alpha_k h) a_k + phi_k(h) [drift]_k.  Their coefficients come
+from _Kernel.coef, a function of the step length alone: a chunk gets
+them for all its step lengths (i + 1) dt - i dt in one call, a substep
+for its own length, and each step's slice of the chunk's arrays has the
+bits of the substep columns for that length.  A chunk's noise terms are
 computed in one _gaussian_increment call before its steps, and the
 split steps around jump events go through substep, which calls both.
 Each split step is planned once, when a row's events are sampled: its
@@ -66,6 +70,7 @@ import pickle
 import signal
 import sys
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -219,9 +224,8 @@ class _Kernel:
     States are mode-major, (N, R): column r is row r's state.  A split
     step around jump events steps its row as an (N, 1) column.
 
-    Step coefficients are tabled by step length: a main step of simulate is
-    (i + 1) dt - i dt, which takes only a handful of distinct values.  The
-    lengths of the substeps around jump events are not tabled.
+    Nothing is cached between steps: run computes the coefficients of
+    each chunk from its step lengths, and substep those of its length.
     """
 
     def __init__(self, cfg: SimConfig):
@@ -240,23 +244,20 @@ class _Kernel:
             if jumps.direction.state_independent:
                 g = jumps.direction.field_at(np.zeros(cfg.n_modes))
                 self.const_compensator = (self.comp_scale * g)[:, None]
-        # a drift that does not depend on the state enters the table as phi*d
+        # a drift that does not depend on the state enters the step as phi*d
         self.fixed_drift = None if cfg.nonlinearity_on \
             else self.const_compensator
-        self.coefs = {}   # step length -> (decay, phi, beta sqrt(h), phi d)
 
-    def coef(self, h: float, keep: bool = True) -> tuple:
-        """The step coefficients of length h, each an (N, 1) column."""
-        c = self.coefs.get(h)
-        if c is None:
-            decay = np.exp(-self.alpha * h)
-            phi = (1.0 - decay) / self.alpha
-            c = (decay, phi,
-                 None if self.betas is None else self.betas * math.sqrt(h),
-                 None if self.fixed_drift is None else phi * self.fixed_drift)
-            if keep:
-                self.coefs[h] = c
-        return c
+    def coef(self, h) -> tuple:
+        """The step coefficients (decay, phi, beta sqrt(h), phi d) of length
+        h: (N, 1) columns for a float h, (steps, N, 1) arrays for a chunk's
+        lengths as a (steps, 1, 1) array, each step's slice the columns of
+        its own length."""
+        decay = np.exp(-self.alpha * h)
+        phi = (1.0 - decay) / self.alpha
+        return (decay, phi,
+                None if self.betas is None else self.betas * np.sqrt(h),
+                None if self.fixed_drift is None else phi * self.fixed_drift)
 
     def drift(self, a: np.ndarray) -> np.ndarray | None:
         """B plus the jump compensator at the states a, (N, R), as a new
@@ -308,7 +309,7 @@ class _Kernel:
         xi holds the standard normal draws of the step, (N, R), and is not
         written (None without Gaussian forcing).
         """
-        c = self.coef(h, keep=False)
+        c = self.coef(h)
         out = self._deterministic(c, a)
         decay, _, bsh, _ = c
         if bsh is not None:
@@ -461,24 +462,20 @@ class _Kernel:
                 if len(stopped) == n_rows:
                     break
                 i1 = min(i0 + chunk, n_steps)
-                steps = np.arange(i0, i1)
-                lengths, which = np.unique((steps + 1) * dt - steps * dt,
-                                           return_inverse=True)
-                table = [self.coef(h) for h in lengths.tolist()]
+                steps = np.arange(i0, i1)[:, None, None]
+                c = self.coef((steps + 1) * dt - steps * dt)
+                decay, _, bsh, _ = c
                 path, split = self._plan_chunk(i0, i1, rngs, plans)
                 if path is None:
                     # x + -0.0 is x, bit for bit, so -0.0 is no noise at all
                     path = np.full((i1 - i0, n, n_rows), -0.0)
                 else:
-                    decay = np.array([c[0] for c in table])[which]
-                    bsh = np.array([c[2] for c in table])[which]
                     path = self._gaussian_increment(decay, bsh, path)
                 # each step adds its deterministic part to its noise term
                 if lanes:
-                    self._step_lanes(a, path, table, which.tolist(), stopped)
+                    self._step_lanes(a, path, decay, stopped)
                 else:
-                    self._step_arrays(a, path, table, which.tolist(), split,
-                                      logs, stopped)
+                    self._step_arrays(a, path, c, split, logs, stopped)
                 first = -(i0 + 1) % save_every
                 # row-major copies, (k, R, N), wherever a sum over modes
                 # runs: numpy adds a strided last axis in another order
@@ -510,39 +507,39 @@ class _Kernel:
                 a[:, list(stopped)] = 0.0
         return snaps, logs, blown, finish
 
-    def _step_arrays(self, a, path, table, which, split, logs,
-                     stopped) -> None:
-        """Step j of the chunk takes all rows from a to path[j] at once."""
-        for j, w in enumerate(which):
-            new = self._deterministic(table[w], a)
-            nxt = path[j]            # not path[j] += new: that copies back
-            nxt += new
+    def _step_arrays(self, a, path, c, split, logs, stopped) -> None:
+        """Step j of the chunk takes all rows from a to path[j] at once,
+        with the coefficients c of the chunk, (steps, N, 1) arrays."""
+        rows = zip(*(repeat(None) if x is None else x for x in c))
+        for j, (cj, nxt) in enumerate(zip(rows, path)):
+            new = self._deterministic(cj, a)
+            nxt += new               # not path[j] += new: that copies back
             for r, pieces, z, k in split.get(j, ()):
                 if r not in stopped:
                     nxt[:, r] = self._split_step(a[:, [r]], pieces, z, k,
                                                  logs[r])[:, 0]
             a = nxt
 
-    def _step_lanes(self, a, path, table, which, stopped) -> None:
+    def _step_lanes(self, a, path, decay, stopped) -> None:
         """_step_arrays without drift or jumps: each coefficient of each
         row is the recurrence v <- decay v + noise in Python floats, with
-        the roundings of _step_arrays."""
-        decays = [c[0][:, 0].tolist() for c in table]
+        the roundings of _step_arrays.  decay is the chunk's (steps, N, 1)
+        array."""
+        decays = decay[:, :, 0].T.tolist()       # one list per coefficient
         for r in range(path.shape[2]):
             if r in stopped:
                 continue
             for c, v in enumerate(a[:, r].tolist()):
                 lane = path[:, c, r]
-                lane[:] = np.fromiter(
-                    _lane(v, which, [d[c] for d in decays], memoryview(lane)),
-                    float, len(lane))
+                lane[:] = np.fromiter(_lane(v, decays[c], memoryview(lane)),
+                                      float, len(lane))
 
 
-def _lane(v: float, which: list, ds: list, xs):
-    """Yield v <- ds[w] v + x over the steps (w, x), x the noise term of
-    _Kernel._gaussian_increment."""
-    for w, x in zip(which, xs):
-        v = ds[w] * v + x
+def _lane(v: float, ds: list, xs):
+    """Yield v <- d v + x over the steps (d, x), d the step's decay and x
+    its noise term from _Kernel._gaussian_increment."""
+    for d, x in zip(ds, xs):
+        v = d * v + x
         yield v
 
 

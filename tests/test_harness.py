@@ -204,6 +204,13 @@ class TestObservableSpecs:
         assert obs.name == "a_2"
         assert parse_observable(None).name == "a_1"
 
+    def test_mode_index_checked_against_n_modes(self):
+        for kind in ("mode", "tanh_mode"):
+            assert parse_observable({"kind": kind, "k": 8}, n_modes=8).name
+            with pytest.raises(ConfigError,
+                               match=r"^observable\.k: 9 exceeds n_modes=8$"):
+                parse_observable({"kind": kind, "k": 9}, n_modes=8)
+
     def test_tanh_mode(self):
         obs = parse_observable({"kind": "tanh_mode", "k": 1, "c": 2.0})
         x = np.array([[0.3, 0.0]])
@@ -751,6 +758,63 @@ class TestCli:
                      "--out", str(tmp_path / "out")])
         assert code == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("estimator",
+                             ["sigma2", "occupation", "mdp", "tailprobe"])
+    @pytest.mark.parametrize("kind, k", [("mode", 99), ("tanh_mode", 9)])
+    def test_observable_mode_past_n_modes_exit_two(self, tmp_path, capsys,
+                                                   estimator, kind, k):
+        raw = base_raw(experiment={"kind": "estimate",
+                                   "observable": {"kind": kind, "k": k}})
+        raw["model"]["n_modes"] = 8
+        path = write_config(tmp_path, raw)
+        code = main(["estimate", estimator, "--config", path,
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: experiment.observable.k: {k} exceeds "
+            f"n_modes=8\n")
+
+    @pytest.mark.parametrize("bins, field", [
+        ([], "experiment.bins:"), ([1.0], "experiment.bins:"),
+        ([2.0, 1.0], "experiment.bins:"),
+        ([0.0, 1.0, 1.0], "experiment.bins:"),
+        ([0.0, "a"], "experiment.bins[1]:")])
+    def test_occupation_bins_list_exit_two(self, tmp_path, capsys, bins,
+                                           field):
+        raw = base_raw(experiment={"kind": "estimate", "bins": bins})
+        path = write_config(tmp_path, raw)
+        code = main(["estimate", "occupation", "--config", path,
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field}")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("field, value", [
+        ("experiment.mu_reference", math.nan),
+        ("gaussian.betas[2]", math.inf), ("model.dt", -math.inf)])
+    def test_non_finite_number_exit_two(self, tmp_path, capsys, field,
+                                        value):
+        # Python's json reads NaN, Infinity and -Infinity; they are named
+        # by their path before the config is hashed
+        raw = base_raw(gaussian={"betas": [1.0, 0.5, 0.25, 0.125]},
+                       experiment={"kind": "estimate", "n_traj": 4,
+                                   "mu_reference": 0.0})
+        block, _, key = field.partition(".")
+        if key.endswith("]"):
+            raw[block]["betas"][2] = value
+        else:
+            raw[block][key] = value
+        path = write_config(tmp_path, raw)
+        text = Path(path).read_text()
+        assert "NaN" in text or "Infinity" in text
+        code = main(["estimate", "tailprobe", "--config", path,
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: {field}: expected a finite number, "
+            f"got {value}\n")
 
     @pytest.mark.parametrize("estimator", ["mdp", "tailprobe"])
     def test_self_referenced_mean_short_path_exit_two(self, tmp_path, capsys,

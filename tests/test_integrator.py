@@ -122,12 +122,13 @@ class TestDeterministicFlow:
         assert traj.coeffs[-1, 1] > 0.0
 
     def test_step_matches_simulate_grain(self):
-        # the substep used around jump events equals a main step of run
+        # the substep used around jump events equals a main step of run,
+        # bit for bit: step 0 has length dt, and both take coef's bits
         cfg = SimConfig(n_modes=4, dt=1e-3, t_end=1e-3, dt_save=1e-3,
                         nonlinearity_on=True, x0=basis_field(1, 4))
         manual = _Kernel(cfg).substep(cfg.x0.coeffs[:, None], 1e-3, None)
         traj = simulate(cfg)
-        assert np.allclose(manual[:, 0], traj.coeffs[-1], atol=1e-15)
+        assert np.array_equal(manual[:, 0], traj.coeffs[-1])
 
     def test_halving_dt_halves_flow_error(self):
         rng = np.random.default_rng(17)
@@ -344,18 +345,30 @@ def _same_paths(a, b) -> bool:
                     for x, y in zip(a, b)))
 
 
-class TestStepTable:
-    def test_main_step_lengths_stay_few(self):
-        # (i + 1) dt - i dt takes a handful of values; event substeps are
-        # not tabled, so jumps do not grow the table either
-        spec = JumpSpec(1.0, ExponentialMarks(2.0),
-                        ConstantDirection(basis_field(1, 1)))
-        cfg = replace(linear_single_mode(100.0, dt=1e-3, dt_save=1.0),
-                      jumps=spec)
+class TestChunkCoefficients:
+    @pytest.mark.parametrize("forcing", ["gaussian", "jumps"])
+    @pytest.mark.parametrize("dt", [1e-3, 2e-3, 0.05])
+    @pytest.mark.parametrize("i0", [0, 10 ** 5])
+    def test_slices_equal_scalar_coef(self, forcing, dt, i0):
+        # a chunk's coefficients hold, in each step's slice, the bits that
+        # coef gives for that step's own length (i + 1) dt - i dt, the
+        # float that substep would get
+        if forcing == "gaussian":
+            cfg = forced_model(t_end=1.0, dt=dt)
+        else:
+            cfg = jumps_only_config(dt=dt)
         kern = _Kernel(cfg)
-        snaps, logs, blown, finish = kern.run([5], _x0_rows(cfg, 1))
-        assert not blown and not finish and len(logs[0]) > 50
-        assert 1 <= len(kern.coefs) <= 20
+        steps = np.arange(i0, i0 + 1000)[:, None, None]
+        chunk = kern.coef((steps + 1) * dt - steps * dt)
+        assert (chunk[2] is None) == (forcing == "jumps")
+        assert (chunk[3] is None) == (forcing == "gaussian")
+        for j, i in enumerate(steps[:, 0, 0].tolist()):
+            for x, y in zip(chunk, kern.coef((i + 1) * dt - i * dt)):
+                if x is None:
+                    assert y is None
+                else:
+                    assert y.shape == x[j].shape == (cfg.n_modes, 1)
+                    assert x[j].tobytes() == y.tobytes(), (i, dt)
 
 
 def _linear_config(forcing: str, n_modes: int) -> SimConfig:

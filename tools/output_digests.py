@@ -1,0 +1,105 @@
+"""Print the sha256 digests of the CLI's outputs on the shipped configs.
+
+    PYTHONPATH=src python3 tools/output_digests.py > digests.json
+
+Run from the root of a checkout.  It runs, each in a fresh temporary
+output directory:
+
+- simulate on every config in configs/;
+- verify with --threads 1 and 2 on every config whose experiment kind is
+  verify;
+- every estimator on each shipped config where it runs, gamma and
+  hitting also with --threads 2: sigma2, mdp and tailprobe need a path
+  of t_end >= 100 for their batch means, and on such a path expmoment
+  and the second gamma run are left out, which would take 30 s;
+- mdp and tailprobe on jumps_only at t_end 200 with mu_reference 0.
+
+It prints one JSON object: per run, the exit code, the sha256 of stdout
+with the output directory masked, and the sha256 of every output file but
+manifest.json, which carries timestamps.  Run it at two commits and diff
+the two outputs to check that a change keeps every output byte.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ESTIMATORS = ("gamma", "sigma2", "mdp", "hitting", "expmoment",
+              "occupation", "tailprobe")
+# estimators that exit 2 on a path shorter than LONG: too few batch means
+NEED_LONG = ("sigma2", "mdp", "tailprobe")
+THREADED = ("gamma", "hitting")
+LONG = 100.0
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _runs(configs: Path, tmp: Path) -> list:
+    """(name, CLI arguments) of every run, in a fixed order."""
+    runs = []
+    for path in sorted(configs.glob("*.json")):
+        cfg, raw = path.stem, json.loads(path.read_text())
+        runs.append((f"simulate/{cfg}", ["simulate", "--config", str(path)]))
+        if raw.get("experiment", {}).get("kind") == "verify":
+            for n in (1, 2):
+                runs.append((f"verify/{cfg}/threads{n}",
+                             ["verify", "--config", str(path),
+                              "--threads", str(n)]))
+        long_path = raw["model"]["t_end"] >= LONG
+        for est in ESTIMATORS:
+            if est in NEED_LONG and not long_path \
+                    or est == "expmoment" and long_path:
+                continue
+            args = ["estimate", est, "--config", str(path)]
+            runs.append((f"estimate/{est}/{cfg}", args))
+            if est in THREADED and not (est == "gamma" and long_path):
+                runs.append((f"estimate/{est}/{cfg}/threads2",
+                             args + ["--threads", "2"]))
+    raw = json.loads((configs / "jumps_only.json").read_text())
+    raw["model"]["t_end"] = 200.0
+    raw["experiment"] = {"kind": "estimate", "mu_reference": 0.0}
+    long_jumps = tmp / "jumps_only_t200.json"
+    long_jumps.write_text(json.dumps(raw))
+    for est in ("mdp", "tailprobe"):
+        runs.append((f"estimate/{est}/jumps_only_t200",
+                     ["estimate", est, "--config", str(long_jumps)]))
+    return runs
+
+
+def main() -> int:
+    root = Path.cwd()
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    table = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for i, (name, args) in enumerate(_runs(root / "configs", tmp)):
+            out = tmp / f"run{i}"
+            started = time.monotonic()
+            proc = subprocess.run(
+                [sys.executable, "-m", "sburgers.cli", *args,
+                 "--out", str(out)],
+                capture_output=True, env=env, cwd=root)
+            print(f"{name}: exit {proc.returncode}, "
+                  f"{time.monotonic() - started:.2f} s", file=sys.stderr)
+            files = {} if not out.is_dir() else {
+                p.name: _sha(p.read_bytes()) for p in sorted(out.iterdir())
+                if p.name != "manifest.json"}
+            table[name] = {
+                "exit": proc.returncode,
+                "stdout": _sha(proc.stdout.replace(str(out).encode(),
+                                                   b"<out>")),
+                "files": files,
+            }
+    print(json.dumps(table, indent=1, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
