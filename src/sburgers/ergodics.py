@@ -72,7 +72,7 @@ def _norm_h_value(coeffs):
     return np.sqrt(norm_h_sq(coeffs))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Observable:
     """A named scalar function of the state with a declared envelope.
 
@@ -162,7 +162,7 @@ def observable_dictionary(n_modes: int) -> tuple:
 
 # ------------------------------------------------------ occupation measure
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OccupationHistogram:
     """Time-weighted distribution of an observable along a path."""
 
@@ -552,7 +552,7 @@ def _log_linear_fit(t: np.ndarray, logy: np.ndarray) -> tuple:
 
 # ----------------------------------------------------------- MDP functional
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MdpConfig:
     """Moderate-deviation normalization: scale(t) = prefactor * t^exponent.
 
@@ -591,7 +591,7 @@ def mdp_functional(traj: Trajectory, mdp_cfg: MdpConfig) -> float:
 
 # ------------------------------------------------------------ hitting times
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HittingSummary:
     """First-entrance statistics for the dissipation centre set."""
 

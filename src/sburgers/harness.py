@@ -282,7 +282,7 @@ def parse_observable(block, path: str = "observable",
     raise ConfigError(f"{path}.kind: unknown observable {kind!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunConfig:
     """Parsed run description plus the raw dict it came from."""
 
@@ -614,7 +614,15 @@ def _est_sigma2(cfg: RunConfig, exp: dict, n_workers: int):
     n_batches = exp.get("n_batches")
     if n_batches is not None:
         n_batches = _as_int(n_batches, "experiment.n_batches", minimum=30)
-    rep = sigma_squared(traj, obs, burn_in=burn, n_batches=n_batches)
+    try:
+        rep = sigma_squared(traj, obs, burn_in=burn, n_batches=n_batches)
+    except EnvelopeViolation:
+        raise
+    except ValueError as err:
+        raise _short_path(cfg, f"the batch means after experiment.burn_in "
+                          f"({err})", "lengthen model.t_end, shorten "
+                          "experiment.burn_in or set fewer "
+                          "experiment.n_batches (at least 30)") from err
     return [rep.to_dict()], [{"name": rep.name, "value": rep.value,
                               "half_width": rep.half_width, "n": rep.n}]
 
@@ -627,11 +635,16 @@ def _time_average(cfg: RunConfig, obs: Observable, traj: Trajectory) -> float:
     except EnvelopeViolation:
         raise
     except ValueError as err:
-        raise ConfigError(
-            f"model.t_end: a path of length {cfg.sim.t_end} is too short "
-            f"for the self-referenced mean ({err}); set "
-            f"experiment.mu_reference or lengthen model.t_end") from err
+        raise _short_path(cfg, f"the self-referenced mean ({err})",
+                          "set experiment.mu_reference or lengthen "
+                          "model.t_end") from err
     return reports[obs.name].value
+
+
+def _short_path(cfg: RunConfig, what: str, remedy: str) -> ConfigError:
+    """The error for a path of cfg.sim too short for what."""
+    return ConfigError(f"model.t_end: a path of length {cfg.sim.t_end} is "
+                       f"too short for {what}; {remedy}")
 
 
 def _est_mdp(cfg: RunConfig, exp: dict, n_workers: int):

@@ -67,7 +67,6 @@ config steps on arrays, the only route that splits steps.
 import math
 import os
 import pickle
-import signal
 import sys
 from dataclasses import dataclass, replace
 from itertools import repeat
@@ -119,6 +118,9 @@ class BlowUpError(RuntimeError):
         self.norm = norm
 
 
+# BlowUp and JumpEvent are the package's only dataclasses compared by value
+# (ensemble blow-up records, jump logs).  Every other one is eq=False, so
+# no __eq__ or __hash__ is generated for it at import.
 @dataclass(frozen=True)
 class BlowUp:
     """Per-trajectory blow-up record returned by ensemble runs."""
@@ -149,7 +151,7 @@ class JumpEvent:
     pre_norm_h: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimConfig:
     """Model and discretisation parameters for one trajectory.
 
@@ -190,7 +192,7 @@ def _is_multiple(big: float, small: float) -> bool:
     return abs(r - round(r)) < 1e-9 * max(1.0, abs(r))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Snapshots of one simulated path on the uniform save grid."""
 
@@ -723,10 +725,12 @@ def _fan_out(run, shares) -> list:
             out += value
         return out
     finally:
-        for pid, pipe in running.items():
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        if running:
+            import signal              # only a failure here needs it
+            for pid, pipe in running.items():
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def _child(run, share, w: int) -> None:

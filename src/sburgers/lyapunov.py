@@ -65,7 +65,7 @@ __all__ = [
 DEFAULT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DriftConstants:
     """Forcing summary (hs_norm_sq, m_est) and derived (c1, k_radius)."""
 
@@ -123,7 +123,7 @@ def hess_psi_apply(a: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 # ------------------------------------------------------- generator and drift
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratorTerms:
     """Term-by-term evaluation of the generator acting on psi, per state."""
 
@@ -196,7 +196,7 @@ def generator_upper_bound(a: np.ndarray,
                           bound - value, ok)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DriftReport:
     """Outcome of the drift-condition check, per state."""
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.laguerre import laggauss
 
 from .spectral import SpectralField, norm_h, norm_h_sq
 
@@ -52,7 +51,11 @@ def _laguerre_rule():
     """Read-only Gauss-Laguerre (nodes, weights) for the weight e^(-s).
 
     Built once per process: the Lyapunov checks ask for it at every state.
+    numpy.polynomial is imported here, not with the module, because only
+    jump-mark quadrature needs it and most commands never build the rule.
     """
+    from numpy.polynomial.laguerre import laggauss
+
     s, w = laggauss(_LAGUERRE_NODES)
     s.flags.writeable = w.flags.writeable = False
     return s, w
@@ -60,7 +63,7 @@ def _laguerre_rule():
 
 # ----------------------------------------------------------------- mark laws
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExponentialMarks:
     """Exponential mark law with density rate * exp(-rate * u) on (0, inf)."""
 
@@ -101,7 +104,7 @@ class ExponentialMarks:
         return s / self.rate, w
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeterministicMarks:
     """Point mass at a fixed positive mark size."""
 
@@ -137,7 +140,7 @@ class DeterministicMarks:
 
 # ------------------------------------------------------------ direction maps
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstantDirection:
     """State-independent jump direction G(x) = g0."""
 
@@ -156,7 +159,7 @@ class ConstantDirection:
         return np.broadcast_to(self.g0.coeffs, np.shape(coeffs))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SaturatedDirection:
     """Jump direction that switches on with the state size.
 
@@ -190,7 +193,7 @@ class SaturatedDirection:
 
 # -------------------------------------------------------------------- specs
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianSpec:
     """Diagonal Q-Wiener amplitudes, one beta per sine mode."""
 
@@ -227,7 +230,7 @@ class GaussianSpec:
         return cls(betas)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JumpSpec:
     """Compound Poisson forcing: intensity, mark law, direction map."""
 
@@ -245,7 +248,7 @@ class JumpSpec:
         return -self.intensity * self.marks.mean
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HypothesisReport:
     """Admissibility constants of a jump spec at a given tilt."""
 

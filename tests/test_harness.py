@@ -679,11 +679,17 @@ class TestCli:
         assert manifest["blowup_count"] == 4
         assert manifest["outputs"] == []
 
-    def test_cli_imports_no_scipy(self):
-        # numpy is the only run-time dependency; scipy serves the tests
+    @pytest.mark.parametrize("prefix", [
+        "scipy",                # numpy is the only run-time dependency
+        "numpy.polynomial",     # imported where the Laguerre rule is built
+        "signal",               # imported where a failed fan-out kills
+    ])
+    def test_cli_does_not_import(self, prefix):
+        # start-up loads only what every command needs before it runs
         src = str(Path(sburgers.__file__).resolve().parents[1])
-        code = ("import sys, sburgers.cli; print(sorted(m for m in "
-                "sys.modules if m.split('.')[0] == 'scipy'))")
+        code = (f"import sys, sburgers.cli; print(sorted(m for m in "
+                f"sys.modules if m == {prefix!r} or "
+                f"m.startswith({prefix + '.'!r})))")
         run = subprocess.run([sys.executable, "-c", code],
                              env=dict(os.environ, PYTHONPATH=src),
                              capture_output=True, text=True, timeout=60,
@@ -828,6 +834,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: model.t_end")
         assert "experiment.mu_reference" in err
+
+    @pytest.mark.parametrize("name", ["jumps_only", "default_run"])
+    def test_sigma2_short_path_exit_two(self, tmp_path, capsys, name):
+        # too few samples for 30 batch means of 20 correlation times each
+        path = Path(__file__).resolve().parents[1] / "configs" / \
+            f"{name}.json"
+        code = main(["estimate", "sigma2", "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: model.t_end")
+        assert "experiment.burn_in" in err
+        assert "experiment.n_batches" in err
 
     def test_hitting_fans_out_without_pool_modules(self, tmp_path):
         # the fan-out is os.fork and pipes: no executor or pool machinery

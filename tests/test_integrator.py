@@ -7,6 +7,7 @@ mild solution (tests/oracles.py), which shares no code with the stepper.
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -696,6 +697,24 @@ class TestEnsemble:
         assert type(e.value) is raised
         if raised is RuntimeError:
             assert repr(error) in str(e.value)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="forks on Linux only")
+    def test_caller_error_kills_and_reaps_children(self):
+        caller = os.getpid()
+
+        def reducer(traj):
+            if os.getpid() != caller:
+                time.sleep(60.0)
+            raise LookupError("in the caller")
+
+        cfg = linear_single_mode(0.02, seed=4)
+        t0 = time.monotonic()
+        with pytest.raises(LookupError, match="in the caller") as e:
+            ensemble(cfg, 4 * BLOCK_ROWS, reducer, n_workers=3)
+        assert type(e.value) is LookupError
+        assert time.monotonic() - t0 < 10.0
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
