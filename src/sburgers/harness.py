@@ -12,13 +12,17 @@ A run is described by one JSON config file with nested blocks:
                    "marks": {"kind": "exponential", "rate": 2.0},
                    "direction": {"kind": "constant_mode", "mode": 1,
                                  "amplitude": 1.0}},
-      "experiment": {"kind": "estimate", "estimator": "sigma2", ...},
+      "experiment": {"kind": "estimate", "burn_in": 10.0, ...},
       "seed": 0,
       "output": {"directory": "runs"}
     }
 
 "gaussian" and "jump" may be null (missing blocks mean the corresponding
-forcing is off).  Every output record embeds the config content hash, which
+forcing is off).  _KEYS lists the keys of each block (per kind where its
+"kind" switches them), and any other key is a ConfigError.  "experiment"
+takes the fields of verify and of every estimator, so one file serves each
+command; a runner reads its own fields, with their defaults, through
+_field.  Every output record embeds the config content hash, which
 is invariant under key reordering; the output block and an explicit seed
 override do change the effective config and therefore the hash seen in the
 outputs reflects the config as run (with the seed actually used).
@@ -79,18 +83,39 @@ __all__ = [
 # any plausible trajectory index
 _INITIAL_STATE_STREAM = 2 ** 40
 
+# The keys each block may hold, by path ("" is the top level); a block that
+# its "kind" switches maps each kind to the keys it takes beside "kind".
+_KEYS = {
+    "": ("model", "gaussian", "jump", "seed", "experiment", "output"),
+    "model": ("n_modes", "dt", "t_end", "dt_save", "nonlinearity",
+              "initial_condition"),
+    "model.initial_condition": {"zero": (), "modes": ("coefficients",),
+                                "scaled_random": ("norm",)},
+    "gaussian": ("betas", "decay"),
+    "gaussian.decay": ("amplitude", "exponent", "normalize_to"),
+    "jump": ("intensity", "marks", "direction"),
+    "jump.marks": {"exponential": ("rate",), "deterministic": ("value",)},
+    "jump.direction": {"constant": ("coefficients",),
+                       "constant_mode": ("mode", "amplitude"),
+                       "saturated": ("mode", "coefficients", "amplitude")},
+    "experiment": ("kind", "n_states", "n_mart", "lam", "c1_override",
+                   "n_traj", "separation", "n_points", "observable",
+                   "burn_in", "n_batches", "exponent", "prefactor",
+                   "mu_reference", "t_max", "initial_v_norm", "theta",
+                   "bins", "r_grid", "t_grid"),
+    "experiment.observable": {"mode": ("k",), "tanh_mode": ("k", "c"),
+                              "norm_h": (), "norm_h_sq": (), "psi": ()},
+    "output": ("directory",),
+}
+_REQUIRED = object()
+
 
 class ConfigError(ValueError):
     """Malformed run configuration; message carries the offending path."""
 
 
-def _require(block: dict, key: str, path: str):
-    if key not in block:
-        raise ConfigError(f"{path}.{key}: missing required field")
-    return block[key]
-
-
-def _as_number(value, path: str, positive=False, nonnegative=False) -> float:
+def _as_number(value, path: str, positive=False, nonnegative=False,
+               below=None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
     v = float(value)
@@ -98,6 +123,8 @@ def _as_number(value, path: str, positive=False, nonnegative=False) -> float:
         raise ConfigError(f"{path}: must be positive, got {v}")
     if nonnegative and v < 0:
         raise ConfigError(f"{path}: must be nonnegative, got {v}")
+    if below is not None and not v < below:
+        raise ConfigError(f"{path}: must be below {below}, got {v}")
     return v
 
 
@@ -116,6 +143,25 @@ def _as_number_list(value, path: str, **bounds) -> list:
             for i, v in enumerate(value)]
 
 
+def _as_type(value, path: str, kind=str, expected="a string"):
+    if not isinstance(value, kind):
+        raise ConfigError(f"{path}: expected {expected}")
+    return value
+
+
+def _field(block: dict, path: str, key: str, parse=_as_number,
+           default=_REQUIRED, **bounds):
+    """block[key] checked by parse; a missing key takes the default, if
+    any, which is parsed too; a default of None also admits a null."""
+    value = block.get(key, default)
+    where = f"{path}.{key}" if path else key
+    if value is _REQUIRED:
+        raise ConfigError(f"{where}: missing required field")
+    if value is None and default is None:
+        return None
+    return parse(value, where, **bounds)
+
+
 def _require_finite(value, path: str) -> None:
     """Raise ConfigError naming the first NaN or infinity inside value."""
     if isinstance(value, float) and not math.isfinite(value):
@@ -128,10 +174,29 @@ def _require_finite(value, path: str) -> None:
             _require_finite(v, f"{path}[{i}]")
 
 
-def _as_block(value, path: str) -> dict:
+def _as_block(value, path: str, keys=None) -> dict:
+    """value as an object with no key outside keys, by default _KEYS[path]
+    (_kind checks a block that its kind switches)."""
     if not isinstance(value, dict):
         raise ConfigError(f"{path}: expected an object, got {value!r}")
+    keys = _KEYS.get(path) if keys is None else keys
+    if isinstance(keys, tuple):
+        for key in value:
+            if key not in keys:
+                where = f"{path}.{key}" if path else key
+                raise ConfigError(f"{where}: unknown field")
     return value
+
+
+def _kind(block: dict, path: str, noun: str, table=None, default=_REQUIRED):
+    """The kind of a block in _KEYS[table or path], once no key of the
+    block lies outside those of its kind."""
+    kinds = _KEYS[table or path]
+    kind = _field(block, path, "kind", _as_type, default)
+    if kind not in kinds:
+        raise ConfigError(f"{path}.kind: unknown {noun} {kind!r}")
+    _as_block(block, path, ("kind",) + kinds[kind])
+    return kind
 
 
 def config_hash(raw: dict) -> str:
@@ -148,110 +213,77 @@ def config_hash(raw: dict) -> str:
 
 # ---------------------------------------------------------- config parsing
 
-def _parse_marks(block: dict, path: str):
-    kind = _require(block, "kind", path)
-    if kind == "exponential":
-        return ExponentialMarks(_as_number(_require(block, "rate", path),
-                                           f"{path}.rate", positive=True))
-    if kind == "deterministic":
-        return DeterministicMarks(_as_number(_require(block, "value", path),
-                                             f"{path}.value", positive=True))
-    raise ConfigError(f"{path}.kind: unknown mark law {kind!r}")
-
-
-def _direction_field(block: dict, path: str, n_modes: int) -> SpectralField:
-    if "mode" in block:
-        k = _as_int(block["mode"], f"{path}.mode", minimum=1)
-        if k > n_modes:
-            raise ConfigError(f"{path}.mode: {k} exceeds n_modes={n_modes}")
-        amp = _as_number(block.get("amplitude", 1.0), f"{path}.amplitude")
-        return amp * basis_field(k, n_modes)
-    coeffs = _require(block, "coefficients", path)
-    if not isinstance(coeffs, list) or not coeffs:
-        raise ConfigError(f"{path}.coefficients: expected a nonempty list")
-    arr = np.zeros(n_modes)
+def _coefficients(block: dict, path: str, n_modes: int) -> SpectralField:
+    """The field of block's coefficients, zero past their length."""
+    coeffs = _field(block, path, "coefficients", _as_number_list)
     if len(coeffs) > n_modes:
         raise ConfigError(f"{path}.coefficients: longer than n_modes")
-    arr[:len(coeffs)] = [_as_number(c, f"{path}.coefficients[{i}]")
-                         for i, c in enumerate(coeffs)]
+    arr = np.zeros(n_modes)
+    arr[:len(coeffs)] = coeffs
     return SpectralField(arr)
-
-
-def _parse_direction(block: dict, path: str, n_modes: int):
-    kind = _require(block, "kind", path)
-    if kind in ("constant", "constant_mode"):
-        return ConstantDirection(_direction_field(block, path, n_modes))
-    if kind == "saturated":
-        g0 = _direction_field(block, path, n_modes)
-        amp = _as_number(block.get("amplitude", 1.0), f"{path}.amplitude",
-                         positive=True)
-        return SaturatedDirection(g0, amp)
-    raise ConfigError(f"{path}.kind: unknown direction {kind!r}")
 
 
 def _parse_gaussian(block, n_modes: int) -> GaussianSpec | None:
     if block is None:
         return None
-    block = _as_block(block, "gaussian")
+    if ("betas" in block) == ("decay" in block):
+        raise ConfigError("gaussian: need exactly one of 'betas' and 'decay'")
     if "betas" in block:
-        betas = block["betas"]
-        if not isinstance(betas, list) or len(betas) != n_modes:
+        betas = _field(block, "gaussian", "betas", _as_number_list,
+                       nonnegative=True)
+        if len(betas) != n_modes:
             raise ConfigError("gaussian.betas: expected a list of length "
                               f"n_modes={n_modes}")
-        return GaussianSpec(np.array(
-            [_as_number(b, f"gaussian.betas[{i}]", nonnegative=True)
-             for i, b in enumerate(betas)]))
-    if "decay" in block:
-        d = _as_block(block["decay"], "gaussian.decay")
-        amp = _as_number(d.get("amplitude", 1.0), "gaussian.decay.amplitude",
-                         nonnegative=True)
-        expo = _as_number(d.get("exponent", 1.0), "gaussian.decay.exponent")
-        norm = d.get("normalize_to")
-        if norm is not None:
-            norm = _as_number(norm, "gaussian.decay.normalize_to",
-                              positive=True)
-        return GaussianSpec.power_decay(n_modes, amp, expo, norm)
-    raise ConfigError("gaussian: need either 'betas' or 'decay'")
+        return GaussianSpec(np.array(betas))
+    path = "gaussian.decay"
+    d = _field(block, "gaussian", "decay", _as_block)
+    return GaussianSpec.power_decay(
+        n_modes, _field(d, path, "amplitude", default=1.0, nonnegative=True),
+        _field(d, path, "exponent", default=1.0),
+        _field(d, path, "normalize_to", default=None, positive=True))
 
 
 def _parse_jump(block, n_modes: int) -> JumpSpec | None:
     if block is None:
         return None
-    block = _as_block(block, "jump")
-    intensity = _as_number(_require(block, "intensity", "jump"),
-                           "jump.intensity", nonnegative=True)
-    marks = _parse_marks(_as_block(_require(block, "marks", "jump"),
-                                   "jump.marks"), "jump.marks")
-    direction = _parse_direction(
-        _as_block(_require(block, "direction", "jump"), "jump.direction"),
-        "jump.direction", n_modes)
-    return JumpSpec(intensity, marks, direction)
+    intensity = _field(block, "jump", "intensity", nonnegative=True)
+    path = "jump.marks"
+    m = _field(block, "jump", "marks", _as_block)
+    if _kind(m, path, "mark law") == "exponential":
+        marks = ExponentialMarks(_field(m, path, "rate", positive=True))
+    else:
+        marks = DeterministicMarks(_field(m, path, "value", positive=True))
+    path = "jump.direction"
+    d = _field(block, "jump", "direction", _as_block)
+    kind = _kind(d, path, "direction")
+    if "mode" in d or kind == "constant_mode":
+        if "coefficients" in d:
+            raise ConfigError(f"{path}: takes mode or coefficients, not both")
+        k = _field(d, path, "mode", _as_int, minimum=1)
+        if k > n_modes:
+            raise ConfigError(f"{path}.mode: {k} exceeds n_modes={n_modes}")
+        g0 = _field(d, path, "amplitude", default=1.0) \
+            * basis_field(k, n_modes)
+    else:
+        g0 = _coefficients(d, path, n_modes)
+    if kind != "saturated":
+        return JumpSpec(intensity, marks, ConstantDirection(g0))
+    amp = _field(d, path, "amplitude", default=1.0, positive=True)
+    return JumpSpec(intensity, marks, SaturatedDirection(g0, amp))
 
 
 def _parse_initial(block, n_modes: int, seed: int) -> SpectralField | None:
     if block is None:
         return None
-    block = _as_block(block, "model.initial_condition")
-    kind = block.get("kind", "zero")
-    if kind == "zero":
-        return None
+    path = "model.initial_condition"
+    kind = _kind(block, path, "kind", default="zero")
     if kind == "modes":
-        coeffs = _require(block, "coefficients", "model.initial_condition")
-        if not isinstance(coeffs, list) or len(coeffs) > n_modes:
-            raise ConfigError("model.initial_condition.coefficients: "
-                              "expected a list no longer than n_modes")
-        arr = np.zeros(n_modes)
-        arr[:len(coeffs)] = [
-            _as_number(c, f"model.initial_condition.coefficients[{i}]")
-            for i, c in enumerate(coeffs)]
-        return SpectralField(arr)
+        return _coefficients(block, path, n_modes)
     if kind == "scaled_random":
-        norm = _as_number(_require(block, "norm", "model.initial_condition"),
-                          "model.initial_condition.norm", positive=True)
+        norm = _field(block, path, "norm", positive=True)
         rng = np.random.default_rng(derive_seed(seed, _INITIAL_STATE_STREAM))
         return random_field(n_modes, rng, norm=norm)
-    raise ConfigError(
-        f"model.initial_condition.kind: unknown kind {kind!r}")
+    return None
 
 
 def parse_observable(block, path: str = "observable",
@@ -262,10 +294,10 @@ def parse_observable(block, path: str = "observable",
     """
     if block is None:
         return mode_coefficient(1)
-    block = _as_block(block, path)
-    kind = _require(block, "kind", path)
+    kind = _kind(_as_block(block, path), path, "observable",
+                 "experiment.observable")
     if kind in ("mode", "tanh_mode"):
-        k = _as_int(_require(block, "k", path), f"{path}.k", minimum=1)
+        k = _field(block, path, "k", _as_int, minimum=1)
         if n_modes is not None and k > n_modes:
             raise ConfigError(f"{path}.k: {k} exceeds n_modes={n_modes}")
     if kind == "mode":
@@ -276,10 +308,8 @@ def parse_observable(block, path: str = "observable",
         return norm_h_squared_observable()
     if kind == "psi":
         return psi_observable()
-    if kind == "tanh_mode":
-        return tanh_mode_observable(
-            k, _as_number(block.get("c", 1.0), f"{path}.c", positive=True))
-    raise ConfigError(f"{path}.kind: unknown observable {kind!r}")
+    return tanh_mode_observable(
+        k, _field(block, path, "c", default=1.0, positive=True))
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,26 +331,22 @@ def parse_config(raw: dict, seed_override: int | None = None) -> RunConfig:
     raw = dict(raw)
     if seed_override is not None:
         raw["seed"] = int(seed_override)
+    _as_block(raw, "")
 
-    model = _as_block(_require(raw, "model", "top level"), "model")
-    n_modes = _as_int(_require(model, "n_modes", "model"),
-                      "model.n_modes", minimum=1)
-    dt = _as_number(_require(model, "dt", "model"), "model.dt",
-                    positive=True)
-    t_end = _as_number(_require(model, "t_end", "model"), "model.t_end",
-                       positive=True)
-    dt_save = _as_number(model.get("dt_save", dt), "model.dt_save",
-                         positive=True)
-    nonlin = model.get("nonlinearity", True)
-    if not isinstance(nonlin, bool):
-        raise ConfigError("model.nonlinearity: expected true or false")
-    seed = raw.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ConfigError("seed: expected a nonnegative integer")
+    model = _field(raw, "", "model", _as_block)
+    n_modes = _field(model, "model", "n_modes", _as_int, minimum=1)
+    dt = _field(model, "model", "dt", positive=True)
+    t_end = _field(model, "model", "t_end", positive=True)
+    dt_save = _field(model, "model", "dt_save", default=dt, positive=True)
+    nonlin = _field(model, "model", "nonlinearity", _as_type, True,
+                    kind=bool, expected="true or false")
+    seed = _field(raw, "", "seed", _as_int, 0, minimum=0)
 
-    gaussian = _parse_gaussian(raw.get("gaussian"), n_modes)
-    jumps = _parse_jump(raw.get("jump"), n_modes)
-    x0 = _parse_initial(model.get("initial_condition"), n_modes, seed)
+    gaussian = _parse_gaussian(_field(raw, "", "gaussian", _as_block, None),
+                               n_modes)
+    jumps = _parse_jump(_field(raw, "", "jump", _as_block, None), n_modes)
+    x0 = _parse_initial(_field(model, "model", "initial_condition",
+                               _as_block, None), n_modes, seed)
 
     try:
         sim = SimConfig(n_modes=n_modes, dt=dt, t_end=t_end,
@@ -329,20 +355,13 @@ def parse_config(raw: dict, seed_override: int | None = None) -> RunConfig:
     except ValueError as err:
         raise ConfigError(f"model: {err}") from err
 
-    experiment = raw.get("experiment", {"kind": "simulate"})
-    experiment = _as_block(experiment, "experiment")
-    kind = experiment.get("kind", "simulate")
+    experiment = _field(raw, "", "experiment", _as_block, {"kind": "simulate"})
+    kind = _field(experiment, "experiment", "kind", _as_type, "simulate")
     if kind not in ("simulate", "verify", "estimate"):
         raise ConfigError(f"experiment.kind: unknown kind {kind!r}")
 
-    output = raw.get("output")
-    out_dir = "runs"
-    if output is not None:
-        output = _as_block(output, "output")
-        out_dir = output.get("directory", "runs")
-        if not isinstance(out_dir, str):
-            raise ConfigError("output.directory: expected a string")
-
+    output = _field(raw, "", "output", _as_block, None) or {}
+    out_dir = _field(output, "output", "directory", _as_type, "runs")
     return RunConfig(raw=raw, sim=sim, experiment=experiment,
                      hash=config_hash(raw), out_dir=out_dir)
 
@@ -502,16 +521,16 @@ def run_verify(cfg: RunConfig, out_dir=None, n_workers: int = 1) -> dict:
     trajectories n_mart.
     """
     exp = cfg.experiment
-    lam = _as_number(exp.get("lam", 0.5), "experiment.lam", positive=True)
-    n_states = _as_int(exp.get("n_states", 1000), "experiment.n_states",
-                       minimum=1)
-    n_mart = _as_int(exp.get("n_mart", 200), "experiment.n_mart", minimum=2)
+    lam = _field(exp, "experiment", "lam", default=0.5, positive=True)
+    n_states = _field(exp, "experiment", "n_states", _as_int, 1000,
+                      minimum=1)
+    n_mart = _field(exp, "experiment", "n_mart", _as_int, 200, minimum=2)
 
     constants = DriftConstants.from_specs(cfg.sim.gaussian, cfg.sim.jumps)
-    override = exp.get("c1_override")
+    override = _field(exp, "experiment", "c1_override", default=None,
+                      positive=True)
     if override is not None:
-        constants = constants.corrupted(
-            _as_number(override, "experiment.c1_override", positive=True))
+        constants = constants.corrupted(override)
 
     def produce(out):
         # the checked path rides as one more row of the first block of the
@@ -583,11 +602,9 @@ def run_verify(cfg: RunConfig, out_dir=None, n_workers: int = 1) -> dict:
 
 def _est_gamma(cfg: RunConfig, exp: dict, n_workers: int):
     sim = cfg.sim
-    n_traj = _as_int(exp.get("n_traj", 32), "experiment.n_traj", minimum=2)
-    sep = _as_number(exp.get("separation", 2.0), "experiment.separation",
-                     positive=True)
-    n_points = _as_int(exp.get("n_points", 20), "experiment.n_points",
-                       minimum=3)
+    n_traj = _field(exp, "experiment", "n_traj", _as_int, 32, minimum=2)
+    sep = _field(exp, "experiment", "separation", default=2.0, positive=True)
+    n_points = _field(exp, "experiment", "n_points", _as_int, 20, minimum=3)
     t_grid = np.linspace(sim.dt_save,
                          sim.t_end, n_points)
     t_grid = np.round(t_grid / sim.dt_save) * sim.dt_save
@@ -608,12 +625,11 @@ def _est_gamma(cfg: RunConfig, exp: dict, n_workers: int):
 def _est_sigma2(cfg: RunConfig, exp: dict, n_workers: int):
     obs = parse_observable(exp.get("observable"), "experiment.observable",
                            cfg.sim.n_modes)
-    burn = _as_number(exp.get("burn_in", 0.0), "experiment.burn_in",
-                      nonnegative=True)
+    burn = _field(exp, "experiment", "burn_in", default=0.0,
+                  nonnegative=True)
     traj = simulate(cfg.sim)
-    n_batches = exp.get("n_batches")
-    if n_batches is not None:
-        n_batches = _as_int(n_batches, "experiment.n_batches", minimum=30)
+    n_batches = _field(exp, "experiment", "n_batches", _as_int, None,
+                       minimum=30)
     try:
         rep = sigma_squared(traj, obs, burn_in=burn, n_batches=n_batches)
     except EnvelopeViolation:
@@ -650,13 +666,12 @@ def _short_path(cfg: RunConfig, what: str, remedy: str) -> ConfigError:
 def _est_mdp(cfg: RunConfig, exp: dict, n_workers: int):
     obs = parse_observable(exp.get("observable"), "experiment.observable",
                            cfg.sim.n_modes)
-    exponent = _as_number(exp.get("exponent", 0.25), "experiment.exponent")
-    prefactor = _as_number(exp.get("prefactor", 1.0),
-                           "experiment.prefactor", positive=True)
-    mu_ref = exp.get("mu_reference")
+    exponent = _field(exp, "experiment", "exponent", default=0.25,
+                      positive=True, below=0.5)
+    prefactor = _field(exp, "experiment", "prefactor", default=1.0,
+                       positive=True)
+    mu_ref = _field(exp, "experiment", "mu_reference", default=None)
     flags = []
-    if mu_ref is not None:
-        mu_ref = _as_number(mu_ref, "experiment.mu_reference")
     traj = simulate(cfg.sim)
     if mu_ref is None:
         mu_ref = _time_average(cfg, obs, traj)
@@ -677,15 +692,15 @@ def _est_mdp(cfg: RunConfig, exp: dict, n_workers: int):
 
 def _est_hitting(cfg: RunConfig, exp: dict, n_workers: int):
     sim = cfg.sim
-    n_traj = _as_int(exp.get("n_traj", 200), "experiment.n_traj", minimum=2)
-    t_max = _as_number(exp.get("t_max", sim.t_end), "experiment.t_max",
-                       positive=True)
+    n_traj = _field(exp, "experiment", "n_traj", _as_int, 200, minimum=2)
+    t_max = _field(exp, "experiment", "t_max", default=sim.t_end,
+                   positive=True)
     if not _is_multiple(t_max, sim.dt_save):
         raise ConfigError(f"experiment.t_max: must be an integer multiple "
                           f"of model.dt_save = {sim.dt_save}, got {t_max}")
     constants = DriftConstants.from_specs(sim.gaussian, sim.jumps)
-    v_norm = _as_number(exp.get("initial_v_norm", 2.0 * constants.k_radius),
-                        "experiment.initial_v_norm", positive=True)
+    v_norm = _field(exp, "experiment", "initial_v_norm",
+                    default=2.0 * constants.k_radius, positive=True)
     x0 = (v_norm / math.pi) * basis_field(1, sim.n_modes)
     summary = hitting_times(replace(sim, x0=x0, t_end=t_max), constants,
                             n_traj, n_workers=n_workers)
@@ -697,9 +712,10 @@ def _est_hitting(cfg: RunConfig, exp: dict, n_workers: int):
 
 
 def _est_expmoment(cfg: RunConfig, exp: dict, n_workers: int):
-    theta = _as_number(exp.get("theta", 0.5), "experiment.theta")
-    lam = _as_number(exp.get("lam", 0.5), "experiment.lam")
-    n_traj = _as_int(exp.get("n_traj", 200), "experiment.n_traj", minimum=2)
+    theta = _field(exp, "experiment", "theta", default=0.5, positive=True,
+                   below=1.0)
+    lam = _field(exp, "experiment", "lam", default=0.5, positive=True)
+    n_traj = _field(exp, "experiment", "n_traj", _as_int, 200, minimum=2)
     rep = exp_integral_moment(cfg.sim, theta, lam, n_traj,
                               n_workers=n_workers)
     return [rep.to_dict()], [{"name": rep.name, "value": rep.value,
@@ -710,15 +726,14 @@ def _est_expmoment(cfg: RunConfig, exp: dict, n_workers: int):
 def _est_occupation(cfg: RunConfig, exp: dict, n_workers: int):
     obs = parse_observable(exp.get("observable"), "experiment.observable",
                            cfg.sim.n_modes)
-    bins = exp.get("bins", 40)
-    if isinstance(bins, list):
-        bins = _as_number_list(bins, "experiment.bins")
+    if isinstance(exp.get("bins"), list):
+        bins = _field(exp, "experiment", "bins", _as_number_list)
         if len(bins) < 2 or any(b >= c for b, c in zip(bins, bins[1:])):
             raise ConfigError(f"experiment.bins: expected at least 2 "
                               f"strictly increasing edges, got {bins}")
         bins = np.array(bins)
     else:
-        bins = _as_int(bins, "experiment.bins", minimum=1)
+        bins = _field(exp, "experiment", "bins", _as_int, 40, minimum=1)
     traj = simulate(cfg.sim)
     hist = occupation_measure(traj, obs, bins)
     rec = hist.to_dict()
@@ -732,21 +747,19 @@ def _est_occupation(cfg: RunConfig, exp: dict, n_workers: int):
 def _est_tailprobe(cfg: RunConfig, exp: dict, n_workers: int):
     obs = parse_observable(exp.get("observable"), "experiment.observable",
                            cfg.sim.n_modes)
-    r_grid = _as_number_list(exp.get("r_grid", [0.0, 0.05, 0.1]),
-                             "experiment.r_grid", nonnegative=True)
-    t_grid = _as_number_list(exp.get("t_grid", [cfg.sim.t_end]),
-                             "experiment.t_grid", positive=True)
+    r_grid = _field(exp, "experiment", "r_grid", _as_number_list,
+                    [0.0, 0.05, 0.1], nonnegative=True)
+    t_grid = _field(exp, "experiment", "t_grid", _as_number_list,
+                    [cfg.sim.t_end], positive=True)
     for i, t in enumerate(t_grid):
         if not _is_multiple(t, cfg.sim.dt_save):
             raise ConfigError(f"experiment.t_grid[{i}]: must be an integer "
                               f"multiple of model.dt_save = "
                               f"{cfg.sim.dt_save}, got {t}")
-    n_traj = _as_int(exp.get("n_traj", 100), "experiment.n_traj", minimum=2)
-    mu_ref = exp.get("mu_reference")
+    n_traj = _field(exp, "experiment", "n_traj", _as_int, 100, minimum=2)
+    mu_ref = _field(exp, "experiment", "mu_reference", default=None)
     if mu_ref is None:
         mu_ref = _time_average(cfg, obs, simulate(cfg.sim))
-    else:
-        mu_ref = _as_number(mu_ref, "experiment.mu_reference")
     rows = deviation_tail_probe(cfg.sim, obs, r_grid, t_grid, n_traj,
                                 mu_ref, n_workers=n_workers)
     recs = [dict(r, config_hash=cfg.hash, mu_reference=mu_ref)

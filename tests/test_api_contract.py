@@ -7,7 +7,11 @@ that stays listed would otherwise fail only at a user's import.
 
 import dataclasses
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import sburgers
 
@@ -19,6 +23,29 @@ def _unresolved(module) -> list:
 
 def test_package_all_resolves():
     assert sburgers.__all__ and _unresolved(sburgers) == []
+
+
+def test_package_import_loads_no_submodule():
+    # the package resolves its names on first use, from _EXPORTS
+    src = str(Path(sburgers.__file__).resolve().parents[1])
+    code = ("import sys, sburgers\n"
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith('sburgers.')))\n"
+            "print(sorted(set(sburgers.__all__) - set(dir(sburgers))))\n")
+    run = subprocess.run([sys.executable, "-c", code],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=60,
+                         check=True)
+    assert run.stdout.splitlines() == ["[]", "[]"]
+
+
+def test_package_names_each_export_once():
+    names = [n for names in sburgers._EXPORTS.values() for n in names]
+    assert len(names) == len(set(names))
+    assert sburgers.__all__ == ["__version__", *names]
+    for module, names in sburgers._EXPORTS.items():
+        mod = importlib.import_module(f"sburgers.{module}")
+        assert all(getattr(sburgers, n) is getattr(mod, n) for n in names)
 
 
 def _modules() -> list:

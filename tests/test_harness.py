@@ -146,6 +146,128 @@ class TestConfigParsing:
             load_config(p)
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def every_block_raw() -> dict:
+    """A config that holds every block _KEYS declares."""
+    raw = base_raw(experiment={"kind": "estimate", "bins": 4,
+                               "observable": {"kind": "mode", "k": 1}},
+                   output={"directory": "runs"})
+    raw["model"]["initial_condition"] = {"kind": "modes",
+                                         "coefficients": [0.1]}
+    return raw
+
+
+def run_cli(tmp_path, capsys, raw, *command) -> tuple:
+    """(exit code, stderr) of one CLI run of raw."""
+    code = main([*command, "--config", write_config(tmp_path, raw),
+                 "--out", str(tmp_path / "out")])
+    return code, capsys.readouterr().err
+
+
+class TestConfigKeys:
+    """Each block takes only the keys _KEYS lists for it."""
+
+    @pytest.mark.parametrize("path", [
+        "", "model", "model.initial_condition", "gaussian", "gaussian.decay",
+        "jump", "jump.marks", "jump.direction", "experiment",
+        "experiment.observable", "output"])
+    def test_unknown_key_exit_two(self, tmp_path, capsys, path):
+        raw = every_block_raw()
+        block = raw
+        for key in filter(None, path.split(".")):
+            block = block[key]
+        block["bogus"] = 1
+        field = f"{path}.bogus" if path else "bogus"
+        assert run_cli(tmp_path, capsys, raw, "estimate", "occupation") == \
+            (2, f"config error: {field}: unknown field\n")
+
+    def test_every_block_config_runs(self, tmp_path, capsys):
+        assert run_cli(tmp_path, capsys, every_block_raw(), "estimate",
+                       "occupation")[0] == 0
+
+    @pytest.mark.parametrize("typos, field", [
+        ({"bogus": 1, "model": {"n_mode": 8},
+          "experiment": {"n_trajj": 50}}, "bogus"),
+        ({"model": {"n_mode": 8}}, "model.n_mode"),
+        ({"experiment": {"n_trajj": 50}}, "experiment.n_trajj")])
+    def test_typo_run_exit_two(self, tmp_path, capsys, typos, field):
+        raw = json.loads((ROOT / "configs" / "estimate_hitting.json")
+                         .read_text())
+        for key, value in typos.items():
+            if isinstance(value, dict):
+                raw[key].update(value)
+            else:
+                raw[key] = value
+        assert run_cli(tmp_path, capsys, raw, "estimate", "hitting") == \
+            (2, f"config error: {field}: unknown field\n")
+
+    @pytest.mark.parametrize("block, message", [
+        ({"jump": {"direction": {"kind": "constant", "coefficients": [1.0],
+                                 "amplitude": 5}}},
+         "jump.direction.amplitude: unknown field"),
+        ({"jump": {"direction": {"kind": "constant_mode", "mode": 1,
+                                 "coefficients": [0, 9]}}},
+         "jump.direction.coefficients: unknown field"),
+        ({"jump": {"direction": {"kind": "saturated", "mode": 1,
+                                 "coefficients": [0, 9]}}},
+         "jump.direction: takes mode or coefficients, not both"),
+        ({"gaussian": {"betas": [1.0, 1.0, 1.0, 1.0],
+                       "decay": {"normalize_to": 1.0}}},
+         "gaussian: need exactly one of 'betas' and 'decay'"),
+        ({"gaussian": {}},
+         "gaussian: need exactly one of 'betas' and 'decay'")])
+    def test_field_beside_the_one_read_exit_two(self, tmp_path, capsys,
+                                                 block, message):
+        # each of these ran, and wrote the same trajectory as without the
+        # field that was never read
+        raw = json.loads((ROOT / "configs" / "jumps_only.json").read_text())
+        for key, value in block.items():
+            raw[key] = dict(raw.get(key) or {}, **value)
+        assert run_cli(tmp_path, capsys, raw, "simulate") == \
+            (2, f"config error: {message}\n")
+
+    def test_direction_coefficients(self):
+        raw = base_raw()
+        raw["jump"]["direction"] = {"kind": "constant",
+                                    "coefficients": [0.5, 0.25]}
+        g0 = parse_config(raw).sim.jumps.direction.g0
+        assert g0.coeffs.tolist() == [0.5, 0.25, 0.0, 0.0]
+        raw["jump"]["direction"] = {"kind": "constant_mode"}
+        with pytest.raises(ConfigError, match=r"^jump\.direction\.mode: "
+                                              "missing required field$"):
+            parse_config(raw)
+
+    def test_deterministic_marks_value(self, tmp_path):
+        raw = base_raw()
+        raw["jump"]["intensity"] = 50.0
+        raw["jump"]["marks"] = {"kind": "deterministic", "value": 0.5}
+        cfg = parse_config(raw)
+        assert cfg.sim.jumps.marks.value == 0.5
+        run_simulate(cfg, out_dir=tmp_path)
+        marks = [json.loads(line)["mark"] for line in
+                 (tmp_path / "jumps.jsonl").read_text().splitlines()]
+        assert marks and set(marks) == {0.5}
+        raw["jump"]["marks"] = {"kind": "deterministic", "rate": 2.0}
+        with pytest.raises(ConfigError,
+                           match=r"^jump\.marks\.rate: unknown field$"):
+            parse_config(raw)
+
+    def test_readme_field_table_matches_keys(self):
+        declared = set()
+        for block, keys in harness._KEYS.items():
+            if isinstance(keys, dict):
+                keys = ("kind",) + tuple(k for ks in keys.values()
+                                         for k in ks)
+            declared |= {f"{block}.{k}" if block else k for k in keys}
+        text = (ROOT / "README.md").read_text()
+        section = text.split("### Config format", 1)[1].split("\n## ", 1)[0]
+        documented = {line.split("`")[1] for line in section.splitlines()
+                      if line.startswith("| `")}
+        assert documented == declared
+
+
 class TestInitialCondition:
     def test_default_zero(self):
         assert parse_config(base_raw()).sim.x0 is None
@@ -515,14 +637,37 @@ class TestEstimateRunner:
         assert json.loads(lines[0])["estimator"] == "sigma2"
 
     def test_gamma_linear_recovers_pi_squared(self, tmp_path):
-        cfg = linear_single_mode(1.0, dt=1e-3, dt_save=2e-2,
-                                 estimator="gamma", n_traj=3,
+        cfg = linear_single_mode(1.0, dt=1e-3, dt_save=2e-2, n_traj=3,
                                  separation=2.0, n_points=15)
         res = run_estimate(cfg, "gamma", out_dir=tmp_path)
         rec = res["records"][0]
         assert rec["value"] == pytest.approx(math.pi ** 2, rel=1e-4)
         table = (tmp_path / "estimate.csv").read_text().splitlines()
         assert table[1] == "t,d"
+
+    def test_mdp_prefactor_divides_the_functional(self, tmp_path):
+        values = []
+        for prefactor in (1.0, 4.0):
+            cfg = linear_single_mode(20.0, dt=5e-3, dt_save=5e-2,
+                                     mu_reference=0.0, prefactor=prefactor)
+            rec = run_estimate(cfg, "mdp", out_dir=tmp_path)["records"][0]
+            assert rec["prefactor"] == prefactor
+            values.append(rec["value"])
+        assert values[1] == pytest.approx(values[0] / 4.0, rel=1e-12)
+
+    def test_one_config_serves_every_estimator(self, tmp_path):
+        # the fields of every estimator and of verify, side by side
+        cfg = linear_single_mode(
+            40.0, dt=1e-2, dt_save=1e-2, seed=5,
+            observable={"kind": "mode", "k": 1}, burn_in=1.0, n_batches=30,
+            n_traj=3, separation=2.0, n_points=5, t_max=0.2,
+            initial_v_norm=1.0, theta=0.5, lam=0.25, bins=8,
+            mu_reference=0.0, exponent=0.25, prefactor=1.0,
+            r_grid=[0.0, 0.1], t_grid=[1.0], n_states=5, n_mart=2)
+        for name in ESTIMATORS:
+            res = run_estimate(cfg, name, out_dir=tmp_path / name)
+            assert res["records"], name
+        assert run_verify(cfg, out_dir=tmp_path / "verify")["checks"] > 0
 
     def test_expmoment_domain_error(self, tmp_path):
         raw = base_raw(experiment={"kind": "estimate", "theta": 0.5,
@@ -899,6 +1044,20 @@ class TestCli:
                      "--out", str(tmp_path / "out")])
         assert code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("estimator, field, value, message", [
+        ("expmoment", "lam", -1, "must be positive, got -1.0"),
+        ("expmoment", "theta", 0, "must be positive, got 0.0"),
+        ("expmoment", "theta", 1, "must be below 1.0, got 1.0"),
+        ("mdp", "exponent", 0.6, "must be below 0.5, got 0.6"),
+        ("mdp", "exponent", 0, "must be positive, got 0.0")])
+    def test_estimator_range_names_the_field(self, tmp_path, capsys,
+                                             estimator, field, value,
+                                             message):
+        raw = base_raw(experiment={"kind": "estimate", "n_traj": 4,
+                                   "mu_reference": 0.0, field: value})
+        assert run_cli(tmp_path, capsys, raw, "estimate", estimator) == \
+            (2, f"config error: experiment.{field}: {message}\n")
 
     def test_bad_threads_exit_two(self, tmp_path, capsys):
         path = write_config(tmp_path, base_raw())

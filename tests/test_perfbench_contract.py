@@ -1,9 +1,10 @@
-"""The names the benchmark reaches inside sburgers.
+"""The names and configs the benchmark reaches inside sburgers.
 
 perfbench/tracing.py patches the functions of its SPANS and HOT tables by
 module and name, and perfbench/probe.py imports from the package.  A name
 deleted from sburgers would break a traced benchmark run or the probe
-without failing any other test.
+without failing any other test.  Likewise every workload's config must
+still parse, or each run of that workload would fail.
 """
 
 import ast
@@ -11,16 +12,29 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+import pytest
+
+from sburgers.harness import parse_config
+
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
-def _load_tracing():
-    # tracing.py imports nothing from sburgers, so loading it patches nothing
+def _load(name: str):
+    # tracing.py and workloads.py import nothing from sburgers, so loading
+    # them patches nothing
     spec = importlib.util.spec_from_file_location(
-        "perfbench_tracing", PERFBENCH / "tracing.py")
+        f"perfbench_{name}", PERFBENCH / f"{name}.py")
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
+
+
+@pytest.mark.parametrize("name", sorted(_load("workloads").WORKLOADS))
+def test_workload_config_parses(name):
+    # a key the config layer rejects would fail every run of the workload
+    workload = _load("workloads").WORKLOADS[name]
+    assert parse_config(workload.config(ROOT)).sim.n_modes >= 1
 
 
 def _missing(pairs) -> list:
@@ -33,7 +47,7 @@ def _missing(pairs) -> list:
 
 
 def test_traced_names_resolve():
-    tracing = _load_tracing()
+    tracing = _load("tracing")
     pairs = [(f"sburgers.{m}", f) for m, names in tracing.SPANS.items()
              for f in names]
     pairs += [(f"sburgers.{m}", f) for targets in tracing.HOT.values()
