@@ -26,8 +26,8 @@ import numpy as np
 from .spectral import SpectralField, mode_rates, norm_h_sq
 from .integrator import SimConfig, Trajectory, simulate, ensemble, \
     require_no_blowups, _is_multiple
-from .lyapunov import DriftConstants, psi, _cumulative_trapezoid
-from .reports import EstimateReport
+from .lyapunov import DriftConstants, EstimateReport, psi, \
+    _cumulative_trapezoid
 
 __all__ = [
     "Observable",

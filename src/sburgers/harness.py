@@ -22,7 +22,8 @@ forcing is off).  _KEYS lists the keys of each block (per kind where its
 "kind" switches them), and any other key is a ConfigError.  "experiment"
 takes the fields of verify and of every estimator, so one file serves each
 command; a runner reads its own fields, with their defaults, through
-_field.  Every output record embeds the config content hash, which
+_field, and parse_config parses experiment.observable once for every
+command.  Every output record embeds the config content hash, which
 is invariant under key reordering; the output block and an explicit seed
 override do change the effective config and therefore the hash seen in the
 outputs reflects the config as run (with the seed actually used).
@@ -47,7 +48,7 @@ from . import __version__
 from .spectral import SpectralField, basis_field, random_field, zero_field
 from .noise import (
     GaussianSpec, JumpSpec, ExponentialMarks, DeterministicMarks,
-    ConstantDirection, SaturatedDirection,
+    ConstantDirection, SaturatedDirection, hypothesis_constants,
 )
 from .integrator import SimConfig, Trajectory, simulate, ensemble, \
     derive_seed, require_no_blowups, BlowUpError, EnsembleBlowUpError, \
@@ -59,9 +60,9 @@ from .lyapunov import (
 from .ergodics import (
     Observable, mode_coefficient, norm_h_observable,
     norm_h_squared_observable, psi_observable, tanh_mode_observable,
-    observable_dictionary, occupation_measure, path_averages,
-    sigma_squared, ergodic_decay, MdpConfig, mdp_functional,
-    hitting_times, deviation_tail_probe, EnvelopeViolation, _sorted_unique,
+    observable_dictionary, occupation_measure, sigma_squared, ergodic_decay,
+    MdpConfig, mdp_functional, hitting_times, deviation_tail_probe,
+    EnvelopeViolation, _batch_series, _sorted_unique,
 )
 
 __all__ = [
@@ -83,6 +84,14 @@ __all__ = [
 # any plausible trajectory index
 _INITIAL_STATE_STREAM = 2 ** 40
 
+# Each observable kind's factory and the keys it takes beside "kind"; the
+# factory takes k, then c, where the kind has them.
+_OBSERVABLES = {"mode": (mode_coefficient, ("k",)),
+                "tanh_mode": (tanh_mode_observable, ("k", "c")),
+                "norm_h": (norm_h_observable, ()),
+                "norm_h_sq": (norm_h_squared_observable, ()),
+                "psi": (psi_observable, ())}
+
 # The keys each block may hold, by path ("" is the top level); a block that
 # its "kind" switches maps each kind to the keys it takes beside "kind".
 _KEYS = {
@@ -103,8 +112,8 @@ _KEYS = {
                    "burn_in", "n_batches", "exponent", "prefactor",
                    "mu_reference", "t_max", "initial_v_norm", "theta",
                    "bins", "r_grid", "t_grid"),
-    "experiment.observable": {"mode": ("k",), "tanh_mode": ("k", "c"),
-                              "norm_h": (), "norm_h_sq": (), "psi": ()},
+    "experiment.observable": {kind: keys for kind, (_, keys)
+                              in _OBSERVABLES.items()},
     "output": ("directory",),
 }
 _REQUIRED = object()
@@ -294,22 +303,17 @@ def parse_observable(block, path: str = "observable",
     """
     if block is None:
         return mode_coefficient(1)
-    kind = _kind(_as_block(block, path), path, "observable",
-                 "experiment.observable")
-    if kind in ("mode", "tanh_mode"):
+    make, keys = _OBSERVABLES[_kind(_as_block(block, path), path,
+                                    "observable", "experiment.observable")]
+    args = []
+    if "k" in keys:
         k = _field(block, path, "k", _as_int, minimum=1)
         if n_modes is not None and k > n_modes:
             raise ConfigError(f"{path}.k: {k} exceeds n_modes={n_modes}")
-    if kind == "mode":
-        return mode_coefficient(k)
-    if kind == "norm_h":
-        return norm_h_observable()
-    if kind == "norm_h_sq":
-        return norm_h_squared_observable()
-    if kind == "psi":
-        return psi_observable()
-    return tanh_mode_observable(
-        k, _field(block, path, "c", default=1.0, positive=True))
+        args.append(k)
+    if "c" in keys:
+        args.append(_field(block, path, "c", default=1.0, positive=True))
+    return make(*args)
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,6 +323,7 @@ class RunConfig:
     raw: dict
     sim: SimConfig
     experiment: dict
+    observable: Observable       # experiment.observable, parsed
     hash: str
     out_dir: str
 
@@ -359,11 +364,14 @@ def parse_config(raw: dict, seed_override: int | None = None) -> RunConfig:
     kind = _field(experiment, "experiment", "kind", _as_type, "simulate")
     if kind not in ("simulate", "verify", "estimate"):
         raise ConfigError(f"experiment.kind: unknown kind {kind!r}")
+    observable = parse_observable(experiment.get("observable"),
+                                  "experiment.observable", n_modes)
 
     output = _field(raw, "", "output", _as_block, None) or {}
     out_dir = _field(output, "output", "directory", _as_type, "runs")
     return RunConfig(raw=raw, sim=sim, experiment=experiment,
-                     hash=config_hash(raw), out_dir=out_dir)
+                     observable=observable, hash=config_hash(raw),
+                     out_dir=out_dir)
 
 
 def load_config(path, seed_override: int | None = None) -> RunConfig:
@@ -497,6 +505,17 @@ def _verify_jump_marks(jumps) -> tuple:
     return (jumps.marks.value,)
 
 
+def _tilt(exp: dict, jumps) -> float:
+    """experiment.lam, at most the largest tilt the jump forcing admits."""
+    lam = _field(exp, "experiment", "lam", default=0.5, positive=True)
+    a0_max = math.inf if jumps is None else \
+        hypothesis_constants(jumps, 0.0).a0_max
+    if lam > a0_max:
+        raise ConfigError(f"experiment.lam: {lam} exceeds the admissible "
+                          f"maximum {a0_max} of the jump forcing")
+    return lam
+
+
 def _martingale_end(traj: Trajectory, lam: float, m_lambda: float,
                     hs: float) -> float:
     return float(exp_martingale_path(traj, lam, m_lambda, hs)[-1])
@@ -521,7 +540,7 @@ def run_verify(cfg: RunConfig, out_dir=None, n_workers: int = 1) -> dict:
     trajectories n_mart.
     """
     exp = cfg.experiment
-    lam = _field(exp, "experiment", "lam", default=0.5, positive=True)
+    lam = _tilt(exp, cfg.sim.jumps)
     n_states = _field(exp, "experiment", "n_states", _as_int, 1000,
                       minimum=1)
     n_mart = _field(exp, "experiment", "n_mart", _as_int, 200, minimum=2)
@@ -623,15 +642,14 @@ def _est_gamma(cfg: RunConfig, exp: dict, n_workers: int):
 
 
 def _est_sigma2(cfg: RunConfig, exp: dict, n_workers: int):
-    obs = parse_observable(exp.get("observable"), "experiment.observable",
-                           cfg.sim.n_modes)
     burn = _field(exp, "experiment", "burn_in", default=0.0,
                   nonnegative=True)
     traj = simulate(cfg.sim)
     n_batches = _field(exp, "experiment", "n_batches", _as_int, None,
                        minimum=30)
     try:
-        rep = sigma_squared(traj, obs, burn_in=burn, n_batches=n_batches)
+        rep = sigma_squared(traj, cfg.observable, burn_in=burn,
+                            n_batches=n_batches)
     except EnvelopeViolation:
         raise
     except ValueError as err:
@@ -643,18 +661,18 @@ def _est_sigma2(cfg: RunConfig, exp: dict, n_workers: int):
                               "half_width": rep.half_width, "n": rep.n}]
 
 
-def _time_average(cfg: RunConfig, obs: Observable, traj: Trajectory) -> float:
-    """Long-run mean of obs along traj, the path of cfg.sim, after a
-    burn-in of a tenth of t_end."""
+def _time_average(cfg: RunConfig, traj: Trajectory) -> float:
+    """Long-run mean of cfg's observable along traj, the path of cfg.sim,
+    after a burn-in of a tenth of t_end: the mean of its batch means."""
     try:
-        reports = path_averages(traj, 0.1 * cfg.sim.t_end, [obs])
+        return float(_batch_series(traj, cfg.observable,
+                                   0.1 * cfg.sim.t_end)[3].mean())
     except EnvelopeViolation:
         raise
     except ValueError as err:
         raise _short_path(cfg, f"the self-referenced mean ({err})",
                           "set experiment.mu_reference or lengthen "
                           "model.t_end") from err
-    return reports[obs.name].value
 
 
 def _short_path(cfg: RunConfig, what: str, remedy: str) -> ConfigError:
@@ -664,8 +682,7 @@ def _short_path(cfg: RunConfig, what: str, remedy: str) -> ConfigError:
 
 
 def _est_mdp(cfg: RunConfig, exp: dict, n_workers: int):
-    obs = parse_observable(exp.get("observable"), "experiment.observable",
-                           cfg.sim.n_modes)
+    obs = cfg.observable
     exponent = _field(exp, "experiment", "exponent", default=0.25,
                       positive=True, below=0.5)
     prefactor = _field(exp, "experiment", "prefactor", default=1.0,
@@ -674,7 +691,7 @@ def _est_mdp(cfg: RunConfig, exp: dict, n_workers: int):
     flags = []
     traj = simulate(cfg.sim)
     if mu_ref is None:
-        mu_ref = _time_average(cfg, obs, traj)
+        mu_ref = _time_average(cfg, traj)
         flags.append("self_referenced_mean")
     mdp_cfg = MdpConfig(obs, mu_ref, exponent=exponent, prefactor=prefactor)
     value = mdp_functional(traj, mdp_cfg)
@@ -714,7 +731,7 @@ def _est_hitting(cfg: RunConfig, exp: dict, n_workers: int):
 def _est_expmoment(cfg: RunConfig, exp: dict, n_workers: int):
     theta = _field(exp, "experiment", "theta", default=0.5, positive=True,
                    below=1.0)
-    lam = _field(exp, "experiment", "lam", default=0.5, positive=True)
+    lam = _tilt(exp, cfg.sim.jumps)
     n_traj = _field(exp, "experiment", "n_traj", _as_int, 200, minimum=2)
     rep = exp_integral_moment(cfg.sim, theta, lam, n_traj,
                               n_workers=n_workers)
@@ -724,8 +741,6 @@ def _est_expmoment(cfg: RunConfig, exp: dict, n_workers: int):
 
 
 def _est_occupation(cfg: RunConfig, exp: dict, n_workers: int):
-    obs = parse_observable(exp.get("observable"), "experiment.observable",
-                           cfg.sim.n_modes)
     if isinstance(exp.get("bins"), list):
         bins = _field(exp, "experiment", "bins", _as_number_list)
         if len(bins) < 2 or any(b >= c for b, c in zip(bins, bins[1:])):
@@ -735,7 +750,7 @@ def _est_occupation(cfg: RunConfig, exp: dict, n_workers: int):
     else:
         bins = _field(exp, "experiment", "bins", _as_int, 40, minimum=1)
     traj = simulate(cfg.sim)
-    hist = occupation_measure(traj, obs, bins)
+    hist = occupation_measure(traj, cfg.observable, bins)
     rec = hist.to_dict()
     rec["config_hash"] = cfg.hash
     rows = [{"left": le, "right": rt, "mass": m}
@@ -745,8 +760,6 @@ def _est_occupation(cfg: RunConfig, exp: dict, n_workers: int):
 
 
 def _est_tailprobe(cfg: RunConfig, exp: dict, n_workers: int):
-    obs = parse_observable(exp.get("observable"), "experiment.observable",
-                           cfg.sim.n_modes)
     r_grid = _field(exp, "experiment", "r_grid", _as_number_list,
                     [0.0, 0.05, 0.1], nonnegative=True)
     t_grid = _field(exp, "experiment", "t_grid", _as_number_list,
@@ -759,9 +772,9 @@ def _est_tailprobe(cfg: RunConfig, exp: dict, n_workers: int):
     n_traj = _field(exp, "experiment", "n_traj", _as_int, 100, minimum=2)
     mu_ref = _field(exp, "experiment", "mu_reference", default=None)
     if mu_ref is None:
-        mu_ref = _time_average(cfg, obs, simulate(cfg.sim))
-    rows = deviation_tail_probe(cfg.sim, obs, r_grid, t_grid, n_traj,
-                                mu_ref, n_workers=n_workers)
+        mu_ref = _time_average(cfg, simulate(cfg.sim))
+    rows = deviation_tail_probe(cfg.sim, cfg.observable, r_grid, t_grid,
+                                n_traj, mu_ref, n_workers=n_workers)
     recs = [dict(r, config_hash=cfg.hash, mu_reference=mu_ref)
             for r in rows]
     return recs, list(rows)

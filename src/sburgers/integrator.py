@@ -49,7 +49,9 @@ also bounds how far a block steps past its last finish.
 
 The step formula lives in two _Kernel helpers: _gaussian_increment is
 the noise term e^(-alpha_k h) beta_k sqrt(h) xi_k and _deterministic the
-rest, e^(-alpha_k h) a_k + phi_k(h) [drift]_k.  Their coefficients come
+rest, e^(-alpha_k h) a_k + phi_k(h) [drift]_k, the one update of every
+config, with the drift evaluated at the step's start.  Their three
+coefficients, decay e^(-alpha_k h), phi_k(h) and beta_k sqrt(h), come
 from _Kernel.coef, a function of the step length alone: a chunk gets
 them for all its step lengths (i + 1) dt - i dt in one call, a substep
 for its own length, and each step's slice of the chunk's arrays has the
@@ -69,7 +71,6 @@ import os
 import pickle
 import sys
 from dataclasses import dataclass, replace
-from itertools import repeat
 
 import numpy as np
 
@@ -246,20 +247,15 @@ class _Kernel:
             if jumps.direction.state_independent:
                 g = jumps.direction.field_at(np.zeros(cfg.n_modes))
                 self.const_compensator = (self.comp_scale * g)[:, None]
-        # a drift that does not depend on the state enters the step as phi*d
-        self.fixed_drift = None if cfg.nonlinearity_on \
-            else self.const_compensator
 
     def coef(self, h) -> tuple:
-        """The step coefficients (decay, phi, beta sqrt(h), phi d) of length
-        h: (N, 1) columns for a float h, (steps, N, 1) arrays for a chunk's
+        """The step coefficients (decay, phi, beta sqrt(h)) of length h:
+        (N, 1) columns for a float h, (steps, N, 1) arrays for a chunk's
         lengths as a (steps, 1, 1) array, each step's slice the columns of
         its own length."""
         decay = np.exp(-self.alpha * h)
-        phi = (1.0 - decay) / self.alpha
-        return (decay, phi,
-                None if self.betas is None else self.betas * np.sqrt(h),
-                None if self.fixed_drift is None else phi * self.fixed_drift)
+        return (decay, (1.0 - decay) / self.alpha,
+                None if self.betas is None else self.betas * np.sqrt(h))
 
     def drift(self, a: np.ndarray) -> np.ndarray | None:
         """B plus the jump compensator at the states a, (N, R), as a new
@@ -283,18 +279,14 @@ class _Kernel:
                 out += comp
         return out
 
-    def _deterministic(self, c: tuple, a: np.ndarray) -> np.ndarray:
-        """decay a + phi d for the step coefficients c from the states a,
-        (N, R), with d the drift at a held over the step."""
-        decay, phi, _, pd = c
+    def _deterministic(self, decay, phi, a: np.ndarray) -> np.ndarray:
+        """decay a + phi d from the states a, (N, R), with d the drift at
+        a held over the step."""
         out = decay * a
-        if pd is not None:
-            out += pd
-        else:
-            d = self.drift(a)
-            if d is not None:
-                d *= phi
-                out += d
+        d = self.drift(a)
+        if d is not None:
+            d *= phi
+            out += d
         return out
 
     @staticmethod
@@ -311,9 +303,8 @@ class _Kernel:
         xi holds the standard normal draws of the step, (N, R), and is not
         written (None without Gaussian forcing).
         """
-        c = self.coef(h)
-        out = self._deterministic(c, a)
-        decay, _, bsh, _ = c
+        decay, phi, bsh = self.coef(h)
+        out = self._deterministic(decay, phi, a)
         if bsh is not None:
             out += self._gaussian_increment(decay, bsh, xi.copy())
         return out
@@ -465,8 +456,7 @@ class _Kernel:
                     break
                 i1 = min(i0 + chunk, n_steps)
                 steps = np.arange(i0, i1)[:, None, None]
-                c = self.coef((steps + 1) * dt - steps * dt)
-                decay, _, bsh, _ = c
+                decay, phi, bsh = self.coef((steps + 1) * dt - steps * dt)
                 path, split = self._plan_chunk(i0, i1, rngs, plans)
                 if path is None:
                     # x + -0.0 is x, bit for bit, so -0.0 is no noise at all
@@ -477,7 +467,8 @@ class _Kernel:
                 if lanes:
                     self._step_lanes(a, path, decay, stopped)
                 else:
-                    self._step_arrays(a, path, c, split, logs, stopped)
+                    self._step_arrays(a, path, decay, phi, split, logs,
+                                      stopped)
                 first = -(i0 + 1) % save_every
                 # row-major copies, (k, R, N), wherever a sum over modes
                 # runs: numpy adds a strided last axis in another order
@@ -509,12 +500,12 @@ class _Kernel:
                 a[:, list(stopped)] = 0.0
         return snaps, logs, blown, finish
 
-    def _step_arrays(self, a, path, c, split, logs, stopped) -> None:
+    def _step_arrays(self, a, path, decay, phi, split, logs,
+                     stopped) -> None:
         """Step j of the chunk takes all rows from a to path[j] at once,
-        with the coefficients c of the chunk, (steps, N, 1) arrays."""
-        rows = zip(*(repeat(None) if x is None else x for x in c))
-        for j, (cj, nxt) in enumerate(zip(rows, path)):
-            new = self._deterministic(cj, a)
+        with the chunk's decay and phi, (steps, N, 1) arrays."""
+        for j, (dj, pj, nxt) in enumerate(zip(decay, phi, path)):
+            new = self._deterministic(dj, pj, a)
             nxt += new               # not path[j] += new: that copies back
             for r, pieces, z, k in split.get(j, ()):
                 if r not in stopped:

@@ -32,7 +32,7 @@ resulting supermartingale along a simulated trajectory in log space.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from functools import partial
 
 import numpy as np
@@ -41,7 +41,6 @@ from .spectral import norm_h_sq, norm_v_sq, _quadratic_term
 from .noise import GaussianSpec, JumpSpec, hypothesis_constants
 from .integrator import SimConfig, Trajectory, ensemble, \
     require_no_blowups
-from .reports import EstimateReport
 
 __all__ = [
     "DriftConstants",
@@ -63,6 +62,27 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
+
+
+@dataclass(frozen=True, eq=False)
+class EstimateReport:
+    """A point estimate with uncertainty and provenance.
+
+    half_width is three standard errors unless a method says otherwise, so
+    value +/- half_width is a conservative confidence statement.  flags
+    carry caveats ("lower_bound", "censored", "nonstationary", ...).
+    """
+
+    name: str
+    value: float
+    half_width: float
+    n: int
+    method: str = ""
+    flags: tuple = ()
+    extra: dict = field(default_factory=dict)
+
+    def to_dict(self) -> dict:
+        return asdict(self)
 
 
 @dataclass(frozen=True, eq=False)

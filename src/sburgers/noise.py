@@ -95,8 +95,8 @@ class ExponentialMarks:
             return math.inf
         return 2.0 * self.rate / (self.rate - a) ** 3
 
-    def sample(self, rng: np.random.Generator, size=None):
-        return rng.exponential(1.0 / self.rate, size=size)
+    def sample(self, rng: np.random.Generator) -> float:
+        return rng.exponential(1.0 / self.rate)
 
     def quadrature(self):
         """(nodes, weights) with sum w_i g(u_i) ~ E[g(u)]."""
@@ -129,10 +129,8 @@ class DeterministicMarks:
     def tilted_second_moment(self, a: float) -> float:
         return self.value ** 2 * math.exp(a * self.value)
 
-    def sample(self, rng: np.random.Generator, size=None):
-        if size is None:
-            return self.value
-        return np.full(size, self.value)
+    def sample(self, rng: np.random.Generator) -> float:
+        return self.value
 
     def quadrature(self):
         return np.array([self.value]), np.array([1.0])

@@ -199,13 +199,11 @@ def _quadratic_gathered(a: np.ndarray) -> np.ndarray:
     C-contiguous (N, R) array, as the integrator passes it.  Each output
     element is a sum of n - 1 weighted products added in a fixed order
     along the leading axis of the gathered array, so a row's result does
-    not depend on R, on the other rows or on the layout of a.  The result
-    is the transposed view of a C-contiguous (N, R) array.
+    not depend on R, on the other rows or on the layout of a; at N = 1
+    the sum is empty and gives +0.0.  The result is the transposed view
+    of a C-contiguous (N, R) array.
     """
-    r, n = a.shape
-    if n == 1:
-        return np.zeros((r, 1))
-    pairs, weight = _coupling_tables(n)
+    pairs, weight = _coupling_tables(a.shape[1])
     g = np.ascontiguousarray(a.T).take(pairs, axis=0)   # (2, n - 1, n, R)
     terms = g[0]
     terms *= g[1]

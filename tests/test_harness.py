@@ -23,7 +23,7 @@ from sburgers.harness import (
 from sburgers.integrator import BLOCK_ROWS, BlowUp, BlowUpError, \
     EnsembleBlowUpError, ensemble, simulate
 from sburgers.lyapunov import tilt_constants
-from sburgers.noise import SaturatedDirection
+from sburgers.noise import DivergentMomentError, SaturatedDirection
 
 
 def base_raw(**overrides) -> dict:
@@ -110,6 +110,24 @@ class TestConfigParsing:
         assert isinstance(d, SaturatedDirection)
         assert d.amplitude == 2.0
         assert d.g0.coeffs[:2].tolist() == [0.5, 0.25]
+
+    def test_saturated_amplitude_scales_g_once(self):
+        # a mode direction's amplitude also scales g0, but field_at
+        # normalises g0, so G is amplitude tanh(||x||_H) e_2 either way
+        fields = []
+        for spec in ({"mode": 2}, {"coefficients": [0, 5]}):
+            raw = base_raw()
+            raw["jump"]["direction"] = dict(spec, kind="saturated",
+                                            amplitude=3)
+            fields.append(parse_config(raw).sim.jumps.direction)
+        x = np.random.default_rng(5).standard_normal((20, 4))
+        e2 = np.array([0.0, 1.0, 0.0, 0.0])
+        expected = 3.0 * np.tanh(np.sqrt((x ** 2).sum(axis=-1)))[:, None] * e2
+        assert fields[0].field_at(x).tobytes() == \
+            fields[1].field_at(x).tobytes()
+        assert np.allclose(fields[0].field_at(x), expected, rtol=1e-15,
+                           atol=0.0)
+        assert fields[0].sup_norm == fields[1].sup_norm == 3.0
 
     def test_explicit_betas(self):
         raw = base_raw(gaussian={"betas": [1.0, 0.5, 0.25, 0.125]})
@@ -979,6 +997,48 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: model.t_end")
         assert "experiment.mu_reference" in err
+
+    @pytest.mark.parametrize("estimator", ["mdp", "tailprobe"])
+    def test_self_referenced_mean_needs_only_its_batches(self, tmp_path,
+                                                         capsys, estimator):
+        # a_3 has 30 batch means on this path; psi, whose batch means the
+        # mean does not use, has only 24
+        raw = json.loads((ROOT / "configs" / "jumps_only.json").read_text())
+        raw["model"].update(t_end=60, dt=0.01, dt_save=0.05)
+        raw.update(gaussian={"betas": [0.3, 1, 1, 1]},
+                   experiment={"kind": "estimate", "n_traj": 4,
+                               "observable": {"kind": "mode", "k": 3}})
+        assert run_cli(tmp_path, capsys, raw, "estimate", estimator) == \
+            (0, "")
+
+    @pytest.mark.parametrize("command", [["verify"],
+                                         ["estimate", "expmoment"]],
+                             ids=["verify", "expmoment"])
+    def test_tilt_past_jump_limit_names_the_field(self, tmp_path, capsys,
+                                                  command):
+        raw = json.loads((ROOT / "configs" / "jumps_only.json").read_text())
+        raw["experiment"] = {"kind": command[0], "lam": 3.0, "n_traj": 4,
+                             "n_mart": 4}
+        assert run_cli(tmp_path, capsys, raw, *command) == \
+            (2, "config error: experiment.lam: 3.0 exceeds the admissible "
+                "maximum 2.0 of the jump forcing\n")
+        # the library keeps its own error for API callers
+        with pytest.raises(DivergentMomentError):
+            tilt_constants(parse_config(raw).sim, 3.0)
+
+    @pytest.mark.parametrize("command, observable, message", [
+        (["verify"], {"kind": "mode", "bogus": 1}, "bogus: unknown field"),
+        (["estimate", "hitting"], {"kind": "psi", "k": 1},
+         "k: unknown field"),
+        (["verify"], {"kind": "mode", "k": 9}, "k: 9 exceeds n_modes=4")],
+        ids=["verify-bogus", "hitting-psi-k", "verify-k-past-n_modes"])
+    def test_observable_checked_by_every_command(self, tmp_path, capsys,
+                                                 command, observable,
+                                                 message):
+        raw = base_raw(experiment={"kind": command[0], "n_traj": 4,
+                                   "observable": observable})
+        assert run_cli(tmp_path, capsys, raw, *command) == \
+            (2, f"config error: experiment.observable.{message}\n")
 
     @pytest.mark.parametrize("name", ["jumps_only", "default_run"])
     def test_sigma2_short_path_exit_two(self, tmp_path, capsys, name):

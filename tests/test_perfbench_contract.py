@@ -1,10 +1,11 @@
 """The names and configs the benchmark reaches inside sburgers.
 
 perfbench/tracing.py patches the functions of its SPANS and HOT tables by
-module and name, and perfbench/probe.py imports from the package.  A name
-deleted from sburgers would break a traced benchmark run or the probe
-without failing any other test.  Likewise every workload's config must
-still parse, or each run of that workload would fail.
+module and name, and perfbench/launch.py and perfbench/probe.py import from
+the package.  A name deleted from sburgers would break every benchmark run,
+a traced one or the probe without failing any other test.  Likewise every
+workload's config must still parse, or each run of that workload would
+fail.
 """
 
 import ast
@@ -37,13 +38,19 @@ def test_workload_config_parses(name):
     assert parse_config(workload.config(ROOT)).sim.n_modes >= 1
 
 
+def _resolves(module: str, name: str) -> bool:
+    if callable(getattr(importlib.import_module(module), name, None)):
+        return True
+    try:                        # a submodule, as in "from sburgers import cli"
+        importlib.import_module(f"{module}.{name}")
+    except ModuleNotFoundError:
+        return False
+    return True
+
+
 def _missing(pairs) -> list:
-    out = []
-    for module, name in pairs:
-        mod = importlib.import_module(module)
-        if not callable(getattr(mod, name, None)):
-            out.append(f"{module}.{name}")
-    return out
+    return [f"{module}.{name}" for module, name in pairs
+            if not _resolves(module, name)]
 
 
 def test_traced_names_resolve():
@@ -55,10 +62,23 @@ def test_traced_names_resolve():
     assert pairs and _missing(pairs) == []
 
 
+def _package_imports(script: str) -> list:
+    """(module, name) of each "from sburgers... import name" in script,
+    nested ones included."""
+    tree = ast.parse((PERFBENCH / script).read_text())
+    return [(node.module, alias.name) for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.module or "").split(".")[0] == "sburgers"
+            for alias in node.names]
+
+
 def test_probe_imports_resolve():
-    tree = ast.parse((PERFBENCH / "probe.py").read_text())
-    pairs = [(node.module, alias.name) for node in ast.walk(tree)
-             if isinstance(node, ast.ImportFrom)
-             and (node.module or "").split(".")[0] == "sburgers"
-             for alias in node.names]
+    pairs = _package_imports("probe.py")
     assert pairs and _missing(pairs) == []
+
+
+def test_launch_imports_resolve():
+    # launch.py imports the CLI and the config loader inside main(); a
+    # moved name would fail every benchmark run
+    pairs = _package_imports("launch.py")
+    assert ("sburgers", "cli") in pairs and _missing(pairs) == []
