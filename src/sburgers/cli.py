@@ -78,9 +78,6 @@ def main(argv=None) -> int:
     if args.command != "simulate" and args.threads < 1:
         print("error: --threads must be at least 1", file=sys.stderr)
         return EXIT_USAGE
-    if args.seed is not None and args.seed < 0:
-        print("error: --seed must be nonnegative", file=sys.stderr)
-        return EXIT_USAGE
 
     try:
         cfg = load_config(args.config, seed_override=args.seed)

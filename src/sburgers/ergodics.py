@@ -32,6 +32,7 @@ from .lyapunov import DriftConstants, EstimateReport, psi, \
 __all__ = [
     "Observable",
     "EnvelopeViolation",
+    "SeriesTooShort",
     "OccupationHistogram",
     "MdpConfig",
     "HittingSummary",
@@ -56,6 +57,10 @@ __all__ = [
 
 class EnvelopeViolation(ValueError):
     """An observable returned a value outside its declared envelope."""
+
+
+class SeriesTooShort(ValueError):
+    """A path has too few samples for the batch means asked of it."""
 
 
 # ------------------------------------------------------------- observables
@@ -146,13 +151,14 @@ def tanh_mode_observable(k: int, c: float = 1.0) -> Observable:
 def observable_dictionary(n_modes: int) -> tuple:
     """Fixed dictionary of 16 test observables for decay estimation.
 
-    Eight mode coefficients plus eight bounded tanh compositions.  A finite
-    dictionary under-estimates the supremum over the full envelope class,
-    so the distance D_dict(t) it gives bounds the psi-distance from below
-    at each t.  A rate fitted to D_dict(t) does not bound gamma from below.
+    Eight mode coefficients plus eight bounded tanh compositions; below 8
+    modes, the n_modes mode coefficients alone.  A finite dictionary
+    under-estimates the supremum over the full envelope class, so the
+    distance D_dict(t) it gives bounds the psi-distance from below at
+    each t.  A rate fitted to D_dict(t) does not bound gamma from below.
     """
     if n_modes < 8:
-        raise ValueError("dictionary needs at least 8 modes")
+        return tuple(mode_coefficient(k) for k in range(1, n_modes + 1))
     obs = [mode_coefficient(k) for k in range(1, 9)]
     for c in (1.0, 2.0):
         for k in range(1, 5):
@@ -290,21 +296,21 @@ def _batch_series(traj: Trajectory, obs: Observable, burn_in: float,
     mask = traj.times >= burn_in - 1e-12
     times = traj.times[mask]
     if times.size < 4:
-        raise ValueError("insufficient post-burn-in samples")
+        raise SeriesTooShort("insufficient post-burn-in samples")
     series = obs.values(traj.coeffs[mask])
     tau = integrated_autocorr_time(series)
     if n_batches is None:
         min_len = max(int(math.ceil(20.0 * tau)), 1)
         n_batches = min(series.size // min_len, 100)
         if n_batches < 30:
-            raise ValueError(
+            raise SeriesTooShort(
                 f"series too short: {series.size} samples support only "
                 f"{n_batches} batches of {min_len} (need 30)")
     elif n_batches < 30:
         raise ValueError("need at least 30 batches")
     b_len = series.size // n_batches
     if b_len < 1:
-        raise ValueError("series too short for that many batches")
+        raise SeriesTooShort("series too short for that many batches")
     used = series[:n_batches * b_len]
     return times, tau, b_len, used.reshape(n_batches, b_len).mean(axis=1)
 

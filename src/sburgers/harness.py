@@ -62,7 +62,7 @@ from .ergodics import (
     norm_h_squared_observable, psi_observable, tanh_mode_observable,
     observable_dictionary, occupation_measure, sigma_squared, ergodic_decay,
     MdpConfig, mdp_functional, hitting_times, deviation_tail_probe,
-    EnvelopeViolation, _batch_series, _sorted_unique,
+    SeriesTooShort, _batch_series, _sorted_unique,
 )
 
 __all__ = [
@@ -506,13 +506,14 @@ def _verify_jump_marks(jumps) -> tuple:
 
 
 def _tilt(exp: dict, jumps) -> float:
-    """experiment.lam, at most the largest tilt the jump forcing admits."""
+    """experiment.lam, below the jump forcing's largest tilt a0_max."""
     lam = _field(exp, "experiment", "lam", default=0.5, positive=True)
     a0_max = math.inf if jumps is None else \
         hypothesis_constants(jumps, 0.0).a0_max
-    if lam > a0_max:
-        raise ConfigError(f"experiment.lam: {lam} exceeds the admissible "
-                          f"maximum {a0_max} of the jump forcing")
+    if lam >= a0_max:
+        raise ConfigError(f"experiment.lam: {lam} "
+                          f"{'exceeds' if lam > a0_max else 'reaches'} the "
+                          f"admissible maximum {a0_max} of the jump forcing")
     return lam
 
 
@@ -628,13 +629,9 @@ def _est_gamma(cfg: RunConfig, exp: dict, n_workers: int):
                          sim.t_end, n_points)
     t_grid = np.round(t_grid / sim.dt_save) * sim.dt_save
     t_grid = _sorted_unique(t_grid)
-    if sim.n_modes >= 8:
-        observables = observable_dictionary(sim.n_modes)
-    else:
-        observables = tuple(mode_coefficient(k)
-                            for k in range(1, sim.n_modes + 1))
     rep = ergodic_decay(sim, sep * basis_field(1, sim.n_modes),
-                        zero_field(sim.n_modes), observables, t_grid,
+                        zero_field(sim.n_modes),
+                        observable_dictionary(sim.n_modes), t_grid,
                         n_traj, n_workers=n_workers)
     return [rep.to_dict()], [{"t": t, "d": d} for t, d in
                              zip(rep.extra["t_grid"],
@@ -650,9 +647,7 @@ def _est_sigma2(cfg: RunConfig, exp: dict, n_workers: int):
     try:
         rep = sigma_squared(traj, cfg.observable, burn_in=burn,
                             n_batches=n_batches)
-    except EnvelopeViolation:
-        raise
-    except ValueError as err:
+    except SeriesTooShort as err:
         raise _short_path(cfg, f"the batch means after experiment.burn_in "
                           f"({err})", "lengthen model.t_end, shorten "
                           "experiment.burn_in or set fewer "
@@ -667,9 +662,7 @@ def _time_average(cfg: RunConfig, traj: Trajectory) -> float:
     try:
         return float(_batch_series(traj, cfg.observable,
                                    0.1 * cfg.sim.t_end)[3].mean())
-    except EnvelopeViolation:
-        raise
-    except ValueError as err:
+    except SeriesTooShort as err:
         raise _short_path(cfg, f"the self-referenced mean ({err})",
                           "set experiment.mu_reference or lengthen "
                           "model.t_end") from err
@@ -722,7 +715,6 @@ def _est_hitting(cfg: RunConfig, exp: dict, n_workers: int):
     summary = hitting_times(replace(sim, x0=x0, t_end=t_max), constants,
                             n_traj, n_workers=n_workers)
     d = summary.to_dict()
-    d["config_hash"] = cfg.hash
     rows = [{"t": t, "log_survival": s}
             for t, s in zip(d["tail_times"], d["tail_log_survival"])]
     return [d], rows
@@ -752,7 +744,6 @@ def _est_occupation(cfg: RunConfig, exp: dict, n_workers: int):
     traj = simulate(cfg.sim)
     hist = occupation_measure(traj, cfg.observable, bins)
     rec = hist.to_dict()
-    rec["config_hash"] = cfg.hash
     rows = [{"left": le, "right": rt, "mass": m}
             for le, rt, m in zip(hist.edges[:-1], hist.edges[1:],
                                  hist.masses)]
@@ -775,9 +766,7 @@ def _est_tailprobe(cfg: RunConfig, exp: dict, n_workers: int):
         mu_ref = _time_average(cfg, simulate(cfg.sim))
     rows = deviation_tail_probe(cfg.sim, cfg.observable, r_grid, t_grid,
                                 n_traj, mu_ref, n_workers=n_workers)
-    recs = [dict(r, config_hash=cfg.hash, mu_reference=mu_ref)
-            for r in rows]
-    return recs, list(rows)
+    return [dict(r, mu_reference=mu_ref) for r in rows], list(rows)
 
 
 _EST_RUNNERS = {

@@ -669,19 +669,16 @@ def ensemble(cfg: SimConfig, n_traj: int, reducer, n_workers: int = 1,
         raise ValueError("n_traj must be >= 1")
     rows = _start_rows(cfg, [cfg.x0] if starts is None else starts)
     firsts = range(0, n_traj, BLOCK_ROWS)
-    n = min(n_workers, len(firsts)) if _FORK else 1
+    n = max(1, min(n_workers, len(firsts))) if _FORK else 1
 
     def run(share) -> list:
         return [_run_block(cfg, first, min(BLOCK_ROWS, n_traj - first),
                            reducer, until, rows, main and first == 0)
                 for first in share]
 
-    if n <= 1:
-        blocks = run(firsts)
-    else:
-        blocks = _fan_out(run, [firsts[len(firsts) * i // n:
-                                       len(firsts) * (i + 1) // n]
-                                for i in range(n)])
+    blocks = _fan_out(run, [firsts[len(firsts) * i // n:
+                                   len(firsts) * (i + 1) // n]
+                            for i in range(n)])
     values = [v for g in range(len(rows)) for _, groups in blocks
               for v in groups[g]]
     return (blocks[0][0], values) if main else values

@@ -92,15 +92,16 @@ class DriftConstants:
     hs_norm_sq: float
     m_est: float
     c1: float
-    k_radius: float
 
     def __post_init__(self):
         # c1 is not re-derived here so corrupted copies can serve as
-        # negative controls; k_radius must always track it
+        # negative controls
         if self.hs_norm_sq < 0 or self.m_est < 0:
             raise ValueError("forcing constants must be nonnegative")
-        if self.k_radius != 2.0 * self.c1:
-            raise ValueError("k_radius must equal 2 c1")
+
+    @property
+    def k_radius(self) -> float:
+        return 2.0 * self.c1
 
     @classmethod
     def from_specs(cls, gaussian: GaussianSpec | None,
@@ -109,11 +110,11 @@ class DriftConstants:
         m_est = hypothesis_constants(jumps, 0.0).m_est \
             if jumps is not None else 0.0
         c1 = 1.0 + 0.5 * (hs + m_est)
-        return cls(hs_norm_sq=hs, m_est=m_est, c1=c1, k_radius=2.0 * c1)
+        return cls(hs_norm_sq=hs, m_est=m_est, c1=c1)
 
     def corrupted(self, c1: float) -> "DriftConstants":
         """Copy with c1 replaced; negative-control helper."""
-        return DriftConstants(self.hs_norm_sq, self.m_est, c1, 2.0 * c1)
+        return DriftConstants(self.hs_norm_sq, self.m_est, c1)
 
 
 # ----------------------------------------------------------------- calculus

@@ -116,9 +116,14 @@ class TestObservable:
         for obs in d:
             obs.values(states)
 
-    def test_dictionary_needs_eight_modes(self):
-        with pytest.raises(ValueError):
-            observable_dictionary(4)
+    def test_dictionary_below_eight_modes(self):
+        # below 8 modes the dictionary is the n_modes mode coefficients
+        states = np.random.default_rng(5).normal(size=(10, 4))
+        d = observable_dictionary(4)
+        assert [o.name for o in d] == \
+            [mode_coefficient(k).name for k in range(1, 5)]
+        for k, obs in enumerate(d):
+            assert np.array_equal(obs.values(states), states[:, k])
 
     def test_matrix_and_single_agree(self):
         # a stack of paths gives each path's and each state's values bit

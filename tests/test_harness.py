@@ -748,7 +748,86 @@ def write_config(tmp_path, raw, name="run.json"):
     return str(p)
 
 
+def changed_raw(changes: dict, **overrides) -> dict:
+    """base_raw(**overrides) with each dotted path of changes set to its
+    value, or removed where the value is None."""
+    raw = base_raw(**overrides)
+    for path, value in changes.items():
+        *parents, key = path.split(".")
+        block = raw
+        for name in parents:
+            block = block[name]
+        if value is None:
+            del block[key]
+        else:
+            block[key] = value
+    return raw
+
+
+def first_state(out) -> str:
+    return (out / "trajectory.csv").read_text().splitlines()[2]
+
+
+def occupation_bins(out) -> tuple:
+    rec = json.loads((out / "estimate.jsonl").read_text().splitlines()[0])
+    return rec["edges"], len(rec["masses"])
+
+
+def verify_report(out) -> dict:
+    return json.loads((out / "verify_report.json").read_text())
+
+
+VERIFY_SMALL = {"kind": "verify", "n_states": 5, "n_mart": 2}
+
+
 class TestCli:
+    # paths no other test and no shipped run reaches, and the --seed bound,
+    # which the CLI leaves to the config parser: a config error names its
+    # field (exit 2), or a run succeeds and read(output directory) == value
+    @pytest.mark.parametrize("raw, command, expected", [
+        (changed_raw({"model.dt": 0.05, "model.dt_save": 0.07,
+                      "model.t_end": 0.7}), ["simulate"],
+         "model: dt_save must be an integer multiple of dt"),
+        ([base_raw()], ["simulate"], "top level: expected a JSON object"),
+        (base_raw(), ["simulate", "--seed", "-1"],
+         "seed: must be >= 0, got -1\n"),
+        (changed_raw({"model": 5}), ["simulate"],
+         "model: expected an object"),
+        (changed_raw({"jump.direction": {
+            "kind": "constant", "coefficients": [1.0, 0, 0, 0, 0]}}),
+         ["simulate"], "jump.direction.coefficients: "),
+        (changed_raw({"jump.marks.kind": 3}), ["simulate"],
+         "jump.marks.kind: "),
+        (changed_raw({"jump.intensity": -1.0}), ["simulate"],
+         "jump.intensity: must be nonnegative"),
+        (changed_raw({"model.initial_condition": {"kind": "zero"}}),
+         ["simulate"], (first_state, "0,0,0,0,0,0,0")),
+        (changed_raw({}, experiment={"kind": "estimate",
+                                     "bins": [-1, 0, 1]}),
+         ["estimate", "occupation"], (occupation_bins, ([-1, 0, 1], 2))),
+        (changed_raw({"jump.marks": {"kind": "deterministic", "value": 0.5}},
+                     experiment=VERIFY_SMALL), ["verify"],
+         (lambda out: verify_report(out)["checks"], 3 * 5)),
+        (changed_raw({"gaussian": None, "jump.direction": {
+            "kind": "constant", "coefficients": [0, 0, 0, 0]}},
+                     experiment=VERIFY_SMALL), ["verify"],
+         (lambda out: verify_report(out)["c1"], 1.0)),
+    ], ids=["dt_save-not-multiple", "top-level-list", "negative-seed-flag",
+            "model-not-object", "too-many-coefficients",
+            "mark-kind-not-string", "negative-intensity",
+            "zero-initial-condition", "occupation-edge-list",
+            "verify-deterministic-marks", "verify-zero-direction"])
+    def test_rarely_reached_paths(self, tmp_path, capsys, raw, command,
+                                  expected):
+        code, err = run_cli(tmp_path, capsys, raw, *command)
+        if isinstance(expected, str):
+            assert code == 2
+            assert err.startswith(f"config error: {expected}"), err
+        else:
+            read, value = expected
+            assert (code, err) == (0, "")
+            assert read(tmp_path / "out") == value
+
     def test_simulate_exit_zero(self, tmp_path, capsys):
         path = write_config(tmp_path, base_raw())
         code = main(["simulate", "--config", path,
@@ -1011,20 +1090,30 @@ class TestCli:
         assert run_cli(tmp_path, capsys, raw, "estimate", estimator) == \
             (0, "")
 
-    @pytest.mark.parametrize("command", [["verify"],
-                                         ["estimate", "expmoment"]],
-                             ids=["verify", "expmoment"])
+    @pytest.mark.parametrize("command, lam, verb", [
+        (["verify"], 3.0, "exceeds"),
+        (["estimate", "expmoment"], 3.0, "exceeds"),
+        (["verify"], 2.0, "reaches"),
+        (["estimate", "expmoment"], 2.0, "reaches")],
+        ids=["verify", "expmoment", "verify-at-limit", "expmoment-at-limit"])
     def test_tilt_past_jump_limit_names_the_field(self, tmp_path, capsys,
-                                                  command):
+                                                  command, lam, verb):
+        # at the limit 2.0 itself M_lambda is infinite: the supermartingale
+        # is 0 on every path and the moment bound infinite, so both runs
+        # would report a vacuous result
         raw = json.loads((ROOT / "configs" / "jumps_only.json").read_text())
-        raw["experiment"] = {"kind": command[0], "lam": 3.0, "n_traj": 4,
+        raw["experiment"] = {"kind": command[0], "lam": lam, "n_traj": 4,
                              "n_mart": 4}
         assert run_cli(tmp_path, capsys, raw, *command) == \
-            (2, "config error: experiment.lam: 3.0 exceeds the admissible "
+            (2, f"config error: experiment.lam: {lam} {verb} the admissible "
                 "maximum 2.0 of the jump forcing\n")
-        # the library keeps its own error for API callers
-        with pytest.raises(DivergentMomentError):
-            tilt_constants(parse_config(raw).sim, 3.0)
+        # the library keeps its own answers for API callers
+        sim = parse_config(raw).sim
+        if lam > 2.0:
+            with pytest.raises(DivergentMomentError):
+                tilt_constants(sim, lam)
+        else:
+            assert tilt_constants(sim, lam)[0] == math.inf
 
     @pytest.mark.parametrize("command, observable, message", [
         (["verify"], {"kind": "mode", "bogus": 1}, "bogus: unknown field"),

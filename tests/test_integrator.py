@@ -624,6 +624,8 @@ class TestEnsemble:
         serial = ensemble(cfg, 6, _final_mode, n_workers=1)
         parallel = ensemble(cfg, 6, _final_mode, n_workers=2)
         assert serial == parallel
+        # no worker count below one: the blocks run in this process
+        assert ensemble(cfg, 6, _final_mode, n_workers=0) == serial
 
     @pytest.mark.parametrize("n_workers", [1, 2])
     def test_starts_and_main_row(self, n_workers):

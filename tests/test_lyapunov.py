@@ -75,8 +75,8 @@ class TestDriftConstants:
         assert c.c1 == 0.875 and c.k_radius == 1.75
 
     def test_radius_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            DriftConstants(1.0, 0.5, 1.75, 3.0)
+        # k_radius is derived from c1, so no inconsistent pair can be built
+        assert DriftConstants(1.0, 0.5, 1.75).k_radius == 3.5
 
 
 def states(fields) -> np.ndarray:
@@ -271,7 +271,7 @@ class TestDriftCondition:
 
     def test_boundary_state_frozen(self):
         # c1 = 2 model, mode-1 state on the centre-set boundary
-        c = DriftConstants(hs_norm_sq=2.0, m_est=0.0, c1=2.0, k_radius=4.0)
+        c = DriftConstants(hs_norm_sq=2.0, m_est=0.0, c1=2.0)
         x = (basis_field(1, 8) * (4.0 / PI)).coeffs
         rep = drift_condition_check(x, c)
         assert rep.in_k

@@ -12,7 +12,11 @@ output directory:
   hitting also with --threads 2: sigma2, mdp and tailprobe need a path
   of t_end >= 100 for their batch means, and on such a path expmoment
   and the second gamma run are left out, which would take 30 s;
-- mdp and tailprobe on jumps_only at t_end 200 with mu_reference 0.
+- mdp and tailprobe on jumps_only at t_end 200 with mu_reference 0;
+- simulate, verify (--threads 1 and 2) and hitting on verify_drift with
+  a saturated jump direction, the one whose jump field depends on the
+  state;
+- simulate and verify on jumps_only with deterministic marks.
 
 It prints one JSON object: per run, the exit code, the sha256 of stdout
 with the output directory masked, and the sha256 of every output file but
@@ -62,14 +66,40 @@ def _runs(configs: Path, tmp: Path) -> list:
             if est in THREADED and not (est == "gamma" and long_path):
                 runs.append((f"estimate/{est}/{cfg}/threads2",
                              args + ["--threads", "2"]))
-    raw = json.loads((configs / "jumps_only.json").read_text())
-    raw["model"]["t_end"] = 200.0
-    raw["experiment"] = {"kind": "estimate", "mu_reference": 0.0}
-    long_jumps = tmp / "jumps_only_t200.json"
-    long_jumps.write_text(json.dumps(raw))
+
+    def derived(base: str, name: str, edit) -> str:
+        """Write configs/<base>.json, changed in place by edit, as name."""
+        raw = json.loads((configs / f"{base}.json").read_text())
+        edit(raw)
+        path = tmp / f"{name}.json"
+        path.write_text(json.dumps(raw))
+        return str(path)
+
+    def long_jumps(raw):
+        raw["model"]["t_end"] = 200.0
+        raw["experiment"] = {"kind": "estimate", "mu_reference": 0.0}
+
+    path = derived("jumps_only", "jumps_only_t200", long_jumps)
     for est in ("mdp", "tailprobe"):
         runs.append((f"estimate/{est}/jumps_only_t200",
-                     ["estimate", est, "--config", str(long_jumps)]))
+                     ["estimate", est, "--config", path]))
+
+    cfg = "verify_drift_saturated"
+    path = derived("verify_drift", cfg, lambda raw: raw["jump"].update(
+        direction={"kind": "saturated", "mode": 1}))
+    runs.append((f"simulate/{cfg}", ["simulate", "--config", path]))
+    for n in (1, 2):
+        runs.append((f"verify/{cfg}/threads{n}",
+                     ["verify", "--config", path, "--threads", str(n)]))
+    runs.append((f"estimate/hitting/{cfg}",
+                 ["estimate", "hitting", "--config", path]))
+
+    cfg = "jumps_only_deterministic"
+    path = derived("jumps_only", cfg, lambda raw: raw["jump"].update(
+        marks={"kind": "deterministic", "value": 0.5}))
+    runs.append((f"simulate/{cfg}", ["simulate", "--config", path]))
+    runs.append((f"verify/{cfg}/threads1",
+                 ["verify", "--config", path, "--threads", "1"]))
     return runs
 
 
