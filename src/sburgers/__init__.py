@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "spectral": ("SpectralField", "zero_field", "basis_field", "random_field",
-                 "norm_h", "norm_v", "burgers_nonlinearity"),
+                 "norm_h", "norm_v", "burgers_nonlinearity", "replace"),
     "noise": ("GaussianSpec", "JumpSpec", "ExponentialMarks",
               "DeterministicMarks", "ConstantDirection", "SaturatedDirection",
               "hypothesis_constants"),

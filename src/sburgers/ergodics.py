@@ -18,12 +18,11 @@ fails loudly instead of polluting an estimate.
 """
 
 import math
-from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
 
-from .spectral import SpectralField, mode_rates, norm_h_sq
+from .spectral import SpectralField, mode_rates, norm_h_sq, record, replace
 from .integrator import SimConfig, Trajectory, simulate, ensemble, \
     require_no_blowups, _is_multiple
 from .lyapunov import DriftConstants, EstimateReport, psi, \
@@ -77,7 +76,7 @@ def _norm_h_value(coeffs):
     return np.sqrt(norm_h_sq(coeffs))
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class Observable:
     """A named scalar function of the state with a declared envelope.
 
@@ -168,7 +167,7 @@ def observable_dictionary(n_modes: int) -> tuple:
 
 # ------------------------------------------------------ occupation measure
 
-@dataclass(frozen=True, eq=False)
+@record
 class OccupationHistogram:
     """Time-weighted distribution of an observable along a path."""
 
@@ -558,7 +557,7 @@ def _log_linear_fit(t: np.ndarray, logy: np.ndarray) -> tuple:
 
 # ----------------------------------------------------------- MDP functional
 
-@dataclass(frozen=True, eq=False)
+@record
 class MdpConfig:
     """Moderate-deviation normalization: scale(t) = prefactor * t^exponent.
 
@@ -597,7 +596,7 @@ def mdp_functional(traj: Trajectory, mdp_cfg: MdpConfig) -> float:
 
 # ------------------------------------------------------------ hitting times
 
-@dataclass(frozen=True, eq=False)
+@record
 class HittingSummary:
     """First-entrance statistics for the dissipation centre set."""
 

@@ -38,14 +38,14 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .spectral import SpectralField, basis_field, random_field, zero_field
+from .spectral import SpectralField, basis_field, random_field, \
+    zero_field, record, replace
 from .noise import (
     GaussianSpec, JumpSpec, ExponentialMarks, DeterministicMarks,
     ConstantDirection, SaturatedDirection, hypothesis_constants,
@@ -316,7 +316,7 @@ def parse_observable(block, path: str = "observable",
     return make(*args)
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class RunConfig:
     """Parsed run description plus the raw dict it came from."""
 

@@ -70,12 +70,11 @@ import math
 import os
 import pickle
 import sys
-from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .spectral import SpectralField, mode_rates, norm_h_sq, norm_v_sq, \
-    _quadratic_term
+    record, replace, _quadratic_term
 from .noise import GaussianSpec, JumpSpec, sample_jump_times
 
 __all__ = [
@@ -119,10 +118,9 @@ class BlowUpError(RuntimeError):
         self.norm = norm
 
 
-# BlowUp and JumpEvent are the package's only dataclasses compared by value
-# (ensemble blow-up records, jump logs).  Every other one is eq=False, so
-# no __eq__ or __hash__ is generated for it at import.
-@dataclass(frozen=True)
+# BlowUp and JumpEvent are the package's only records compared by value
+# (ensemble blow-up records, jump logs); every other one keeps identity.
+@record(eq=True)
 class BlowUp:
     """Per-trajectory blow-up record returned by ensemble runs."""
 
@@ -145,14 +143,14 @@ class EnsembleBlowUpError(BlowUpError):
                      f"first: index {first.index}, {self.args[0]}",)
 
 
-@dataclass(frozen=True)
+@record(eq=True)
 class JumpEvent:
     time: float
     mark: float
     pre_norm_h: float
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class SimConfig:
     """Model and discretisation parameters for one trajectory.
 
@@ -193,7 +191,7 @@ def _is_multiple(big: float, small: float) -> bool:
     return abs(r - round(r)) < 1e-9 * max(1.0, abs(r))
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class Trajectory:
     """Snapshots of one simulated path on the uniform save grid."""
 

@@ -32,12 +32,11 @@ resulting supermartingale along a simulated trajectory in log space.
 """
 
 import math
-from dataclasses import asdict, dataclass, field
 from functools import partial
 
 import numpy as np
 
-from .spectral import norm_h_sq, norm_v_sq, _quadratic_term
+from .spectral import norm_h_sq, norm_v_sq, record, _quadratic_term
 from .noise import GaussianSpec, JumpSpec, hypothesis_constants
 from .integrator import SimConfig, Trajectory, ensemble, \
     require_no_blowups
@@ -64,7 +63,7 @@ __all__ = [
 DEFAULT_TOL = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class EstimateReport:
     """A point estimate with uncertainty and provenance.
 
@@ -79,13 +78,17 @@ class EstimateReport:
     n: int
     method: str = ""
     flags: tuple = ()
-    extra: dict = field(default_factory=dict)
+    extra: dict = None           # None: a fresh empty dict
+
+    def __post_init__(self):
+        if self.extra is None:
+            object.__setattr__(self, "extra", {})
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {name: getattr(self, name) for name in self._fields}
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class DriftConstants:
     """Forcing summary (hs_norm_sq, m_est) and derived (c1, k_radius)."""
 
@@ -144,7 +147,7 @@ def hess_psi_apply(a: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 # ------------------------------------------------------- generator and drift
 
-@dataclass(frozen=True, eq=False)
+@record
 class GeneratorTerms:
     """Term-by-term evaluation of the generator acting on psi, per state."""
 
@@ -217,7 +220,7 @@ def generator_upper_bound(a: np.ndarray,
                           bound - value, ok)
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class DriftReport:
     """Outcome of the drift-condition check, per state."""
 

@@ -17,14 +17,18 @@ evaluates B on a whole batch of states at once; both routes of the sum give
 each row the same bits whatever the batch size and whatever its memory
 layout, so an ensemble member does not depend on which rows it was stepped
 with.
+
+Every value class of the package is a record: a frozen class whose shared
+methods the record decorator installs, so no code is generated at import.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
+    "record",
+    "replace",
     "SpectralField",
     "zero_field",
     "basis_field",
@@ -49,7 +53,78 @@ GATHER_LIMIT = 32
 _PI_OVER_SQRT2 = np.pi / np.sqrt(2.0)
 
 
-@dataclass(frozen=True, eq=False)
+# ------------------------------------------------------------------ records
+
+_MISSING = object()
+
+
+def _record_init(self, *args, **kwargs):
+    cls = type(self)
+    names = cls._fields
+    if len(args) > len(names) or kwargs.keys() & names[:len(args)]:
+        raise TypeError(f"{cls.__name__}() cannot bind {len(args)} "
+                        f"positional and the keyword arguments {[*kwargs]} "
+                        f"to the fields {names}")
+    values = dict(zip(names, args), **kwargs)
+    for name in names:
+        value = values.pop(name, cls._defaults.get(name, _MISSING))
+        if value is _MISSING:
+            raise TypeError(f"{cls.__name__}() missing field {name!r}")
+        self.__dict__[name] = value
+    if values:
+        raise TypeError(f"{cls.__name__}() got unknown fields {[*values]}")
+    if hasattr(cls, "__post_init__"):
+        self.__post_init__()
+
+
+def _record_frozen(self, name, value=None):
+    raise AttributeError(f"cannot set or delete {name!r} of a frozen record")
+
+
+def _record_repr(self):
+    return f"{type(self).__qualname__}(" + ", ".join(
+        f"{name}={getattr(self, name)!r}" for name in self._fields) + ")"
+
+
+def _record_eq(self, other):
+    return self.__dict__ == other.__dict__ \
+        if other.__class__ is self.__class__ else NotImplemented
+
+
+def _record_hash(self):
+    return hash(tuple(getattr(self, name) for name in self._fields))
+
+
+def record(cls=None, *, eq=False):
+    """Class decorator for a frozen record of the annotated fields.
+
+    _fields names them in order; a class-level value is a default.  The
+    shared __init__ binds arguments as a frozen dataclass does, then calls
+    __post_init__, which may set a field with object.__setattr__.  The
+    repr is Name(field=value, ...) unless the class defines one.  With
+    eq=True a record compares and hashes by its fields, else by identity.
+    """
+    if cls is None:
+        return lambda c: record(c, eq=eq)
+    cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+    cls._defaults = {name: cls.__dict__[name] for name in cls._fields
+                     if name in cls.__dict__}
+    cls.__init__ = _record_init
+    cls.__setattr__ = cls.__delattr__ = _record_frozen
+    if "__repr__" not in cls.__dict__:
+        cls.__repr__ = _record_repr
+    if eq:
+        cls.__eq__, cls.__hash__ = _record_eq, _record_hash
+    return cls
+
+
+def replace(obj, **changes):
+    """A copy of record obj with changed fields, checked again by __init__."""
+    old = {name: getattr(obj, name) for name in obj._fields}
+    return type(obj)(**{**old, **changes})
+
+
+@record
 class SpectralField:
     """Immutable vector of sine coefficients (a_1, ..., a_N)."""
 

@@ -10,7 +10,7 @@ that sit away from their own confidence boundaries.
 import json
 import math
 import time
-from dataclasses import replace
+from sburgers import replace
 
 import numpy as np
 

@@ -7,7 +7,7 @@ on short runs.
 """
 
 import math
-from dataclasses import replace
+from sburgers import replace
 from functools import partial
 
 import numpy as np

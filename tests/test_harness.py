@@ -923,8 +923,9 @@ class TestCli:
 
     @pytest.mark.parametrize("prefix", [
         "scipy",                # numpy is the only run-time dependency
-        "numpy.polynomial",     # imported where the Laguerre rule is built
+        "numpy.polynomial",     # the Laguerre rule is stored, not built
         "signal",               # imported where a failed fan-out kills
+        "dataclasses",          # records are built without generated code
     ])
     def test_cli_does_not_import(self, prefix):
         # start-up loads only what every command needs before it runs
@@ -1165,25 +1166,31 @@ class TestCli:
 
     def test_hitting_and_gamma_leave_numpy_ma_unloaded(self, tmp_path):
         # np.quantile and a plain np.unique import numpy.ma (about 13 ms);
-        # the estimators compute the same numbers without them
+        # the estimators compute the same numbers without them.  verify
+        # reads the stored Gauss-Laguerre rule, so no run loads
+        # numpy.polynomial either
         raw = base_raw(experiment={"kind": "estimate", "n_traj": 40,
-                                   "t_max": 0.2, "initial_v_norm": 7.0})
+                                   "t_max": 0.2, "initial_v_norm": 7.0,
+                                   "n_states": 5, "n_mart": 4})
         raw["model"].update(n_modes=8, dt=2e-3, t_end=0.2)
         path = write_config(tmp_path, raw)
         src = str(Path(sburgers.__file__).resolve().parents[1])
         code = ("import sys\n"
                 "from sburgers.cli import main\n"
-                "for name in ('hitting', 'gamma'):\n"
-                f"    code = main(['estimate', name, '--config', {path!r}, "
+                "for verb in (['estimate', 'hitting'], ['estimate', 'gamma'],"
+                " ['verify']):\n"
+                f"    code = main([*verb, '--config', {path!r}, "
                 f"'--out', {str(tmp_path / 'out')!r}])\n"
-                "    print(name, code, 'numpy.ma' in sys.modules)\n")
+                "    print(verb[-1], code, 'numpy.ma' in sys.modules,\n"
+                "          'numpy.polynomial' in sys.modules)\n")
         run = subprocess.run([sys.executable, "-c", code],
                              env=dict(os.environ, PYTHONPATH=src),
                              capture_output=True, text=True, timeout=60,
                              check=True)
         seen = [ln for ln in run.stdout.splitlines()
-                if ln.startswith(("hitting ", "gamma "))]
-        assert seen == ["hitting 0 False", "gamma 0 False"]
+                if ln.startswith(("hitting ", "gamma ", "verify "))]
+        assert seen == ["hitting 0 False False", "gamma 0 False False",
+                        "verify 0 False False"]
 
     def test_expmoment_domain_error_exit_two(self, tmp_path, capsys):
         raw = base_raw(experiment={"kind": "estimate", "theta": 0.5,

@@ -5,6 +5,7 @@ mild solution (tests/oracles.py), which shares no code with the stepper.
 """
 
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -17,7 +18,7 @@ from sburgers.spectral import (
     SpectralField, basis_field, zero_field, random_field, norm_h, mode_rates,
     norm_h_sq, burgers_nonlinearity,
 )
-from dataclasses import replace
+from sburgers import replace
 from functools import partial
 
 from sburgers.noise import (
@@ -26,8 +27,8 @@ from sburgers.noise import (
 )
 from sburgers import integrator
 from sburgers.integrator import (
-    BLOCK_ROWS, BlowUp, BlowUpError, EnsembleBlowUpError, SimConfig,
-    Trajectory, _Kernel, simulate, ensemble, derive_seed,
+    BLOCK_ROWS, BlowUp, BlowUpError, EnsembleBlowUpError, JumpEvent,
+    SimConfig, Trajectory, _Kernel, simulate, ensemble, derive_seed,
     require_no_blowups,
 )
 
@@ -85,6 +86,16 @@ class TestConfigValidation:
             spec = JumpSpec(1.0, ExponentialMarks(2.0), direction(g0))
             with pytest.raises(ValueError, match="jump direction length"):
                 SimConfig(n_modes=4, jumps=spec)
+
+    def test_replace_checks_again(self):
+        with pytest.raises(ValueError, match="dt_save"):
+            replace(SimConfig(), dt=0.3)
+        with pytest.raises(TypeError, match=r"unknown fields \['n_mode'\]"):
+            replace(SimConfig(), n_mode=4)
+
+    def test_missing_field_rejected(self):
+        with pytest.raises(TypeError, match="missing field 'pre_norm_h'"):
+            JumpEvent(0.5, 1.0)
 
 
 class TestDeterministicFlow:
@@ -618,6 +629,21 @@ class TestEnsemble:
         direct = simulate(
             SimConfig(**{**cfg.__dict__, "seed": derive_seed(9, 0)}))
         assert out[0] == direct.coeffs[-1, 0]
+
+    def test_records_survive_pickling(self):
+        # the fan-out pipes carry blow-up records and paths between processes
+        path = simulate(jumps_only_config())
+        assert path.jump_log
+        for rec in (BlowUp(3, 0.25, 2e6), path.jump_log[0]):
+            back = pickle.loads(pickle.dumps(rec))
+            assert back == rec and hash(back) == hash(rec)
+        back = pickle.loads(pickle.dumps(path))
+        assert np.array_equal(back.times, path.times)
+        assert np.array_equal(back.coeffs, path.coeffs)
+        assert back.jump_log == path.jump_log
+        assert back.stopped is path.stopped
+        with pytest.raises(AttributeError):
+            back.stopped = True
 
     def test_worker_count_invariance(self):
         cfg = linear_single_mode(0.05, seed=33)

@@ -9,7 +9,6 @@ states go in as coefficient arrays of shape (..., N), and a block of states
 must give each row the bits it gets alone.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -482,21 +481,21 @@ class TestBatchInvariance:
         for specs in ((gauss, jumps), (None, jumps), (gauss, None)):
             terms = generator_upper_bound(a, c, *specs)
             solo = [generator_upper_bound(r, c, *specs) for r in a]
-            for f in dataclasses.fields(terms):
-                whole = getattr(terms, f.name)
+            for name in terms._fields:
+                whole = getattr(terms, name)
                 if np.ndim(whole) == 0:
-                    assert all(getattr(t, f.name) == whole for t in solo)
+                    assert all(getattr(t, name) == whole for t in solo)
                     continue
                 assert np.shape(whole) == (len(a),)
-                _assert_rows_match(whole, [getattr(t, f.name) for t in solo],
-                                   same_v, f.name in V_FIELDS)
+                _assert_rows_match(whole, [getattr(t, name) for t in solo],
+                                   same_v, name in V_FIELDS)
 
         for specs in ((gauss, jumps), (None, None)):
             rep = drift_condition_check(a, c, *specs)
             solo = [drift_condition_check(r, c, *specs) for r in a]
-            for f in dataclasses.fields(rep):
-                if f.name == "generator":
+            for name in rep._fields:
+                if name == "generator":
                     continue
-                _assert_rows_match(getattr(rep, f.name),
-                                   [getattr(t, f.name) for t in solo],
-                                   same_v, f.name in V_FIELDS)
+                _assert_rows_match(getattr(rep, name),
+                                   [getattr(t, name) for t in solo],
+                                   same_v, name in V_FIELDS)

@@ -76,6 +76,16 @@ class TestMarkLaws:
         assert s1 is s2 and w1 is w2
         assert not s1.flags.writeable and not w1.flags.writeable
 
+    def test_stored_laguerre_rule_matches_laggauss(self):
+        # the table is what laggauss(80) returned where it was written;
+        # another LAPACK may differ from it in the last bits
+        from numpy.polynomial.laguerre import laggauss
+
+        s, w = _laguerre_rule()
+        ref_s, ref_w = laggauss(80)
+        np.testing.assert_allclose(s, ref_s, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(w, ref_w, rtol=1e-13, atol=0.0)
+
     def test_deterministic_marks(self):
         law = DeterministicMarks(value=0.3)
         assert law.mean == 0.3
