@@ -106,7 +106,7 @@ def record(cls=None, *, eq=False):
     """
     if cls is None:
         return lambda c: record(c, eq=eq)
-    cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+    cls._fields = tuple(cls.__annotations__)
     cls._defaults = {name: cls.__dict__[name] for name in cls._fields
                      if name in cls.__dict__}
     cls.__init__ = _record_init

@@ -68,6 +68,7 @@ def test_records_are_frozen_and_print_their_fields():
     classes = {obj for m in _modules() for obj in vars(m).values()
                if isinstance(obj, type) and hasattr(obj, "_fields")
                and obj.__module__ == m.__name__}
+    assert all(c._fields for c in classes)
     assert {c.__name__ for c in classes if "__eq__" in vars(c)} == \
         {"BlowUp", "JumpEvent"}
     for c in classes:
