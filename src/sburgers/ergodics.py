@@ -732,8 +732,9 @@ def deviation_tail_probe(cfg: SimConfig, obs: Observable, r_grid, t_grid,
     """
     t_grid = sorted(float(t) for t in t_grid)
     r_grid = [float(r) for r in r_grid]
-    if t_grid[0] <= 0:
-        raise ValueError("probe times must be positive")
+    if not round(t_grid[0] / cfg.dt_save) >= 1:
+        raise ValueError(f"probe time {t_grid[0]} is not past snapshot 0; "
+                         "probe times must be at least one save interval")
     cfg = replace(cfg, t_end=t_grid[-1])
     indices = _grid_indices(t_grid, cfg)
 

@@ -124,16 +124,25 @@ class ConfigError(ValueError):
 
 
 def _as_number(value, path: str, positive=False, nonnegative=False,
-               below=None) -> float:
+               below=None, save_interval=None) -> float:
+    """value as a float; save_interval requires a positive integer
+    multiple of it (a time on the save grid past t = 0)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:
+        raise ConfigError(f"{path}: too large for a float") from None
     if positive and not v > 0:
         raise ConfigError(f"{path}: must be positive, got {v}")
     if nonnegative and v < 0:
         raise ConfigError(f"{path}: must be nonnegative, got {v}")
     if below is not None and not v < below:
         raise ConfigError(f"{path}: must be below {below}, got {v}")
+    if save_interval is not None and not (
+            _is_multiple(v, save_interval) and round(v / save_interval) >= 1):
+        raise ConfigError(f"{path}: must be a positive integer multiple of "
+                          f"model.dt_save = {save_interval}, got {v}")
     return v
 
 
@@ -387,23 +396,13 @@ def load_config(path, seed_override: int | None = None) -> RunConfig:
 
 # -------------------------------------------------------------- persistence
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
 def write_trajectory_csv(path, traj: Trajectory, cfg_hash: str) -> None:
-    n = traj.n_modes
-    nh = traj.norm_h()
-    nv = traj.norm_v()
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# config_hash={cfg_hash}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"a_{k}" for k in range(1, n + 1)]
-                        + ["norm_h", "norm_v"])
-        for i in range(traj.n_snapshots):
-            writer.writerow([_fmt(traj.times[i])]
-                            + [_fmt(c) for c in traj.coeffs[i]]
-                            + [_fmt(nh[i]), _fmt(nv[i])])
+    names = (["t"] + [f"a_{k}" for k in range(1, traj.n_modes + 1)]
+             + ["norm_h", "norm_v"])
+    table = np.column_stack((traj.times, traj.coeffs, traj.norm_h(),
+                             traj.norm_v()))
+    _flat_csv(path, (dict(zip(names, row)) for row in table.tolist()),
+              cfg_hash)
 
 
 def write_jump_log(path, traj: Trajectory, cfg_hash: str) -> None:
@@ -420,7 +419,6 @@ def write_manifest(path, cfg: RunConfig, outputs, blowup_count: int,
         "started_at": started,
         "finished_at": finished,
         "seed": cfg.sim.seed,
-        "trajectory_seeds": [cfg.sim.seed],
         "blowup_count": blowup_count,
         "outputs": [Path(o).name for o in outputs],
     }
@@ -435,18 +433,19 @@ def _records_jsonl(path, records) -> None:
 
 
 def _flat_csv(path, rows, cfg_hash: str) -> None:
-    """Write homogeneous dict rows as CSV with a hash comment line."""
-    rows = list(rows)
+    """Write homogeneous dict rows as CSV with a hash comment line; rows
+    may be a generator, written as it yields."""
     with open(path, "w", newline="") as fh:
         fh.write(f"# config_hash={cfg_hash}\n")
-        if not rows:
-            return
-        names = list(rows[0].keys())
         writer = csv.writer(fh)
-        writer.writerow(names)
+        names = None
         for row in rows:
+            if names is None:
+                names = list(row)
+                writer.writerow(names)
             writer.writerow([
-                _fmt(row[k]) if isinstance(row[k], float) else row[k]
+                f"{float(row[k]):.17g}" if isinstance(row[k], float)
+                else row[k]
                 for k in names])
 
 
@@ -508,8 +507,7 @@ def _verify_jump_marks(jumps) -> tuple:
 def _tilt(exp: dict, jumps) -> float:
     """experiment.lam, below the jump forcing's largest tilt a0_max."""
     lam = _field(exp, "experiment", "lam", default=0.5, positive=True)
-    a0_max = math.inf if jumps is None else \
-        hypothesis_constants(jumps, 0.0).a0_max
+    a0_max = hypothesis_constants(jumps, 0.0).a0_max
     if lam >= a0_max:
         raise ConfigError(f"experiment.lam: {lam} "
                           f"{'exceeds' if lam > a0_max else 'reaches'} the "
@@ -704,10 +702,7 @@ def _est_hitting(cfg: RunConfig, exp: dict, n_workers: int):
     sim = cfg.sim
     n_traj = _field(exp, "experiment", "n_traj", _as_int, 200, minimum=2)
     t_max = _field(exp, "experiment", "t_max", default=sim.t_end,
-                   positive=True)
-    if not _is_multiple(t_max, sim.dt_save):
-        raise ConfigError(f"experiment.t_max: must be an integer multiple "
-                          f"of model.dt_save = {sim.dt_save}, got {t_max}")
+                   save_interval=sim.dt_save)
     constants = DriftConstants.from_specs(sim.gaussian, sim.jumps)
     v_norm = _field(exp, "experiment", "initial_v_norm",
                     default=2.0 * constants.k_radius, positive=True)
@@ -754,12 +749,7 @@ def _est_tailprobe(cfg: RunConfig, exp: dict, n_workers: int):
     r_grid = _field(exp, "experiment", "r_grid", _as_number_list,
                     [0.0, 0.05, 0.1], nonnegative=True)
     t_grid = _field(exp, "experiment", "t_grid", _as_number_list,
-                    [cfg.sim.t_end], positive=True)
-    for i, t in enumerate(t_grid):
-        if not _is_multiple(t, cfg.sim.dt_save):
-            raise ConfigError(f"experiment.t_grid[{i}]: must be an integer "
-                              f"multiple of model.dt_save = "
-                              f"{cfg.sim.dt_save}, got {t}")
+                    [cfg.sim.t_end], save_interval=cfg.sim.dt_save)
     n_traj = _field(exp, "experiment", "n_traj", _as_int, 100, minimum=2)
     mu_ref = _field(exp, "experiment", "mu_reference", default=None)
     if mu_ref is None:

@@ -188,7 +188,7 @@ class SimConfig:
 
 def _is_multiple(big: float, small: float) -> bool:
     r = big / small
-    return abs(r - round(r)) < 1e-9 * max(1.0, abs(r))
+    return math.isfinite(r) and abs(r - round(r)) < 1e-9 * max(1.0, abs(r))
 
 
 @record

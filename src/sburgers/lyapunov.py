@@ -110,8 +110,7 @@ class DriftConstants:
     def from_specs(cls, gaussian: GaussianSpec | None,
                    jumps: JumpSpec | None) -> "DriftConstants":
         hs = gaussian.hs_norm_sq if gaussian is not None else 0.0
-        m_est = hypothesis_constants(jumps, 0.0).m_est \
-            if jumps is not None else 0.0
+        m_est = hypothesis_constants(jumps, 0.0).m_est
         c1 = 1.0 + 0.5 * (hs + m_est)
         return cls(hs_norm_sq=hs, m_est=m_est, c1=c1)
 
@@ -128,13 +127,13 @@ def _col(values) -> np.ndarray:
 
 
 def psi(a: np.ndarray) -> np.ndarray:
-    """(1 + ||x||_H^2)^(1/2); between 1 and 1 + ||x||_H."""
-    return np.sqrt(1.0 + norm_h_sq(a))
+    """(1 + ||x||_H^2)^(1/2) = psi_lambda(x, 1); in [1, 1 + ||x||_H]."""
+    return psi_lambda(a, 1.0)
 
 
 def grad_psi(a: np.ndarray) -> np.ndarray:
-    """x / psi(x); norm strictly below 1."""
-    return a / _col(psi(a))
+    """x / psi(x), grad_psi_lambda at lambda = 1; norm strictly below 1."""
+    return grad_psi_lambda(a, 1.0)
 
 
 def hess_psi_apply(a: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -291,8 +290,7 @@ def h_upper(a: np.ndarray, lam: float, m_lambda: float,
 def tilt_constants(cfg: SimConfig, lam: float) -> tuple:
     """(M_lambda, ||Q||_HS^2) of cfg's forcing at tilt lambda, the two
     constants of h_upper; each is 0 when its forcing is off."""
-    m_lambda = hypothesis_constants(cfg.jumps, lam).m_lambda_est \
-        if cfg.jumps is not None else 0.0
+    m_lambda = hypothesis_constants(cfg.jumps, lam).m_lambda_est
     hs = cfg.gaussian.hs_norm_sq if cfg.gaussian is not None else 0.0
     return m_lambda, hs
 

@@ -319,15 +319,18 @@ def sample_jump_times(spec: JumpSpec, t_end: float,
     return events
 
 
-def hypothesis_constants(spec: JumpSpec, lam: float) -> HypothesisReport:
+def hypothesis_constants(spec: JumpSpec | None,
+                         lam: float) -> HypothesisReport:
     """Evaluate the admissibility constants M, M_lambda, a0_max in closed form.
 
-    Raises DivergentMomentError when lam exceeds a0_max; at lam == a0_max
-    the moment is reported as inf (the tilt boundary itself diverges).
+    No jump forcing (spec None) or a zero direction gives M = M_lambda = 0
+    and a0_max = inf.  Raises DivergentMomentError when lam exceeds a0_max;
+    at lam == a0_max the moment is reported as inf (the tilt boundary
+    itself diverges).
     """
     if lam < 0:
         raise ValueError("tilt must be nonnegative")
-    sup = spec.direction.sup_norm
+    sup = 0.0 if spec is None else spec.direction.sup_norm
     if sup == 0.0:
         return HypothesisReport(lam, 0.0, 0.0, math.inf)
     a0_max = spec.marks.tilt_limit / sup

@@ -647,3 +647,12 @@ class TestDeviationProbe:
         with pytest.raises(ValueError):
             deviation_tail_probe(cfg, mode_coefficient(1), (0.1,),
                                  (0.033,), 4, 0.0)
+
+    def test_time_on_snapshot_zero_rejected(self):
+        # 1e-12 is within the multiple test's slack of 0 save intervals:
+        # its running average would be 0/0
+        cfg = SimConfig(n_modes=1, dt=0.01, t_end=1.0, dt_save=0.05,
+                        gaussian=GaussianSpec(np.array([1.0])))
+        with pytest.raises(ValueError, match="snapshot 0"):
+            deviation_tail_probe(cfg, mode_coefficient(1), (0.1,),
+                                 (1e-12, 1.0), 4, 0.0)

@@ -396,6 +396,7 @@ class TestSimulateRunner:
         assert manifest["config_hash"] == cfg.hash
         assert manifest["seed"] == 3
         assert manifest["blowup_count"] == 0
+        assert "trajectory_seeds" not in manifest
         assert "trajectory.csv" in manifest["outputs"]
         assert manifest["finished_at"] >= manifest["started_at"]
         assert res["snapshots"] == 6
@@ -812,11 +813,26 @@ class TestCli:
             "kind": "constant", "coefficients": [0, 0, 0, 0]}},
                      experiment=VERIFY_SMALL), ["verify"],
          (lambda out: verify_report(out)["c1"], 1.0)),
+        (changed_raw({"model.t_end": 10 ** 400}), ["simulate"],
+         "model.t_end: too large for a float"),
+        (changed_raw({"model.t_end": 1e308}), ["simulate"],
+         "model: t_end must be an integer multiple of dt_save"),
+        (changed_raw({}, experiment={"kind": "estimate", "n_traj": 4,
+                                     "mu_reference": 0.0,
+                                     "t_grid": [1e-12, 0.05]}),
+         ["estimate", "tailprobe"], "experiment.t_grid[0]: must be a "
+         "positive integer multiple of model.dt_save"),
+        (changed_raw({}, experiment={"kind": "estimate", "n_traj": 4,
+                                     "t_max": 1e-12}),
+         ["estimate", "hitting"], "experiment.t_max: must be a positive "
+         "integer multiple of model.dt_save"),
     ], ids=["dt_save-not-multiple", "top-level-list", "negative-seed-flag",
             "model-not-object", "too-many-coefficients",
             "mark-kind-not-string", "negative-intensity",
             "zero-initial-condition", "occupation-edge-list",
-            "verify-deterministic-marks", "verify-zero-direction"])
+            "verify-deterministic-marks", "verify-zero-direction",
+            "number-overflows-float", "step-count-overflows-float",
+            "t_grid-below-save-interval", "t_max-below-save-interval"])
     def test_rarely_reached_paths(self, tmp_path, capsys, raw, command,
                                   expected):
         code, err = run_cli(tmp_path, capsys, raw, *command)

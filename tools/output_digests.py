@@ -16,7 +16,10 @@ output directory:
 - simulate, verify (--threads 1 and 2) and hitting on verify_drift with
   a saturated jump direction, the one whose jump field depends on the
   state;
-- simulate and verify on jumps_only with deterministic marks.
+- simulate and verify on jumps_only with deterministic marks;
+- three config errors on jumps_only, which exit 2: model.t_end too large
+  for a float, a tailprobe experiment.t_grid time and a hitting
+  experiment.t_max below one save interval.
 
 It prints one JSON object: per run, the exit code, the sha256 of stdout
 with the output directory masked, and the sha256 of every output file but
@@ -100,6 +103,19 @@ def _runs(configs: Path, tmp: Path) -> list:
     runs.append((f"simulate/{cfg}", ["simulate", "--config", path]))
     runs.append((f"verify/{cfg}/threads1",
                  ["verify", "--config", path, "--threads", "1"]))
+
+    cfg = "jumps_only_t_end_overflow"
+    path = derived("jumps_only", cfg, lambda raw: raw["model"].update(
+        t_end=10 ** 400))
+    runs.append((f"simulate/{cfg}", ["simulate", "--config", path]))
+    for est, key, value in (("tailprobe", "t_grid", [1e-12, 1.0]),
+                            ("hitting", "t_max", 1e-12)):
+        cfg = f"jumps_only_{key}_below_dt_save"
+        path = derived("jumps_only", cfg, lambda raw: raw.update(
+            experiment={"kind": "estimate", "mu_reference": 0.0,
+                        key: value}))
+        runs.append((f"estimate/{est}/{cfg}",
+                     ["estimate", est, "--config", path]))
     return runs
 
 
