@@ -24,7 +24,7 @@ import numpy as np
 
 from .spectral import SpectralField, mode_rates, norm_h_sq, record, replace
 from .integrator import SimConfig, Trajectory, simulate, ensemble, \
-    require_no_blowups, _is_multiple
+    _is_multiple
 from .lyapunov import DriftConstants, EstimateReport, psi, \
     _cumulative_trapezoid
 
@@ -461,8 +461,7 @@ def ergodic_decay(cfg: SimConfig, x0: SpectralField, y0: SpectralField,
 
     # pair i is trajectory i from both starts: same sub-seed, same noise
     reducer = partial(_snapshots_at, indices=tuple(indices.tolist()))
-    paths = require_no_blowups(ensemble(cfg, n_traj, reducer, n_workers,
-                                        starts=(x0, y0)))
+    paths = ensemble(cfg, n_traj, reducer, n_workers, starts=(x0, y0))
     from_x = np.stack(paths[:n_traj])                     # (n_traj, n_t, N)
     from_y = np.stack(paths[n_traj:])
 
@@ -655,9 +654,8 @@ def hitting_times(cfg: SimConfig, constants: DriftConstants, n_traj: int,
     before it enters.
     """
     until = partial(_inside_v_ball, radius=constants.k_radius)
-    out = require_no_blowups(ensemble(cfg, n_traj, _entrance_time,
-                                      n_workers=n_workers, until=until))
-    taus = np.array(out)
+    taus = np.array(ensemble(cfg, n_traj, _entrance_time,
+                             n_workers=n_workers, until=until))
     censored = int(np.sum(np.isnan(taus)))
     flags = []
     if censored:
@@ -739,9 +737,8 @@ def deviation_tail_probe(cfg: SimConfig, obs: Observable, r_grid, t_grid,
     indices = _grid_indices(t_grid, cfg)
 
     reducer = partial(_running_averages, obs=obs, indices=tuple(indices))
-    out = require_no_blowups(ensemble(cfg, n_traj, reducer,
-                                      n_workers=n_workers))
-    averages = np.vstack(out)      # (n_traj, n_t)
+    averages = np.vstack(ensemble(cfg, n_traj, reducer,
+                                  n_workers=n_workers))      # (n_traj, n_t)
 
     rows = []
     for j, t in enumerate(t_grid):

@@ -87,7 +87,6 @@ __all__ = [
     "simulate",
     "ensemble",
     "derive_seed",
-    "require_no_blowups",
 ]
 
 BLOWUP_NORM = 1e6
@@ -173,6 +172,10 @@ class SimConfig:
             raise ValueError("n_modes must be >= 1")
         if not (0 < self.dt <= self.dt_save <= self.t_end):
             raise ValueError("need 0 < dt <= dt_save <= t_end")
+        # t_end / dt_save <= t_end / dt: a finite step count bounds both
+        if not math.isfinite(self.t_end / self.dt):
+            raise ValueError("t_end / dt overflows: the step and snapshot "
+                             "counts are not finite")
         if not _is_multiple(self.dt_save, self.dt):
             raise ValueError("dt_save must be an integer multiple of dt")
         if not _is_multiple(self.t_end, self.dt_save):
@@ -556,14 +559,11 @@ def simulate(cfg: SimConfig) -> Trajectory:
 
     Returns a Trajectory with snapshots every dt_save (including t = 0) and
     the full event log.  Raises BlowUpError if ||x||_H exceeds 1e6 or any
-    coefficient stops being finite.
+    coefficient stops being finite.  The path is the main row of a block
+    with no ensemble rows.
     """
-    snaps, logs, blown, _ = _Kernel(cfg).run([cfg.seed],
-                                             _start_rows(cfg, [cfg.x0]))
-    if blown:
-        raise BlowUpError(*blown[0])
-    return Trajectory(times=_save_times(cfg), coeffs=snaps[0],
-                      jump_log=tuple(logs[0]))
+    return _run_block(cfg, 0, 0, None, None, _start_rows(cfg, ()),
+                      main=True)[0]
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -578,11 +578,11 @@ def _run_block(cfg: SimConfig, first: int, n_rows: int, reducer, until,
 
     Each runs from every start row of starts, (G, N), with its one
     sub-seed.  Returns (path, groups): groups[g] holds the results from
-    starts[g] in trajectory order.  With main, the path simulate(cfg) gives
-    is stepped as one more row and returned unreduced as path (None
-    otherwise); BlowUpError is raised if it blows up.  A finished row's
-    Trajectory ends at its finish snapshot, and its jump log at the events
-    up to that time.
+    starts[g] in trajectory order, a BlowUp record for a row that blew up.
+    With main, the main path (seed cfg.seed, from cfg.x0) is stepped as
+    row 0 and returned unreduced as path (None otherwise); BlowUpError is
+    raised if it blows up.  A finished row's Trajectory ends at its finish
+    snapshot, and its jump log at the events up to that time.
     """
     seeds = [derive_seed(cfg.seed, first + r) for r in range(n_rows)] \
         * len(starts)
@@ -634,8 +634,9 @@ def ensemble(cfg: SimConfig, n_traj: int, reducer, n_workers: int = 1,
     and a forked child each of the others, so n_workers counts processes,
     this one included.  Elsewhere every block runs in this process.
     Results are identical for any n_workers.  A trajectory that blows up
-    contributes a BlowUp record, carrying its index i, instead of a
-    reducer value; siblings are unaffected.  An exception raised in a
+    does not stop its siblings; once every share has returned,
+    EnsembleBlowUpError is raised with a BlowUp record, carrying its index
+    i, for each such trajectory in result order.  An exception raised in a
     child is raised again here with its type, or as a RuntimeError
     carrying its repr when it does not pickle.
 
@@ -661,7 +662,8 @@ def ensemble(cfg: SimConfig, n_traj: int, reducer, n_workers: int = 1,
         cfg.x0) is stepped as one more row of the first block, which this
         process runs, and (its Trajectory, results) is returned.  If that
         path blows up, BlowUpError is raised as simulate raises it,
-        whatever the other rows did.
+        whatever the other rows did, and before any child's results are
+        read.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
@@ -679,6 +681,9 @@ def ensemble(cfg: SimConfig, n_traj: int, reducer, n_workers: int = 1,
                             for i in range(n)])
     values = [v for g in range(len(rows)) for _, groups in blocks
               for v in groups[g]]
+    blown = [v for v in values if isinstance(v, BlowUp)]
+    if blown:
+        raise EnsembleBlowUpError(blown, len(values))
     return (blocks[0][0], values) if main else values
 
 
@@ -737,12 +742,3 @@ def _child(run, share, w: int) -> None:
         code = 0
     finally:
         os._exit(code)
-
-
-def require_no_blowups(results: list) -> list:
-    """Return ensemble results, or raise EnsembleBlowUpError naming every
-    BlowUp record among them."""
-    bad = [r for r in results if isinstance(r, BlowUp)]
-    if bad:
-        raise EnsembleBlowUpError(bad, len(results))
-    return results

@@ -38,8 +38,7 @@ import numpy as np
 
 from .spectral import norm_h_sq, norm_v_sq, record, _quadratic_term
 from .noise import GaussianSpec, JumpSpec, hypothesis_constants
-from .integrator import SimConfig, Trajectory, ensemble, \
-    require_no_blowups
+from .integrator import SimConfig, Trajectory, ensemble
 
 __all__ = [
     "DriftConstants",
@@ -377,9 +376,8 @@ def exp_integral_moment(cfg: SimConfig, theta: float, lam: float,
     m_lambda, hs = tilt_constants(cfg, lam)
     x0 = cfg.x0.coeffs if cfg.x0 is not None else np.zeros(cfg.n_modes)
 
-    out = require_no_blowups(ensemble(cfg, n_traj,
-                                      partial(_moment_reduce, lam=lam),
-                                      n_workers=n_workers))
+    out = ensemble(cfg, n_traj, partial(_moment_reduce, lam=lam),
+                   n_workers=n_workers)
     iv = np.array([r[0] for r in out])
     zv = np.array([r[1] for r in out])
 

@@ -19,8 +19,8 @@ from sburgers.noise import (
     GaussianSpec, JumpSpec, ExponentialMarks, ConstantDirection,
 )
 from sburgers import ergodics, integrator
-from sburgers.integrator import BLOCK_ROWS, BlowUp, EnsembleBlowUpError, \
-    SimConfig, Trajectory, _Kernel, simulate, ensemble
+from sburgers.integrator import BLOCK_ROWS, EnsembleBlowUpError, SimConfig, \
+    Trajectory, _Kernel, simulate, ensemble
 from sburgers.lyapunov import DriftConstants
 from sburgers.ergodics import (
     Observable, EnvelopeViolation, OccupationHistogram, MdpConfig,
@@ -354,13 +354,12 @@ class TestErgodicDecay:
         x0, y0 = 2.0 * basis_field(1, 8), zero_field(8)
         n_traj = BLOCK_ROWS + 1
         seen = []
-        keep = ergodics.require_no_blowups
 
-        def paths_seen(results):
-            seen.append(results)
-            return keep(results)
+        def paths_seen(*args, **kwargs):
+            seen.append(ensemble(*args, **kwargs))
+            return seen[-1]
 
-        monkeypatch.setattr(ergodics, "require_no_blowups", paths_seen)
+        monkeypatch.setattr(ergodics, "ensemble", paths_seen)
         reports = [ergodic_decay(cfg, x0, y0, observable_dictionary(8),
                                  np.arange(1, 11) * 0.01, n_traj,
                                  n_workers=w).to_dict() for w in (1, 2, 3)]
@@ -386,9 +385,11 @@ class TestErgodicDecay:
         monkeypatch.setattr(integrator, "BLOWUP_NORM", norm)
         monkeypatch.setattr(integrator, "_SAFE_NORM_SQ",
                             norm ** 2 * (1.0 - 1e-9))
-        per_start = [[r for r in ensemble(replace(cfg, x0=start), n_traj,
-                                          lambda traj: None)
-                      if isinstance(r, BlowUp)] for start in (x0, y0)]
+        per_start = []
+        for start in (x0, y0):
+            with pytest.raises(EnsembleBlowUpError) as err:
+                ensemble(replace(cfg, x0=start), n_traj, lambda traj: None)
+            per_start.append(err.value.records)
         assert all(0 < len(rs) < n_traj for rs in per_start)
         records = per_start[0] + per_start[1]
         with pytest.raises(EnsembleBlowUpError) as err:

@@ -20,7 +20,7 @@ from sburgers.harness import (
     parse_observable, run_estimate, run_simulate, run_verify,
     write_trajectory_csv,
 )
-from sburgers.integrator import BLOCK_ROWS, BlowUp, BlowUpError, \
+from sburgers.integrator import BLOCK_ROWS, BlowUpError, \
     EnsembleBlowUpError, ensemble, simulate
 from sburgers.lyapunov import tilt_constants
 from sburgers.noise import DivergentMomentError, SaturatedDirection
@@ -527,24 +527,31 @@ class TestVerifyMainRow:
         return ensemble(cfg.sim, n_mart, partial(
             harness._martingale_end, lam=0.5, m_lambda=m_lambda, hs=hs))
 
+    @classmethod
+    def _blowups(cls, cfg, n_mart: int) -> tuple:
+        """The BlowUp records a separate supermartingale ensemble raises."""
+        with pytest.raises(EnsembleBlowUpError) as err:
+            cls._ends(cfg, n_mart)
+        return err.value.records
+
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("n_mart", [4, BLOCK_ROWS + 1])
     def test_rows_equal_separate_runs(self, tmp_path, monkeypatch, n_mart,
                                       threads):
         cfg = self._cfg(n_mart)
         seen = {}
-        check, keep = harness.drift_condition_check, harness.require_no_blowups
+        check = harness.drift_condition_check
 
         def states_seen(states, *args):
             seen["states"] = states.copy()
             return check(states, *args)
 
-        def ends_seen(results):
-            seen["ends"] = list(results)
-            return keep(results)
+        def ends_seen(*args, **kwargs):
+            traj, seen["ends"] = ensemble(*args, **kwargs)
+            return traj, seen["ends"]
 
         monkeypatch.setattr(harness, "drift_condition_check", states_seen)
-        monkeypatch.setattr(harness, "require_no_blowups", ends_seen)
+        monkeypatch.setattr(harness, "ensemble", ends_seen)
         run_verify(cfg, out_dir=tmp_path, n_workers=threads)
         assert seen["states"].tobytes() == simulate(cfg.sim).coeffs.tobytes()
         assert seen["ends"] == self._ends(cfg, n_mart)
@@ -568,8 +575,7 @@ class TestVerifyMainRow:
         cfg = self._cfg(BLOCK_ROWS + 1)
         peak = simulate(cfg.sim).norm_h().max()
         _lower_blowup_norm(monkeypatch, peak * (1.0 - 1e-6))
-        blown = [r.index for r in self._ends(cfg, BLOCK_ROWS + 1)
-                 if isinstance(r, BlowUp)]
+        blown = [r.index for r in self._blowups(cfg, BLOCK_ROWS + 1)]
         assert 0 < len(blown) and max(blown) == BLOCK_ROWS
         with pytest.raises(BlowUpError) as err:
             simulate(cfg.sim)
@@ -595,8 +601,7 @@ class TestVerifyMainRow:
         peaks = ensemble(cfg.sim, n_mart, lambda traj: traj.norm_h().max())
         peak = max(simulate(cfg.sim).norm_h().max(), np.median(peaks))
         _lower_blowup_norm(monkeypatch, peak * (1.0 + 1e-6))
-        records = [r for r in self._ends(cfg, n_mart)
-                   if isinstance(r, BlowUp)]
+        records = self._blowups(cfg, n_mart)
         assert 0 < len(records) < n_mart
         with pytest.raises(EnsembleBlowUpError) as err:
             run_verify(cfg, out_dir=tmp_path, n_workers=threads)
@@ -816,7 +821,12 @@ class TestCli:
         (changed_raw({"model.t_end": 10 ** 400}), ["simulate"],
          "model.t_end: too large for a float"),
         (changed_raw({"model.t_end": 1e308}), ["simulate"],
-         "model: t_end must be an integer multiple of dt_save"),
+         "model: t_end / dt overflows: the step and snapshot counts are "
+         "not finite"),
+        (changed_raw({"model.n_modes": 10 ** 13}), ["simulate"],
+         "model.n_modes: must be <= 1000000, got 10000000000000\n"),
+        (changed_raw({"model.n_modes": 10 ** 400}), ["simulate"],
+         "model.n_modes: must be <= 1000000, got 1000"),
         (changed_raw({}, experiment={"kind": "estimate", "n_traj": 4,
                                      "mu_reference": 0.0,
                                      "t_grid": [1e-12, 0.05]}),
@@ -832,6 +842,7 @@ class TestCli:
             "zero-initial-condition", "occupation-edge-list",
             "verify-deterministic-marks", "verify-zero-direction",
             "number-overflows-float", "step-count-overflows-float",
+            "n_modes-above-ceiling", "n_modes-overflows-float",
             "t_grid-below-save-interval", "t_max-below-save-interval"])
     def test_rarely_reached_paths(self, tmp_path, capsys, raw, command,
                                   expected):

@@ -29,7 +29,6 @@ from sburgers import integrator
 from sburgers.integrator import (
     BLOCK_ROWS, BlowUp, BlowUpError, EnsembleBlowUpError, JumpEvent,
     SimConfig, Trajectory, _Kernel, simulate, ensemble, derive_seed,
-    require_no_blowups,
 )
 
 from oracles import jump_only_exact_path, ou_exact_moments, \
@@ -347,6 +346,23 @@ def _x0_rows(cfg: SimConfig, n_rows: int) -> np.ndarray:
     return integrator._start_rows(cfg, [cfg.x0] * n_rows)
 
 
+def _results(cfg: SimConfig, n_traj: int, reducer, until=None) -> list:
+    """ensemble's results from cfg.x0 with a BlowUp record in place of
+    each blow-up.
+
+    ensemble raises the records; the results of one block, records inline,
+    are _run_block's, whose records must be the ones ensemble raised.
+    """
+    try:
+        return ensemble(cfg, n_traj, reducer, until=until)
+    except EnsembleBlowUpError as err:
+        assert n_traj <= BLOCK_ROWS
+        _, (out,) = integrator._run_block(cfg, 0, n_traj, reducer, until,
+                                          _x0_rows(cfg, 1))
+        assert err.records == tuple(r for r in out if isinstance(r, BlowUp))
+        return out
+
+
 def _path(traj: Trajectory) -> tuple:
     return traj.coeffs.copy(), traj.jump_log
 
@@ -446,6 +462,7 @@ class TestBlowUp:
                         x0=SpectralField(np.array([1.5e6, 0.0])))
         with pytest.raises(BlowUpError) as e:
             simulate(cfg)
+        assert type(e.value) is BlowUpError
         assert e.value.time == pytest.approx(1e-3)
         assert e.value.norm > 1e6
 
@@ -453,14 +470,15 @@ class TestBlowUp:
         cfg = SimConfig(n_modes=2, dt=1e-3, t_end=0.1, dt_save=1e-2,
                         nonlinearity_on=False,
                         x0=SpectralField(np.array([1.5e6, 0.0])))
-        out = ensemble(cfg, 3, _final_mode)
-        assert all(isinstance(r, BlowUp) for r in out)
-        assert [r.index for r in out] == [0, 1, 2]
+        with pytest.raises(EnsembleBlowUpError) as e:
+            ensemble(cfg, 3, _final_mode)
+        assert [r.index for r in e.value.records] == [0, 1, 2]
+        assert str(e.value).startswith("3 of 3 trajectories blew up")
 
     def test_survivors_equal_solo_runs(self):
         # strong forcing with B on: some rows of the batch blow up
         cfg = forced_model(t_end=0.2, amplitude=160.0, seed=5)
-        out = ensemble(cfg, 12, _path)
+        out = _results(cfg, 12, _path)
         blown = [r for r in out if isinstance(r, BlowUp)]
         assert 0 < len(blown) < 12
         for i, r in enumerate(out):
@@ -515,22 +533,51 @@ class TestBlowUp:
             monkeypatch.setattr(integrator, "LANE_LIMIT", limit)
             for size in (1, 7, 8192):
                 monkeypatch.setattr(integrator, "NOISE_CHUNK", size)
-                out = ensemble(cfg, n_traj, _final_mode)
-                got = [(r.index, r.time, r.norm) for r in out
-                       if isinstance(r, BlowUp)]
+                with pytest.raises(EnsembleBlowUpError) as e:
+                    ensemble(cfg, n_traj, _final_mode)
+                got = [(r.index, r.time, r.norm) for r in e.value.records]
                 assert got == expected, (limit, size)
 
-    def test_require_no_blowups_carries_records(self):
-        cfg = forced_model(t_end=0.2, amplitude=160.0, seed=5)
-        out = ensemble(cfg, 12, _final_mode)
+    @pytest.mark.skipif(sys.platform != "linux", reason="forks on Linux only")
+    def test_raise_waits_for_the_child_share(self, monkeypatch):
+        # the trust region shrunk to just above the first block's peak
+        # step norm: only rows of the second block, the forked child's
+        # share at 2 workers, leave it
+        cfg = replace(forced_model(t_end=0.1, amplitude=20.0, seed=8),
+                      dt_save=2e-3)
+        peak = max(ensemble(cfg, BLOCK_ROWS,
+                            lambda traj: traj.norm_h().max()))
+        norm = peak * (1.0 + 1e-6)
+        monkeypatch.setattr(integrator, "BLOWUP_NORM", norm)
+        monkeypatch.setattr(integrator, "_SAFE_NORM_SQ",
+                            norm ** 2 * (1.0 - 1e-9))
+        blocks = [integrator._run_block(cfg, first, BLOCK_ROWS, _final_mode,
+                                        None, _x0_rows(cfg, 1))[1][0]
+                  for first in (0, BLOCK_ROWS)]
+        assert not any(isinstance(r, BlowUp) for r in blocks[0])
+        records = tuple(r for r in blocks[1] if isinstance(r, BlowUp))
+        assert records
         with pytest.raises(EnsembleBlowUpError) as e:
-            require_no_blowups(out)
+            ensemble(cfg, 2 * BLOCK_ROWS, _final_mode, n_workers=2)
+        assert e.value.records == records
+        assert str(e.value).startswith(
+            f"{len(records)} of {2 * BLOCK_ROWS} trajectories blew up; "
+            f"first: index {records[0].index}, ")
+
+    def test_ensemble_raises_with_records(self):
+        cfg = forced_model(t_end=0.2, amplitude=160.0, seed=5)
+        _, (out,) = integrator._run_block(cfg, 0, 12, _final_mode, None,
+                                          _x0_rows(cfg, 1))
+        with pytest.raises(EnsembleBlowUpError) as e:
+            ensemble(cfg, 12, _final_mode)
         records = [r for r in out if isinstance(r, BlowUp)]
         assert e.value.records == tuple(records)
         assert isinstance(e.value, BlowUpError)
         assert (e.value.time, e.value.norm) == \
             (records[0].time, records[0].norm)
-        assert require_no_blowups([1.0, 2.0]) == [1.0, 2.0]
+        assert str(e.value).startswith(
+            f"{len(records)} of 12 trajectories blew up; "
+            f"first: index {records[0].index}, ")
 
 
 class TestTracedBurgersTerm:
@@ -656,14 +703,18 @@ class TestEnsemble:
     @pytest.mark.parametrize("n_workers", [1, 2])
     def test_starts_and_main_row(self, n_workers):
         # with starts, results are start-major and trajectory i from each
-        # start is the ensemble from that start alone; the main row is the
-        # path simulate gives
+        # start is the ensemble from that start alone; the main row has the
+        # bits of simulate, the main row of a block with no other rows
         cfg = forced_model(t_end=0.04)
         starts = (2.0 * basis_field(1, 8), None)
         n = BLOCK_ROWS + 1
         path, out = ensemble(cfg, n, _path, n_workers, starts=starts,
                              main=True)
-        assert _same_paths([_path(path)], [_path(simulate(cfg))])
+        alone = simulate(cfg)
+        assert alone.coeffs.tobytes() == path.coeffs.tobytes()
+        assert alone.times.tobytes() == path.times.tobytes()
+        assert alone.jump_log == path.jump_log
+        assert alone.stopped is path.stopped is False
         ref = [v for x0 in starts
                for v in ensemble(replace(cfg, x0=x0), n, _path)]
         assert _same_paths(out, ref)
@@ -927,7 +978,7 @@ class TestFirstPassage:
         for size in (1, 7, integrator.NOISE_CHUNK):
             with monkeypatch.context() as m:
                 m.setattr(integrator, "NOISE_CHUNK", size)
-                got = ensemble(cfg, n_traj, _stop_path, until=until)
+                got = _results(cfg, n_traj, _stop_path, until=until)
             assert _same_stops(got, expected), size
         for i in range(n_traj):
             _, (alone,) = integrator._run_block(cfg, i, 1, _stop_path,

@@ -19,11 +19,17 @@ output directory:
 - simulate and verify on jumps_only with deterministic marks;
 - three config errors on jumps_only, which exit 2: model.t_end too large
   for a float, a tailprobe experiment.t_grid time and a hitting
-  experiment.t_max below one save interval.
+  experiment.t_max below one save interval;
+- verify (--threads 1 and 2) on verify_drift with experiment.c1_override
+  0.01, which exits 1 with failures;
+- three blow-ups on verify_drift, which exit 3: gamma (--threads 1 and 2)
+  at separation 100, where some pairs blow up, and verify from mode 1 at
+  100 with t_end 0.5, where the checked path blows up.
 
 It prints one JSON object: per run, the exit code, the sha256 of stdout
 with the output directory masked, and the sha256 of every output file but
-manifest.json, which carries timestamps.  Run it at two commits and diff
+manifest.json, which carries timestamps.  A run that exits 3 also gets the
+blowup_count and outputs of its manifest.  Run it at two commits and diff
 the two outputs to check that a change keeps every output byte.
 """
 
@@ -116,6 +122,28 @@ def _runs(configs: Path, tmp: Path) -> list:
                         key: value}))
         runs.append((f"estimate/{est}/{cfg}",
                      ["estimate", est, "--config", path]))
+
+    cfg = "verify_drift_c1_override"
+    path = derived("verify_drift", cfg, lambda raw: raw["experiment"].update(
+        c1_override=0.01))
+    for n in (1, 2):
+        runs.append((f"verify/{cfg}/threads{n}",
+                     ["verify", "--config", path, "--threads", str(n)]))
+
+    cfg = "verify_drift_separation100"
+    path = derived("verify_drift", cfg, lambda raw: raw.update(
+        experiment={"kind": "estimate", "separation": 100.0}))
+    for n in (1, 2):
+        runs.append((f"estimate/gamma/{cfg}/threads{n}",
+                     ["estimate", "gamma", "--config", path,
+                      "--threads", str(n)]))
+
+    cfg = "verify_drift_main_blowup"
+    path = derived("verify_drift", cfg, lambda raw: raw["model"].update(
+        t_end=0.5, initial_condition={"kind": "modes",
+                                      "coefficients": [100.0]}))
+    runs.append((f"verify/{cfg}/threads1",
+                 ["verify", "--config", path, "--threads", "1"]))
     return runs
 
 
@@ -143,6 +171,10 @@ def main() -> int:
                                                    b"<out>")),
                 "files": files,
             }
+            if proc.returncode == 3:
+                manifest = json.loads((out / "manifest.json").read_text())
+                table[name]["manifest"] = {
+                    k: manifest[k] for k in ("blowup_count", "outputs")}
     print(json.dumps(table, indent=1, sort_keys=True))
     return 0
 
