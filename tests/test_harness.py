@@ -789,7 +789,8 @@ VERIFY_SMALL = {"kind": "verify", "n_states": 5, "n_mart": 2}
 class TestCli:
     # paths no other test and no shipped run reaches, and the --seed bound,
     # which the CLI leaves to the config parser: a config error names its
-    # field (exit 2), or a run succeeds and read(output directory) == value
+    # field (exit 2), as does a run's "error: " message, or a run succeeds
+    # and read(output directory) == value
     @pytest.mark.parametrize("raw, command, expected", [
         (changed_raw({"model.dt": 0.05, "model.dt_save": 0.07,
                       "model.t_end": 0.7}), ["simulate"],
@@ -827,6 +828,10 @@ class TestCli:
          "model.n_modes: must be <= 1000000, got 10000000000000\n"),
         (changed_raw({"model.n_modes": 10 ** 400}), ["simulate"],
          "model.n_modes: must be <= 1000000, got 1000"),
+        (changed_raw({"model.t_end": 1e12}), ["simulate"],
+         "error: 1 x 100000000000001 snapshots of 4 modes (3.2e+15 bytes) "
+         "do not fit in memory: lower model.t_end / model.dt_save or "
+         "model.n_modes\n"),
         (changed_raw({}, experiment={"kind": "estimate", "n_traj": 4,
                                      "mu_reference": 0.0,
                                      "t_grid": [1e-12, 0.05]}),
@@ -843,13 +848,16 @@ class TestCli:
             "verify-deterministic-marks", "verify-zero-direction",
             "number-overflows-float", "step-count-overflows-float",
             "n_modes-above-ceiling", "n_modes-overflows-float",
+            "snapshots-exceed-memory",
             "t_grid-below-save-interval", "t_max-below-save-interval"])
     def test_rarely_reached_paths(self, tmp_path, capsys, raw, command,
                                   expected):
         code, err = run_cli(tmp_path, capsys, raw, *command)
         if isinstance(expected, str):
             assert code == 2
-            assert err.startswith(f"config error: {expected}"), err
+            if not expected.startswith("error: "):
+                expected = f"config error: {expected}"
+            assert err.startswith(expected), err
         else:
             read, value = expected
             assert (code, err) == (0, "")
@@ -882,6 +890,26 @@ class TestCli:
         assert code == 1
         assert (tmp_path / "out" / "verify_failures.csv").exists()
         capsys.readouterr()
+
+    def test_rerun_writes_new_files(self, tmp_path, capsys):
+        # a rerun into the same directory writes each output as a new file,
+        # so a hard link keeps the old bytes, and a clean verify removes an
+        # earlier run's failure table
+        out = tmp_path / "out"
+        failing = base_raw(experiment={**VERIFY_SMALL, "c1_override": 0.01})
+        assert run_cli(tmp_path, capsys, failing, "verify")[0] == 1
+        report, table = out / "verify_report.json", out / "verify_failures.csv"
+        assert table.exists()
+        old = tmp_path / "old_report.json"
+        os.link(report, old)
+        old_bytes = old.read_bytes()
+        clean = base_raw(experiment=VERIFY_SMALL)
+        assert run_cli(tmp_path, capsys, clean, "verify") == (0, "")
+        assert not table.exists()
+        assert report.stat().st_ino != old.stat().st_ino
+        assert old.read_bytes() == old_bytes != report.read_bytes()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == ["verify_report.json"]
 
     def test_verify_clean_exit_zero(self, tmp_path, capsys):
         raw = base_raw(experiment={"kind": "verify", "n_states": 5,

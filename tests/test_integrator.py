@@ -398,6 +398,46 @@ class TestChunkCoefficients:
                     assert x[j].tobytes() == y.tobytes(), (i, dt)
 
 
+def _drift_config(b_on: bool, jumps: str) -> SimConfig:
+    """Eight Brownian-forced modes with B on or off and jumps off
+    ("none"), along a constant direction or along a saturated one."""
+    g = SpectralField(np.linspace(1.0, -0.6, 8))
+    direction = {"none": None, "constant": ConstantDirection(g),
+                 "saturated": SaturatedDirection(g, 1.5)}[jumps]
+    return SimConfig(n_modes=8, dt=0.01, t_end=0.3, dt_save=0.05,
+                     gaussian=GaussianSpec.power_decay(8),
+                     jumps=None if direction is None
+                     else JumpSpec(40.0, ExponentialMarks(2.0), direction),
+                     nonlinearity_on=b_on, seed=12,
+                     x0=SpectralField(np.linspace(0.8, -0.4, 8)))
+
+
+class TestWidenedOperands:
+    @pytest.mark.parametrize("jumps", ["none", "constant", "saturated"])
+    @pytest.mark.parametrize("b_on", [False, True])
+    def test_rows_equal_their_solo_runs(self, b_on, jumps):
+        # decay, phi, the constant compensator and the Burgers weights are
+        # widened to a block's rows; every row keeps the bits of its run
+        # alone, where they stay (N, 1) columns
+        cfg = _drift_config(b_on, jumps)
+        seeds = [derive_seed(cfg.seed, i) for i in range(BLOCK_ROWS + 1)]
+        starts = _x0_rows(cfg, len(seeds))
+        starts *= np.linspace(1.0, -1.0, len(seeds))[:, None]
+        solo = [_Kernel(cfg).run([seed], start[None])
+                for seed, start in zip(seeds, starts)]
+        if jumps != "none":
+            assert sum(len(logs[0]) for _, logs, _, _ in solo) \
+                > 5 * len(solo)
+        for n_rows in (2, 21, BLOCK_ROWS + 1):
+            snaps, logs, blown, finish = _Kernel(cfg).run(seeds[:n_rows],
+                                                          starts[:n_rows])
+            assert blown == finish == {}
+            for r in range(n_rows):
+                assert snaps[r].tobytes() == solo[r][0][0].tobytes(), \
+                    (n_rows, r)
+                assert logs[r] == solo[r][1][0], (n_rows, r)
+
+
 def _linear_config(forcing: str, n_modes: int) -> SimConfig:
     """A B-off config with Gaussian forcing, jumps, both or neither.
 

@@ -17,6 +17,8 @@ from sburgers.spectral import (
     norm_h,
     norm_v,
     burgers_nonlinearity,
+    _batch_tables,
+    _coupling_tables,
     _quadratic_exact,
     _quadratic_gathered,
     _quadratic_term,
@@ -189,3 +191,23 @@ class TestAdvectionTerm:
                     == ref[i].tobytes(), (n, r, i)
             m.flags.writeable = False
             assert _quadratic_term(m.T).tobytes() == ref.tobytes(), (n, r)
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 32])
+    def test_batch_tables_widen_the_narrow_table(self, n):
+        # the weights at a batch's width are the narrow table repeated
+        # along the rows, read-only, and width 1 is the narrow table itself
+        pairs, narrow = _coupling_tables(n)
+        assert narrow.shape == (n - 1, n, 1)
+        for width in (1, 2, 21, 101):
+            wide_pairs, weight = _batch_tables(n, width)
+            assert wide_pairs is pairs
+            assert weight.shape == (n - 1, n, width)
+            assert weight.flags.c_contiguous and not weight.flags.writeable
+            assert np.array_equal(weight, np.broadcast_to(narrow,
+                                                          weight.shape))
+            if width == 1:
+                assert weight is narrow
+            elif n > 1:
+                with pytest.raises(ValueError, match="read-only"):
+                    weight[0, 0, 0] = 0.0
+        assert _batch_tables.cache_info().maxsize is not None

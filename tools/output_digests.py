@@ -17,9 +17,11 @@ output directory:
   a saturated jump direction, the one whose jump field depends on the
   state;
 - simulate and verify on jumps_only with deterministic marks;
-- three config errors on jumps_only, which exit 2: model.t_end too large
-  for a float, a tailprobe experiment.t_grid time and a hitting
-  experiment.t_max below one save interval;
+- four runs that exit 2: three config errors on jumps_only, model.t_end
+  too large for a float, a tailprobe experiment.t_grid time and a hitting
+  experiment.t_max below one save interval, and simulate on
+  estimate_sigma2_linear at t_end 1e12 with dt_save 1e-3, whose
+  snapshots do not fit in memory;
 - verify (--threads 1 and 2) on verify_drift with experiment.c1_override
   0.01, which exits 1 with failures;
 - three blow-ups on verify_drift, which exit 3: gamma (--threads 1 and 2)
@@ -113,6 +115,10 @@ def _runs(configs: Path, tmp: Path) -> list:
     cfg = "jumps_only_t_end_overflow"
     path = derived("jumps_only", cfg, lambda raw: raw["model"].update(
         t_end=10 ** 400))
+    runs.append((f"simulate/{cfg}", ["simulate", "--config", path]))
+    cfg = "estimate_sigma2_linear_snapshots_too_large"
+    path = derived("estimate_sigma2_linear", cfg, lambda raw: raw[
+        "model"].update(t_end=1e12, dt_save=1e-3))
     runs.append((f"simulate/{cfg}", ["simulate", "--config", path]))
     for est, key, value in (("tailprobe", "t_grid", [1e-12, 1.0]),
                             ("hitting", "t_max", 1e-12)):
