@@ -28,6 +28,10 @@ is invariant under key reordering; the output block and an explicit seed
 override do change the effective config and therefore the hash seen in the
 outputs reflects the config as run (with the seed actually used).
 
+A runner computes its files' contents and _run_recorded alone touches the
+output directory: it removes the command's old files, writes the new ones
+through _write and, whatever the run's end, manifest.json, so the directory
+holds the last run's manifest and exactly the files that manifest lists.
 Numeric CSV output uses 17 significant digits so that repeated runs are
 byte-identical; manifests carry timestamps and are excluded from the
 byte-identity contract.
@@ -71,9 +75,6 @@ __all__ = [
     "load_config",
     "parse_config",
     "config_hash",
-    "write_trajectory_csv",
-    "write_jump_log",
-    "write_manifest",
     "run_simulate",
     "run_verify",
     "run_estimate",
@@ -83,9 +84,10 @@ __all__ = [
 # any plausible trajectory index
 _INITIAL_STATE_STREAM = 2 ** 40
 
-# ceiling of model.n_modes: a per-mode float array is then 8 MB at most;
-# it does not bound the snapshots, whose allocation _Kernel.run checks
-_MAX_MODES = 10 ** 6
+# ceiling of the counts model.n_modes, experiment.bins and
+# experiment.n_points: an array of one float each is then 8 MB at most; it
+# does not bound the snapshots, whose allocation _Kernel.run checks
+_MAX_COUNT = 10 ** 6
 
 # Each observable kind's factory and the keys it takes beside "kind"; the
 # factory takes k, then c, where the kind has them.
@@ -354,7 +356,7 @@ def parse_config(raw: dict, seed_override: int | None = None) -> RunConfig:
 
     model = _field(raw, "", "model", _as_block)
     n_modes = _field(model, "model", "n_modes", _as_int, minimum=1,
-                     maximum=_MAX_MODES)
+                     maximum=_MAX_COUNT)
     dt = _field(model, "model", "dt", positive=True)
     t_end = _field(model, "model", "t_end", positive=True)
     dt_save = _field(model, "model", "dt_save", default=dt, positive=True)
@@ -402,119 +404,107 @@ def load_config(path, seed_override: int | None = None) -> RunConfig:
 
 # -------------------------------------------------------------- persistence
 
-def write_trajectory_csv(path, traj: Trajectory, cfg_hash: str) -> None:
-    names = (["t"] + [f"a_{k}" for k in range(1, traj.n_modes + 1)]
-             + ["norm_h", "norm_v"])
-    table = np.column_stack((traj.times, traj.coeffs, traj.norm_h(),
-                             traj.norm_v()))
-    _flat_csv(path, (dict(zip(names, row)) for row in table.tolist()),
-              cfg_hash)
+def _write(path: Path, content, cfg_hash: str) -> None:
+    """Write content in the format path's suffix names: for .csv, dict rows
+    under a "# config_hash=" line and a header taken from the first row,
+    floats to 17 significant digits (rows may be a generator, written as
+    it yields); for .jsonl, one record per line; for .json, one object."""
+    with open(path, "w", newline="" if path.suffix == ".csv" else None) as fh:
+        if path.suffix == ".json":
+            fh.write(json.dumps(content, indent=2, sort_keys=True) + "\n")
+        elif path.suffix == ".jsonl":
+            for rec in content:
+                fh.write(json.dumps(rec, sort_keys=True, allow_nan=True)
+                         + "\n")
+        else:
+            fh.write(f"# config_hash={cfg_hash}\n")
+            writer = csv.writer(fh)
+            names = None
+            for row in content:
+                if names is None:
+                    names = list(row)
+                    writer.writerow(names)
+                writer.writerow([
+                    f"{float(row[k]):.17g}" if isinstance(row[k], float)
+                    else row[k]
+                    for k in names])
 
 
-def write_jump_log(path, traj: Trajectory, cfg_hash: str) -> None:
-    _records_jsonl(path, ({"config_hash": cfg_hash, "time": ev.time,
-                           "mark": ev.mark, "pre_norm_h": ev.pre_norm_h}
-                          for ev in traj.jump_log))
+def _run_recorded(cfg: RunConfig, out_dir, names, produce):
+    """Run produce(out) -> (result, files) and persist the files.
 
-
-def write_manifest(path, cfg: RunConfig, outputs, blowup_count: int,
-                   started: float, finished: float) -> None:
-    manifest = {
-        "config_hash": cfg.hash,
-        "artifact_version": __version__,
-        "started_at": started,
-        "finished_at": finished,
-        "seed": cfg.sim.seed,
-        "blowup_count": blowup_count,
-        "outputs": [Path(o).name for o in outputs],
-    }
-    _write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-
-
-def _create(path, newline=None):
-    """Open path for writing as a new file: an old file of that name is
-    unlinked, not truncated, so a hard link of it keeps its bytes.
-
-    On ext4 a truncation waited for the old file's recent writes to reach
-    the disk: verify into the directory of its previous run took 221-240
-    ms against 109-122 ms into a new one, and 109-122 ms either way once
-    the old files were unlinked (2-CPU host, median of 10 runs).
+    out is the output directory, made here; files maps each file name
+    produce writes, one of names, to its content, or to None for a file
+    this run does not write.  Every run leaves manifest.json and the files
+    it lists as "outputs", and no other file of names: a run whose produce
+    fails lists none, and a BlowUpError's trajectories count as its
+    blowup_count.
     """
-    Path(path).unlink(missing_ok=True)
-    return open(path, "w", newline=newline)
-
-
-def _write_text(path, text: str) -> None:
-    with _create(path) as fh:
-        fh.write(text)
-
-
-def _records_jsonl(path, records) -> None:
-    with _create(path) as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True, allow_nan=True) + "\n")
-
-
-def _flat_csv(path, rows, cfg_hash: str) -> None:
-    """Write homogeneous dict rows as CSV with a hash comment line; rows
-    may be a generator, written as it yields."""
-    with _create(path, newline="") as fh:
-        fh.write(f"# config_hash={cfg_hash}\n")
-        writer = csv.writer(fh)
-        names = None
-        for row in rows:
-            if names is None:
-                names = list(row)
-                writer.writerow(names)
-            writer.writerow([
-                f"{float(row[k]):.17g}" if isinstance(row[k], float)
-                else row[k]
-                for k in names])
+    out = Path(out_dir if out_dir is not None else cfg.out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        # Each output is a new file: an old one is unlinked, not truncated,
+        # so a hard link of it keeps its bytes.  On ext4 a truncation waited
+        # for the old file's recent writes to reach the disk: verify into
+        # the directory of its previous run took 221-240 ms against 109-122
+        # ms into a new one, and 109-122 ms either way once the old files
+        # were unlinked (2-CPU host, median of 10 runs).
+        for name in (*names, "manifest.json"):
+            (out / name).unlink(missing_ok=True)
+    except OSError as err:
+        raise ValueError(f"cannot use {out} as the output directory: "
+                         f"{err.strerror}") from err
+    started, written, blowups = time.time(), [], 0
+    try:
+        result, files = produce(out)
+        for name, content in files.items():
+            if content is not None:
+                written.append(name)
+                _write(out / name, content, cfg.hash)
+        return result
+    except BlowUpError as err:
+        blowups = len(err.records) \
+            if isinstance(err, EnsembleBlowUpError) else 1
+        raise
+    finally:
+        _write(out / "manifest.json", {
+            "config_hash": cfg.hash,
+            "artifact_version": __version__,
+            "started_at": started,
+            "finished_at": time.time(),
+            "seed": cfg.sim.seed,
+            "blowup_count": blowups,
+            "outputs": written,
+        }, cfg.hash)
 
 
 # ------------------------------------------------------------------ runners
-
-def _run_recorded(cfg: RunConfig, out_dir, produce):
-    """Run produce(out) -> (result, output paths) and write manifest.json.
-
-    out is the output directory, created here.  When a trajectory blows up
-    the manifest still gets written, with no outputs and the number of
-    trajectories that blew up, and the BlowUpError is re-raised.
-    """
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    started = time.time()
-    try:
-        result, outputs = produce(out)
-    except BlowUpError as err:
-        count = len(err.records) if isinstance(err, EnsembleBlowUpError) \
-            else 1
-        write_manifest(out / "manifest.json", cfg, [], count, started,
-                       time.time())
-        raise
-    write_manifest(out / "manifest.json", cfg, outputs, 0, started,
-                   time.time())
-    return result
-
 
 def run_simulate(cfg: RunConfig, out_dir=None) -> dict:
     """Run one trajectory and persist snapshots, jump log, and manifest."""
 
     def produce(out):
         traj = simulate(cfg.sim)
-        csv_path = out / "trajectory.csv"
-        log_path = out / "jumps.jsonl"
-        write_trajectory_csv(csv_path, traj, cfg.hash)
-        write_jump_log(log_path, traj, cfg.hash)
+        columns = (["t"] + [f"a_{k}" for k in range(1, traj.n_modes + 1)]
+                   + ["norm_h", "norm_v"])
+        table = np.column_stack((traj.times, traj.coeffs, traj.norm_h(),
+                                 traj.norm_v()))
+        files = {
+            "trajectory.csv": (dict(zip(columns, row))
+                               for row in table.tolist()),
+            "jumps.jsonl": ({"config_hash": cfg.hash, "time": ev.time,
+                             "mark": ev.mark, "pre_norm_h": ev.pre_norm_h}
+                            for ev in traj.jump_log),
+        }
         return {
             "config_hash": cfg.hash,
             "snapshots": traj.n_snapshots,
             "jumps": len(traj.jump_log),
-            "outputs": [str(csv_path), str(log_path),
-                        str(out / "manifest.json")],
-        }, [csv_path, log_path]
+            "outputs": [str(out / name) for name in (*files, "manifest.json")],
+        }, files
 
-    return _run_recorded(cfg, out_dir, produce)
+    return _run_recorded(cfg, out_dir, ("trajectory.csv", "jumps.jsonl"),
+                         produce)
 
 
 def _verify_jump_marks(jumps) -> tuple:
@@ -561,19 +551,21 @@ def run_verify(cfg: RunConfig, out_dir=None, n_workers: int = 1) -> dict:
     (negative-control corruption of the drift constant), supermartingale
     trajectories n_mart.
     """
-    exp = cfg.experiment
-    lam = _tilt(exp, cfg.sim.jumps)
-    n_states = _field(exp, "experiment", "n_states", _as_int, 1000,
-                      minimum=1)
-    n_mart = _field(exp, "experiment", "n_mart", _as_int, 200, minimum=2)
-
-    constants = DriftConstants.from_specs(cfg.sim.gaussian, cfg.sim.jumps)
-    override = _field(exp, "experiment", "c1_override", default=None,
-                      positive=True)
-    if override is not None:
-        constants = constants.corrupted(override)
 
     def produce(out):
+        exp = cfg.experiment
+        lam = _tilt(exp, cfg.sim.jumps)
+        n_states = _field(exp, "experiment", "n_states", _as_int, 1000,
+                          minimum=1)
+        n_mart = _field(exp, "experiment", "n_mart", _as_int, 200,
+                        minimum=2)
+        constants = DriftConstants.from_specs(cfg.sim.gaussian,
+                                              cfg.sim.jumps)
+        override = _field(exp, "experiment", "c1_override", default=None,
+                          positive=True)
+        if override is not None:
+            constants = constants.corrupted(override)
+
         # the checked path rides as one more row of the first block of the
         # supermartingale ensemble
         m_lambda, hs = tilt_constants(cfg.sim, lam)
@@ -628,18 +620,12 @@ def run_verify(cfg: RunConfig, out_dir=None, n_workers: int = 1) -> dict:
             "lam": lam,
             "supermartingale": mart,
         }
-        _write_text(out / "verify_report.json",
-                    json.dumps(report, indent=2, sort_keys=True) + "\n")
-        outputs = [out / "verify_report.json"]
-        table = out / "verify_failures.csv"
-        if failures:
-            _flat_csv(table, failures, cfg.hash)
-            outputs.append(table)
-        else:                       # an earlier run's, for another config
-            table.unlink(missing_ok=True)
-        return report, outputs
+        return report, {"verify_report.json": report,
+                        "verify_failures.csv": failures or None}
 
-    return _run_recorded(cfg, out_dir, produce)
+    return _run_recorded(cfg, out_dir,
+                         ("verify_report.json", "verify_failures.csv"),
+                         produce)
 
 
 # ------------------------------------------------------ estimate dispatch
@@ -648,7 +634,8 @@ def _est_gamma(cfg: RunConfig, exp: dict, n_workers: int):
     sim = cfg.sim
     n_traj = _field(exp, "experiment", "n_traj", _as_int, 32, minimum=2)
     sep = _field(exp, "experiment", "separation", default=2.0, positive=True)
-    n_points = _field(exp, "experiment", "n_points", _as_int, 20, minimum=3)
+    n_points = _field(exp, "experiment", "n_points", _as_int, 20, minimum=3,
+                      maximum=_MAX_COUNT)
     t_grid = np.linspace(sim.dt_save,
                          sim.t_end, n_points)
     t_grid = np.round(t_grid / sim.dt_save) * sim.dt_save
@@ -665,9 +652,9 @@ def _est_gamma(cfg: RunConfig, exp: dict, n_workers: int):
 def _est_sigma2(cfg: RunConfig, exp: dict, n_workers: int):
     burn = _field(exp, "experiment", "burn_in", default=0.0,
                   nonnegative=True)
-    traj = simulate(cfg.sim)
     n_batches = _field(exp, "experiment", "n_batches", _as_int, None,
                        minimum=30)
+    traj = simulate(cfg.sim)
     try:
         rep = sigma_squared(traj, cfg.observable, burn_in=burn,
                             n_batches=n_batches)
@@ -761,7 +748,8 @@ def _est_occupation(cfg: RunConfig, exp: dict, n_workers: int):
                               f"strictly increasing edges, got {bins}")
         bins = np.array(bins)
     else:
-        bins = _field(exp, "experiment", "bins", _as_int, 40, minimum=1)
+        bins = _field(exp, "experiment", "bins", _as_int, 40, minimum=1,
+                      maximum=_MAX_COUNT)
     traj = simulate(cfg.sim)
     hist = occupation_measure(traj, cfg.observable, bins)
     rec = hist.to_dict()
@@ -816,13 +804,11 @@ def run_estimate(cfg: RunConfig, estimator: str, out_dir=None,
         for rec in records:
             rec.setdefault("config_hash", cfg.hash)
             rec.setdefault("estimator", estimator)
-        jsonl = out / "estimate.jsonl"
-        table = out / "estimate.csv"
-        _records_jsonl(jsonl, records)
-        _flat_csv(table, rows, cfg.hash)
+        files = {"estimate.jsonl": records, "estimate.csv": rows}
         return {"config_hash": cfg.hash, "estimator": estimator,
                 "records": records,
-                "outputs": [str(jsonl), str(table),
-                            str(out / "manifest.json")]}, [jsonl, table]
+                "outputs": [str(out / name)
+                            for name in (*files, "manifest.json")]}, files
 
-    return _run_recorded(cfg, out_dir, produce)
+    return _run_recorded(cfg, out_dir, ("estimate.jsonl", "estimate.csv"),
+                         produce)

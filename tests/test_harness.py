@@ -18,7 +18,6 @@ from sburgers.cli import main
 from sburgers.harness import (
     ConfigError, ESTIMATORS, config_hash, load_config, parse_config,
     parse_observable, run_estimate, run_simulate, run_verify,
-    write_trajectory_csv,
 )
 from sburgers.integrator import BLOCK_ROWS, BlowUpError, \
     EnsembleBlowUpError, ensemble, simulate
@@ -178,9 +177,11 @@ def every_block_raw() -> dict:
 
 
 def run_cli(tmp_path, capsys, raw, *command) -> tuple:
-    """(exit code, stderr) of one CLI run of raw."""
-    code = main([*command, "--config", write_config(tmp_path, raw),
-                 "--out", str(tmp_path / "out")])
+    """(exit code, stderr) of one CLI run of raw, into tmp_path / "out"
+    unless command names its own --out."""
+    name, *args = command
+    code = main([name, "--out", str(tmp_path / "out"), *args,
+                 "--config", write_config(tmp_path, raw)])
     return code, capsys.readouterr().err
 
 
@@ -418,9 +419,8 @@ class TestSimulateRunner:
     def test_csv_17_significant_digits(self, tmp_path):
         cfg = parse_config(base_raw())
         traj = simulate(cfg.sim)
-        path = tmp_path / "t.csv"
-        write_trajectory_csv(path, traj, cfg.hash)
-        rows = path.read_text().splitlines()[2:]
+        run_simulate(cfg, out_dir=tmp_path)
+        rows = (tmp_path / "trajectory.csv").read_text().splitlines()[2:]
         parsed = np.array([[float(c) for c in row.split(",")]
                            for row in rows])
         assert np.array_equal(parsed[:, 0], traj.times)
@@ -841,6 +841,18 @@ class TestCli:
                                      "t_max": 1e-12}),
          ["estimate", "hitting"], "experiment.t_max: must be a positive "
          "integer multiple of model.dt_save"),
+        (changed_raw({}, experiment={"kind": "estimate", "bins": 10 ** 12}),
+         ["estimate", "occupation"],
+         "experiment.bins: must be <= 1000000, got 1000000000000\n"),
+        (changed_raw({}, experiment={"kind": "estimate",
+                                     "n_points": 10 ** 12}),
+         ["estimate", "gamma"],
+         "experiment.n_points: must be <= 1000000, got 1000000000000\n"),
+        # an existing file, not a directory (a read-only directory would
+        # not stop a run as root)
+        (base_raw(), ["simulate", "--out", os.devnull],
+         f"error: cannot use {os.devnull} as the output directory: File "
+         "exists\n"),
     ], ids=["dt_save-not-multiple", "top-level-list", "negative-seed-flag",
             "model-not-object", "too-many-coefficients",
             "mark-kind-not-string", "negative-intensity",
@@ -849,7 +861,9 @@ class TestCli:
             "number-overflows-float", "step-count-overflows-float",
             "n_modes-above-ceiling", "n_modes-overflows-float",
             "snapshots-exceed-memory",
-            "t_grid-below-save-interval", "t_max-below-save-interval"])
+            "t_grid-below-save-interval", "t_max-below-save-interval",
+            "bins-above-ceiling", "n_points-above-ceiling",
+            "output-directory-is-a-file"])
     def test_rarely_reached_paths(self, tmp_path, capsys, raw, command,
                                   expected):
         code, err = run_cli(tmp_path, capsys, raw, *command)
@@ -910,6 +924,29 @@ class TestCli:
         assert old.read_bytes() == old_bytes != report.read_bytes()
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["outputs"] == ["verify_report.json"]
+
+    @pytest.mark.parametrize("command, failing, code, blowups", [
+        ("simulate", changed_raw({"model.t_end": 1e12}), 2, 0),
+        ("simulate", changed_raw({"model.nonlinearity": False,
+                                  "model.initial_condition": {
+                                      "kind": "modes",
+                                      "coefficients": [2e6]}}), 3, 1),
+        ("verify", base_raw(experiment={**VERIFY_SMALL, "lam": 1e9}), 2, 0),
+    ], ids=["snapshots-exceed-memory", "blowup", "verify-lam-too-large"])
+    def test_failed_rerun_leaves_only_its_manifest(self, tmp_path, capsys,
+                                                   command, failing, code,
+                                                   blowups):
+        # a rerun that fails in its runner removes the earlier run's files
+        # and writes its own manifest, which lists no output
+        out = tmp_path / "out"
+        first = base_raw(experiment=VERIFY_SMALL)
+        assert run_cli(tmp_path, capsys, first, command) == (0, "")
+        assert run_cli(tmp_path, capsys, failing, command)[0] == code
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == []
+        assert manifest["blowup_count"] == blowups
+        assert manifest["config_hash"] == config_hash(failing)
 
     def test_verify_clean_exit_zero(self, tmp_path, capsys):
         raw = base_raw(experiment={"kind": "verify", "n_states": 5,
@@ -1184,6 +1221,17 @@ class TestCli:
                                    "observable": observable})
         assert run_cli(tmp_path, capsys, raw, *command) == \
             (2, f"config error: experiment.observable.{message}\n")
+
+    def test_sigma2_checks_n_batches_before_stepping(self, tmp_path, capsys,
+                                                     monkeypatch):
+        def no_steps(sim):
+            raise AssertionError("simulate called")
+
+        monkeypatch.setattr(harness, "simulate", no_steps)
+        raw = base_raw(experiment={"kind": "estimate", "n_batches": 10})
+        assert run_cli(tmp_path, capsys, raw, "estimate", "sigma2") == \
+            (2, "config error: experiment.n_batches: must be >= 30, "
+                "got 10\n")
 
     @pytest.mark.parametrize("name", ["jumps_only", "default_run"])
     def test_sigma2_short_path_exit_two(self, tmp_path, capsys, name):

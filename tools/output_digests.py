@@ -26,13 +26,19 @@ output directory:
   0.01, which exits 1 with failures;
 - three blow-ups on verify_drift, which exit 3: gamma (--threads 1 and 2)
   at separation 100, where some pairs blow up, and verify from mode 1 at
-  100 with t_end 0.5, where the checked path blows up.
+  100 with t_end 0.5, where the checked path blows up;
+- two pairs of runs into one output directory each, the second run after
+  the first: verify on verify_drift with experiment.c1_override 0.01 (exit
+  1), then on verify_drift (exit 0); and simulate on
+  estimate_sigma2_linear, then on its snapshots-too-large config (exit 2).
 
 It prints one JSON object: per run, the exit code, the sha256 of stdout
 with the output directory masked, and the sha256 of every output file but
 manifest.json, which carries timestamps.  A run that exits 3 also gets the
-blowup_count and outputs of its manifest.  Run it at two commits and diff
-the two outputs to check that a change keeps every output byte.
+blowup_count and outputs of its manifest, and a run of a pair the sorted
+names of the files in its directory and the outputs of its manifest.  Run
+it at two commits and diff the two outputs to check that a change keeps
+every output byte.
 """
 
 import hashlib
@@ -57,7 +63,8 @@ def _sha(data: bytes) -> str:
 
 
 def _runs(configs: Path, tmp: Path) -> list:
-    """(name, CLI arguments) of every run, in a fixed order."""
+    """(name, CLI arguments) of every run, in a fixed order; a run of a
+    pair has a third entry, the name of the directory the pair shares."""
     runs = []
     for path in sorted(configs.glob("*.json")):
         cfg, raw = path.stem, json.loads(path.read_text())
@@ -150,6 +157,17 @@ def _runs(configs: Path, tmp: Path) -> list:
                                       "coefficients": [100.0]}))
     runs.append((f"verify/{cfg}/threads1",
                  ["verify", "--config", path, "--threads", "1"]))
+
+    for first, second in (
+            (tmp / "verify_drift_c1_override.json",
+             configs / "verify_drift.json"),
+            (configs / "estimate_sigma2_linear.json",
+             tmp / "estimate_sigma2_linear_snapshots_too_large.json")):
+        command = "verify" if first.stem.startswith("verify") else "simulate"
+        shared = f"{first.stem}_then_{second.stem}"
+        for i, path in enumerate((first, second), 1):
+            runs.append((f"rerun/{shared}/{i}_{path.stem}",
+                         [command, "--config", str(path)], shared))
     return runs
 
 
@@ -159,8 +177,9 @@ def main() -> int:
     table = {}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        for i, (name, args) in enumerate(_runs(root / "configs", tmp)):
-            out = tmp / f"run{i}"
+        for i, (name, args, *shared) in enumerate(_runs(root / "configs",
+                                                         tmp)):
+            out = tmp / (shared[0] if shared else f"run{i}")
             started = time.monotonic()
             proc = subprocess.run(
                 [sys.executable, "-m", "sburgers.cli", *args,
@@ -181,6 +200,11 @@ def main() -> int:
                 manifest = json.loads((out / "manifest.json").read_text())
                 table[name]["manifest"] = {
                     k: manifest[k] for k in ("blowup_count", "outputs")}
+            if shared:
+                manifest = json.loads((out / "manifest.json").read_text())
+                table[name]["listing"] = sorted(p.name
+                                                for p in out.iterdir())
+                table[name]["manifest_outputs"] = manifest["outputs"]
     print(json.dumps(table, indent=1, sort_keys=True))
     return 0
 
