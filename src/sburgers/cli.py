@@ -10,6 +10,14 @@ Exit codes: 0 success (verify: zero deterministic failures), 1 verify
 found failures, 2 usage or config or estimator-domain error, 3 trajectory
 blow-up.
 
+Importing this module sets OPENBLAS_NUM_THREADS to 1, before numpy
+loads, unless it is already set: OpenBLAS's second thread does no useful
+work in a run but spins through all of it, about 40% of a short run's CPU
+time, and every output is the same with one thread.  The value holds for
+this process and every ensemble worker forked from it; a value the user
+set wins.  A program that imports sburgers.integrator or sburgers.harness
+itself keeps its own BLAS threads.
+
 At interpreter exit every object still alive is frozen (``gc.freeze``), so
 the teardown collections skip them and the OS reclaims the memory in one
 step; every output file is closed before ``main`` returns, and the flushes
@@ -20,7 +28,11 @@ import argparse
 import atexit
 import gc
 import json
+import os
 import sys
+
+# before numpy loads: OpenBLAS reads it once, when the library starts
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .integrator import BlowUpError
 from .harness import ConfigError, ESTIMATORS, load_config, \

@@ -41,6 +41,8 @@ import csv
 import hashlib
 import json
 import math
+import os
+import platform
 import time
 from functools import partial
 from pathlib import Path
@@ -394,11 +396,17 @@ def parse_config(raw: dict, seed_override: int | None = None) -> RunConfig:
 def load_config(path, seed_override: int | None = None) -> RunConfig:
     p = Path(path)
     if not p.is_file():
-        raise ConfigError(f"config file not found: {path}")
+        raise ConfigError(f"{path}: not a file" if p.exists()
+                          else f"config file not found: {path}")
     try:
-        raw = json.loads(p.read_text())
+        raw = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}: invalid JSON ({err})") from err
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: not UTF-8 text ({err})") from err
+    except OSError as err:
+        raise ConfigError(f"{path}: cannot read ({err.strerror or err})") \
+            from err
     return parse_config(raw, seed_override)
 
 
@@ -430,7 +438,8 @@ def _write(path: Path, content, cfg_hash: str) -> None:
                     for k in names])
 
 
-def _run_recorded(cfg: RunConfig, out_dir, names, produce):
+def _run_recorded(cfg: RunConfig, out_dir, names, produce,
+                  workers: int = 1):
     """Run produce(out) -> (result, files) and persist the files.
 
     out is the output directory, made here; files maps each file name
@@ -438,7 +447,9 @@ def _run_recorded(cfg: RunConfig, out_dir, names, produce):
     this run does not write.  Every run leaves manifest.json and the files
     it lists as "outputs", and no other file of names: a run whose produce
     fails lists none, and a BlowUpError's trajectories count as its
-    blowup_count.
+    blowup_count.  The manifest also records what the run ran on: the
+    Python and numpy versions, the OPENBLAS_NUM_THREADS value in effect
+    (null if unset) and workers, the run's worker processes.
     """
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     try:
@@ -475,6 +486,10 @@ def _run_recorded(cfg: RunConfig, out_dir, names, produce):
             "seed": cfg.sim.seed,
             "blowup_count": blowups,
             "outputs": written,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "workers": workers,
         }, cfg.hash)
 
 
@@ -625,7 +640,7 @@ def run_verify(cfg: RunConfig, out_dir=None, n_workers: int = 1) -> dict:
 
     return _run_recorded(cfg, out_dir,
                          ("verify_report.json", "verify_failures.csv"),
-                         produce)
+                         produce, n_workers)
 
 
 # ------------------------------------------------------ estimate dispatch
@@ -811,4 +826,4 @@ def run_estimate(cfg: RunConfig, estimator: str, out_dir=None,
                             for name in (*files, "manifest.json")]}, files
 
     return _run_recorded(cfg, out_dir, ("estimate.jsonl", "estimate.csv"),
-                         produce)
+                         produce, n_workers)

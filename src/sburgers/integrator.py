@@ -48,10 +48,12 @@ blow-up norms and a state-dependent jump direction's field_at.
 
 Snapshots and blow-ups are taken from the chunk buffer once per chunk.
 An ensemble may also give a first-passage stop: a row finishes at its
-first snapshot where a row-wise test holds, a blow-up counts only at or
-before the finish, finished rows are reset like blown ones, and a block
-stops stepping once each row is blown or finished.  The chunk therefore
-also bounds how far a block steps past its last finish.
+first snapshot where a row-wise test holds, and a blow-up counts only at
+or before the finish.  A row that finished or blew up leaves the block at
+the end of its chunk: its column leaves the state, its generators draw
+nothing more, and the block steps only its live rows, so it stops once
+every row has left.  The chunk length is fixed by the block's first
+width, so it also bounds how far a row steps past its finish.
 
 The step formula lives in two _Kernel helpers: _gaussian_increment is
 the noise term e^(-alpha_k h) beta_k sqrt(h) xi_k and _deterministic the
@@ -236,9 +238,10 @@ class _Kernel:
 
     Nothing is cached between steps: run computes the coefficients of
     each chunk from its step lengths, and substep those of its length.
-    With more than one row on the array route, run widens each chunk's
-    decay and phi to (steps, N, R) and the constant compensator to (N, R)
-    once, so that no step broadcasts an (N, 1) column across the rows.
+    With more than one live row on the array route, run widens each
+    chunk's decay and phi to (steps, N, R) and the constant compensator to
+    (N, R), R the live width, so that no step broadcasts an (N, 1) column
+    across the rows.
     """
 
     def __init__(self, cfg: SimConfig):
@@ -414,10 +417,10 @@ class _Kernel:
         starts is an (R, N) array, one start row per seed; cfg.x0 is not
         read.
 
-        The rows are stepped as one mode-major (N, R) state; the snapshots,
-        the until mask, the blow-up norms and a state-dependent direction's
-        field_at read row-major copies, because numpy sums a strided last
-        axis in another order than a contiguous one.
+        The live rows are stepped as one mode-major (N, R) state; the
+        snapshots, the until mask, the blow-up norms and a state-dependent
+        direction's field_at read row-major copies, because numpy sums a
+        strided last axis in another order than a contiguous one.
 
         Returns the snapshots, shape (R, n_saves + 1, N), the jump logs,
         {row: (time, norm)} for the rows that left the trust region, found
@@ -430,10 +433,12 @@ class _Kernel:
         mask and must treat each row on its own.  A row finishes at its
         first snapshot (t = 0 included) where the mask is True, unless it
         left the trust region at or before that step; a later blow-up of a
-        finished row is not recorded.  Blown and finished rows are reset to
-        zero before the next chunk, their later states are never read, and
-        their siblings run on unchanged.  The loop stops once every row is
-        blown or finished, so the snapshots past a row's finish are unset.
+        finished row is not recorded.  A blown or finished row leaves the
+        block at the end of its chunk: its column is dropped from the state
+        with one copy, its generators draw nothing more, and its snapshots
+        after that chunk are unset.  Every row keeps its own draws in their
+        order, so its siblings run on unchanged.  The loop stops once every
+        row has left.
         """
         cfg = self.cfg
         n = cfg.n_modes
@@ -467,90 +472,103 @@ class _Kernel:
         blown = {}
         finish = {} if until is None else \
             dict.fromkeys(np.flatnonzero(until(rows[None])[0]).tolist(), 0)
-        stopped = set(finish)      # rows whose later states are not read
         lanes = not cfg.nonlinearity_on and cfg.jumps is None \
             and n_rows * n <= LANE_LIMIT
+        # fixed by the block's first width: from the live width, the last
+        # rows of a first-passage block overshoot their finish by more steps
         chunk = max(1, NOISE_CHUNK // (n_rows * n))
-        wide = n_rows > 1 and not lanes
-        comp = self.const_compensator
-        if wide and comp is not None:
-            comp = np.repeat(comp, n_rows, axis=1)
+        live = np.arange(n_rows)     # the rows still stepped, in row order
+        at = slice(None)             # live as an index of snaps: a slice
+                                     # until a row leaves, the cheaper write
+        width = None
+        leaving = list(finish)       # positions in live of the rows to drop
         with np.errstate(over="ignore", invalid="ignore"):
             for i0 in range(0, n_steps, chunk):
-                if len(stopped) == n_rows:
-                    break
+                if leaving:
+                    keep = np.ones(len(live), dtype=bool)
+                    keep[leaving] = False
+                    live = at = live[keep]
+                    a = a[:, keep]
+                    leaving = []
+                    if not len(live):
+                        break
+                if width != len(live):
+                    width = len(live)
+                    wide = width > 1 and not lanes
+                    comp = self.const_compensator
+                    if wide and comp is not None:
+                        comp = np.repeat(comp, width, axis=1)
+                    ids = live.tolist()
+                    live_rngs = [rngs[r] for r in ids]
+                    live_plans = [plans[r] for r in ids]
+                    live_logs = [logs[r] for r in ids]
                 i1 = min(i0 + chunk, n_steps)
                 steps = np.arange(i0, i1)[:, None, None]
                 decay, phi, bsh = self.coef((steps + 1) * dt - steps * dt)
                 if wide:
-                    decay = np.repeat(decay, n_rows, axis=2)
-                    phi = np.repeat(phi, n_rows, axis=2)
-                path, split = self._plan_chunk(i0, i1, rngs, plans)
+                    decay = np.repeat(decay, width, axis=2)
+                    phi = np.repeat(phi, width, axis=2)
+                path, split = self._plan_chunk(i0, i1, live_rngs, live_plans)
                 if path is None:
                     # x + -0.0 is x, bit for bit, so -0.0 is no noise at all
-                    path = np.full((i1 - i0, n, n_rows), -0.0)
+                    path = np.full((i1 - i0, n, width), -0.0)
                 else:
                     path = self._gaussian_increment(decay, bsh, path)
                 # each step adds its deterministic part to its noise term
                 if lanes:
-                    self._step_lanes(a, path, decay, stopped)
+                    self._step_lanes(a, path, decay)
                 else:
                     self._step_arrays(a, path, decay, phi, comp, split,
-                                      logs, stopped)
+                                      live_logs)
                 first = -(i0 + 1) % save_every
                 # row-major copies, (k, R, N), wherever a sum over modes
                 # runs: numpy adds a strided last axis in another order
                 saved = np.ascontiguousarray(
                     path[first::save_every].transpose(0, 2, 1))
                 s0 = (i0 + first + 1) // save_every
-                snaps[:, s0:s0 + len(saved)] = saved.swapaxes(0, 1)
-                bad = {}              # row -> its first bad step in the chunk
+                snaps[at, s0:s0 + len(saved)] = saved.swapaxes(0, 1)
+                bad = {}         # position -> its first bad step in the chunk
                 if not float(np.square(path).sum()) <= _SAFE_NORM_SQ:
                     norms = np.sqrt(norm_h_sq(np.ascontiguousarray(
                         path.transpose(0, 2, 1))))
                     out = ~(norms <= BLOWUP_NORM)
-                    for r in np.flatnonzero(out.any(axis=0)).tolist():
-                        if r not in stopped:
-                            bad[r] = int(out[:, r].argmax())
+                    for j in np.flatnonzero(out.any(axis=0)).tolist():
+                        bad[j] = int(out[:, j].argmax())
                 if until is not None and len(saved):
                     inside = until(saved)
-                    for r in np.flatnonzero(inside.any(axis=0)).tolist():
-                        if r not in stopped:
-                            m = int(inside[:, r].argmax())
-                            if bad.get(r, math.inf) > first + m * save_every:
-                                finish[r] = s0 + m
-                                bad.pop(r, None)
-                                stopped.add(r)
-                for r, k in bad.items():
-                    blown[r] = ((i0 + k + 1) * dt, float(norms[k, r]))
-                stopped.update(bad)
+                    for j in np.flatnonzero(inside.any(axis=0)).tolist():
+                        m = int(inside[:, j].argmax())
+                        if bad.get(j, math.inf) > first + m * save_every:
+                            finish[ids[j]] = s0 + m
+                            bad.pop(j, None)
+                            leaving.append(j)
+                for j, k in bad.items():
+                    blown[ids[j]] = ((i0 + k + 1) * dt, float(norms[k, j]))
+                leaving += bad
                 a = path[-1]
-                a[:, list(stopped)] = 0.0
         return snaps, logs, blown, finish
 
-    def _step_arrays(self, a, path, decay, phi, comp, split, logs,
-                     stopped) -> None:
-        """Step j of the chunk takes all rows from a to path[j] at once,
-        with the chunk's decay and phi, (steps, N, R) arrays or (steps, N,
-        1) for one row, and comp, drift's constant compensator."""
+    def _step_arrays(self, a, path, decay, phi, comp, split, logs) -> None:
+        """Step j of the chunk takes the live rows from a to path[j] at
+        once, with the chunk's decay and phi, (steps, N, R) arrays or
+        (steps, N, 1) for one row, and comp, drift's constant compensator.
+        A row of split is its position among the live rows, and logs holds
+        the live rows' jump logs in that order."""
         for j, (dj, pj, nxt) in enumerate(zip(decay, phi, path)):
             new = self._deterministic(dj, pj, comp, a)
             nxt += new               # not path[j] += new: that copies back
             for r, pieces, z, k in split.get(j, ()):
-                if r not in stopped:
-                    nxt[:, r] = self._split_step(a[:, [r]], pieces, z, k,
-                                                 logs[r])[:, 0]
+                nxt[:, r] = self._split_step(a[:, [r]], pieces, z, k,
+                                             logs[r])[:, 0]
             a = nxt
 
-    def _step_lanes(self, a, path, decay, stopped) -> None:
+    def _step_lanes(self, a, path, decay) -> None:
         """_step_arrays without drift or jumps: each coefficient of each
-        row is the recurrence v <- decay v + noise in Python floats, with
-        the roundings of _step_arrays.  decay is the chunk's (steps, N, 1)
-        array."""
+        live row is the recurrence v <- decay v + noise in Python floats,
+        with the roundings of _step_arrays.  decay is the chunk's (steps,
+        N, 1) array."""
         decays = decay[:, :, 0].T.tolist()       # one list per coefficient
         for r in range(path.shape[2]):
-            if r in stopped:
-                continue
             for c, v in enumerate(a[:, r].tolist()):
                 lane = path[:, c, r]
                 lane[:] = np.fromiter(_lane(v, decays[c], memoryview(lane)),

@@ -1,9 +1,12 @@
 """Config plumbing, persistence, runners, and the CLI surface."""
 
+import ast
 import csv
+import errno
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from functools import partial
@@ -786,11 +789,39 @@ def verify_report(out) -> dict:
 VERIFY_SMALL = {"kind": "verify", "n_states": 5, "n_mart": 2}
 
 
+def config_directory(tmp_path, monkeypatch) -> str:
+    (tmp_path / "run.json").mkdir()
+    return str(tmp_path / "run.json")
+
+
+def config_not_utf8(tmp_path, monkeypatch) -> str:
+    path = tmp_path / "run.json"
+    path.write_bytes(b"\xff\xfe")
+    return str(path)
+
+
+def config_unreadable(tmp_path, monkeypatch) -> str:
+    """A config file whose read fails as it does without read permission,
+    which a test run as root cannot take away."""
+    path = Path(write_config(tmp_path, base_raw()))
+    read = Path.read_text
+
+    def refuse(self, *args, **kwargs):
+        if self == path:
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES),
+                                  str(self))
+        return read(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", refuse)
+    return str(path)
+
+
 class TestCli:
     # paths no other test and no shipped run reaches, and the --seed bound,
     # which the CLI leaves to the config parser: a config error names its
     # field (exit 2), as does a run's "error: " message, or a run succeeds
-    # and read(output directory) == value
+    # and read(output directory) == value; a raw that is a function makes
+    # a config path no JSON can be read from, which <config> names
     @pytest.mark.parametrize("raw, command, expected", [
         (changed_raw({"model.dt": 0.05, "model.dt_save": 0.07,
                       "model.t_end": 0.7}), ["simulate"],
@@ -853,6 +884,12 @@ class TestCli:
         (base_raw(), ["simulate", "--out", os.devnull],
          f"error: cannot use {os.devnull} as the output directory: File "
          "exists\n"),
+        (config_directory, ["simulate"], "<config>: not a file\n"),
+        (config_not_utf8, ["simulate"], "<config>: not UTF-8 text ('utf-8' "
+         "codec can't decode byte 0xff in position 0: invalid start "
+         "byte)\n"),
+        (config_unreadable, ["simulate"],
+         "<config>: cannot read (Permission denied)\n"),
     ], ids=["dt_save-not-multiple", "top-level-list", "negative-seed-flag",
             "model-not-object", "too-many-coefficients",
             "mark-kind-not-string", "negative-intensity",
@@ -863,10 +900,17 @@ class TestCli:
             "snapshots-exceed-memory",
             "t_grid-below-save-interval", "t_max-below-save-interval",
             "bins-above-ceiling", "n_points-above-ceiling",
-            "output-directory-is-a-file"])
-    def test_rarely_reached_paths(self, tmp_path, capsys, raw, command,
-                                  expected):
-        code, err = run_cli(tmp_path, capsys, raw, *command)
+            "output-directory-is-a-file", "config-is-a-directory",
+            "config-not-utf8", "config-unreadable"])
+    def test_rarely_reached_paths(self, tmp_path, capsys, monkeypatch, raw,
+                                  command, expected):
+        if callable(raw):
+            config = raw(tmp_path, monkeypatch)
+            code = main([*command, "--config", config])
+            err = capsys.readouterr().err
+            expected = expected.replace("<config>", config)
+        else:
+            code, err = run_cli(tmp_path, capsys, raw, *command)
         if isinstance(expected, str):
             assert code == 2
             if not expected.startswith("error: "):
@@ -1030,6 +1074,59 @@ class TestCli:
                              capture_output=True, text=True, timeout=60,
                              check=True)
         assert run.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("module, setting, expected", [
+        ("sburgers.cli", None, "1"),
+        ("sburgers.cli", "2", "2"),
+        ("sburgers.integrator", None, None),
+    ], ids=["cli-default", "user-value-wins", "integrator-sets-nothing"])
+    def test_cli_runs_one_blas_thread(self, module, setting, expected):
+        # the CLI sets OPENBLAS_NUM_THREADS before numpy loads, unless the
+        # user did; the package's other modules leave it alone.  This
+        # process may have imported sburgers.cli, so the child's
+        # environment is built here
+        env = {k: v for k, v in os.environ.items()
+               if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = str(Path(sburgers.__file__).resolve().parents[1])
+        if setting is not None:
+            env["OPENBLAS_NUM_THREADS"] = setting
+        code = (f"import os, sys, {module}, numpy; "
+                "blas = numpy.show_config(mode='dicts')"
+                "['Build Dependencies']['blas']['name']; "
+                "tasks = len(os.listdir('/proc/self/task')) "
+                "if sys.platform == 'linux' else None; "
+                "print(repr((os.environ.get('OPENBLAS_NUM_THREADS'), "
+                "'openblas' in blas.lower(), tasks)))")
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60,
+                             check=True)
+        value, openblas, tasks = ast.literal_eval(run.stdout.strip())
+        assert value == expected
+        if expected == "1" and openblas and tasks is not None:
+            assert tasks == 1
+
+    @pytest.mark.parametrize("command, workers, blas", [
+        (["simulate"], 1, None),
+        (["verify"], 1, "1"),
+        (["verify", "--threads", "2"], 2, "3"),
+        (["estimate", "hitting", "--threads", "2"], 2, None),
+    ], ids=["simulate", "verify", "verify-threads2", "estimate-threads2"])
+    def test_manifest_records_what_the_run_ran_on(self, tmp_path, capsys,
+                                                  monkeypatch, command,
+                                                  workers, blas):
+        if blas is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
+        raw = base_raw(experiment=VERIFY_SMALL if command[0] == "verify"
+                       else {"kind": "estimate", "n_traj": 4})
+        assert run_cli(tmp_path, capsys, raw, *command) == (0, "")
+        manifest = json.loads((tmp_path / "out" / "manifest.json")
+                              .read_text())
+        assert manifest["python"] == platform.python_version()
+        assert manifest["numpy"] == np.__version__
+        assert manifest["blas_threads"] == blas
+        assert manifest["workers"] == workers
 
     def test_verify_threads_identical(self, tmp_path, capsys):
         # more supermartingale paths than one block, so two workers share

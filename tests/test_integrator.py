@@ -1049,6 +1049,50 @@ class TestFirstPassage:
                                            _x0_rows(cfg, 4), until)
         assert sorted(finish) == [0, 1, 2] and sum(steps) == n_steps
 
+    @pytest.mark.parametrize("case", ["blow_after_finish", "reset_rows"])
+    def test_rows_leave_the_block(self, monkeypatch, case):
+        # a row that finishes or blows up leaves the block at the end of
+        # its chunk: from the next chunk on _plan_chunk gets only the live
+        # rows, in row order, and the row's generator draws nothing more
+        cfg, n_rows, until, _ = self.STOP_CASES[case]
+        chunk = 5
+        monkeypatch.setattr(integrator, "NOISE_CHUNK",
+                            chunk * n_rows * cfg.n_modes)
+        planned, states, gens = [], [], []
+        plan = _Kernel._plan_chunk
+
+        def recorded(self, i0, i1, rngs, plans):
+            if not gens:
+                gens.extend(rngs)
+            rows = [next(r for r, g in enumerate(gens) if g is rng)
+                    for rng in rngs]
+            out = plan(self, i0, i1, rngs, plans)
+            planned.append(rows)
+            states.append([gens[r].bit_generator.state for r in rows])
+            return out
+
+        monkeypatch.setattr(_Kernel, "_plan_chunk", recorded)
+        seeds = [derive_seed(cfg.seed, i) for i in range(n_rows)]
+        _, _, blown, finish = _Kernel(cfg).run(seeds, _x0_rows(cfg, n_rows),
+                                               until)
+        assert blown and finish and len(gens) == n_rows
+        save_every = round(cfg.dt_save / cfg.dt)
+        # the chunk of the step each row left at, or the last chunk
+        left = dict.fromkeys(range(n_rows),
+                             (round(cfg.t_end / cfg.dt) - 1) // chunk)
+        left.update((r, (f * save_every - 1) // chunk)
+                    for r, f in finish.items())
+        left.update((r, (round(t / cfg.dt) - 1) // chunk)
+                    for r, (t, _) in blown.items())
+        assert len(planned) == max(left.values()) + 1
+        widths = [len(rows) for rows in planned]
+        assert widths == sorted(widths, reverse=True) and widths[-1] < n_rows
+        for c, rows in enumerate(planned):
+            assert rows == [r for r in range(n_rows) if left[r] >= c], c
+            for r, state in zip(rows, states[c]):
+                if left[r] == c:
+                    assert gens[r].bit_generator.state == state, (c, r)
+
     def test_start_inside_finishes_at_once(self):
         cfg, n_traj, until, _ = self.STOP_CASES["reset_rows"]
         out = ensemble(replace(cfg, x0=None), n_traj, _stop_path, until=until)

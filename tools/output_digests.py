@@ -24,9 +24,12 @@ output directory:
   snapshots do not fit in memory;
 - verify (--threads 1 and 2) on verify_drift with experiment.c1_override
   0.01, which exits 1 with failures;
-- three blow-ups on verify_drift, which exit 3: gamma (--threads 1 and 2)
-  at separation 100, where some pairs blow up, and verify from mode 1 at
-  100 with t_end 0.5, where the checked path blows up;
+- five blow-ups on verify_drift, which exit 3: gamma (--threads 1 and 2)
+  at separation 100, where some pairs blow up; verify from mode 1 at
+  100 with t_end 0.5, where the checked path blows up; and hitting
+  (--threads 1 and 2) from experiment.initial_v_norm 176 (||x0||_H = 56),
+  where 134 of the 200 first-passage rows blow up and the others enter
+  the ball, so a block drops rows of both kinds;
 - two pairs of runs into one output directory each, the second run after
   the first: verify on verify_drift with experiment.c1_override 0.01 (exit
   1), then on verify_drift (exit 0); and simulate on
@@ -157,6 +160,14 @@ def _runs(configs: Path, tmp: Path) -> list:
                                       "coefficients": [100.0]}))
     runs.append((f"verify/{cfg}/threads1",
                  ["verify", "--config", path, "--threads", "1"]))
+
+    cfg = "verify_drift_hitting_blowup"
+    path = derived("verify_drift", cfg, lambda raw: raw.update(
+        experiment={"kind": "estimate", "initial_v_norm": 176.0}))
+    for n in (1, 2):
+        runs.append((f"estimate/hitting/{cfg}/threads{n}",
+                     ["estimate", "hitting", "--config", path,
+                      "--threads", str(n)]))
 
     for first, second in (
             (tmp / "verify_drift_c1_override.json",
