@@ -36,8 +36,10 @@ output directory:
   estimate_sigma2_linear, then on its snapshots-too-large config (exit 2).
 
 It prints one JSON object: per run, the exit code, the sha256 of stdout
-with the output directory masked, and the sha256 of every output file but
-manifest.json, which carries timestamps.  A run that exits 3 also gets the
+and of stderr, each with the output directory and the temporary
+directory masked, and the sha256 of every output file but manifest.json,
+which carries timestamps.  stderr is empty on a run that exits 0 and one
+line naming the failure on the others.  A run that exits 3 also gets the
 blowup_count and outputs of its manifest, and a run of a pair the sorted
 names of the files in its directory and the outputs of its manifest.  Run
 it at two commits and diff the two outputs to check that a change keeps
@@ -63,6 +65,13 @@ LONG = 100.0
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _masked(data: bytes, out: Path, tmp: Path) -> bytes:
+    """data with the output directory and then the temporary directory,
+    which differ from run to run, replaced by fixed names."""
+    return data.replace(str(out).encode(), b"<out>").replace(
+        str(tmp).encode(), b"<tmp>")
 
 
 def _runs(configs: Path, tmp: Path) -> list:
@@ -203,8 +212,8 @@ def main() -> int:
                 if p.name != "manifest.json"}
             table[name] = {
                 "exit": proc.returncode,
-                "stdout": _sha(proc.stdout.replace(str(out).encode(),
-                                                   b"<out>")),
+                "stdout": _sha(_masked(proc.stdout, out, tmp)),
+                "stderr": _sha(_masked(proc.stderr, out, tmp)),
                 "files": files,
             }
             if proc.returncode == 3:
