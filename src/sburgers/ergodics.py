@@ -22,7 +22,7 @@ from functools import partial
 
 import numpy as np
 
-from .spectral import SpectralField, mode_rates, norm_h_sq, record, replace
+from .spectral import SpectralField, norm_h_sq, record, replace
 from .integrator import SimConfig, Trajectory, simulate, ensemble, \
     _is_multiple
 from .lyapunov import DriftConstants, EstimateReport, psi, \
@@ -627,14 +627,6 @@ class HittingSummary:
         }
 
 
-def _inside_v_ball(snaps: np.ndarray, radius: float) -> np.ndarray:
-    """||x||_V <= radius for each state of snaps, (..., N) -> (...)."""
-    # row by row, unlike the matrix-vector norm_v_sq (ROADMAP item 1), so
-    # a path stops at the same snapshot in any block
-    rates = mode_rates(snaps.shape[-1])
-    return np.sqrt(np.vecdot(snaps * snaps, rates)) <= radius
-
-
 def _entrance_time(traj: Trajectory) -> float:
     return float(traj.times[-1]) if traj.stopped else math.nan
 
@@ -653,9 +645,8 @@ def hitting_times(cfg: SimConfig, constants: DriftConstants, n_traj: int,
     average).  Raises EnsembleBlowUpError when any trajectory blows up
     before it enters.
     """
-    until = partial(_inside_v_ball, radius=constants.k_radius)
     taus = np.array(ensemble(cfg, n_traj, _entrance_time,
-                             n_workers=n_workers, until=until))
+                             n_workers=n_workers, until=constants.in_k))
     censored = int(np.sum(np.isnan(taus)))
     flags = []
     if censored:

@@ -3,9 +3,7 @@
 Every function here is array-first: it takes coefficient arrays a of shape
 (..., N), one state per row, and returns one value (or one (N,) vector) per
 state.  A SpectralField x is passed as x.coeffs.  No state's result depends
-on the other rows of the block, except through ||x||_V^2, whose BLAS
-product may round a row differently in a block than alone (see
-spectral.norm_v_sq).
+on the other rows of the block.
 
 The workhorse function is psi(x) = (1 + ||x||_H^2)^(1/2).  Its gradient and
 Hessian are globally bounded by 1 in operator norm, the Dirichlet form term
@@ -104,6 +102,10 @@ class DriftConstants:
     @property
     def k_radius(self) -> float:
         return 2.0 * self.c1
+
+    def in_k(self, a: np.ndarray) -> np.ndarray:
+        """||x||_V <= k_radius for each state of a, (..., N) -> (...)."""
+        return np.sqrt(norm_v_sq(a)) <= self.k_radius
 
     @classmethod
     def from_specs(cls, gaussian: GaussianSpec | None,
@@ -248,7 +250,7 @@ def drift_condition_check(a: np.ndarray,
     """
     p = psi(a)
     v = np.sqrt(norm_v_sq(a))
-    in_k = v <= constants.k_radius
+    in_k = constants.in_k(a)
     lhs = (np.sqrt(1.0 + v * v) - constants.c1) / p
     satisfied = lhs >= np.where(in_k, -constants.c1, 0.5) - DEFAULT_TOL
 

@@ -9,7 +9,8 @@ alpha_k = (pi k)^2, and the H / V norms are weighted coefficient sums:
     ||x||_V^2 = sum_k (pi k)^2 a_k^2
 
 norm_h_sq and norm_v_sq are the one implementation of each, on coefficient
-arrays of shape (..., N) with one state per row.
+arrays of shape (..., N) with one state per row; each sums a row by itself,
+so a state's norm has the same bits alone and in any block.
 
 The advection term B(x) = x * x' couples modes quadratically and is computed
 exactly by the mode-coupling sum at every truncation size.  The integrator
@@ -207,13 +208,8 @@ def norm_h_sq(a: np.ndarray) -> np.ndarray:
 
 
 def norm_v_sq(a: np.ndarray) -> np.ndarray:
-    """sum_k (pi k)^2 a_k^2 of each state along the last axis.
-
-    A matrix-vector product: on a block of states the BLAS kernel may add
-    a row's terms in another order than for the row alone, so the result
-    can differ from the row's own in the last bit.
-    """
-    return a ** 2 @ mode_rates(a.shape[-1])
+    """sum_k (pi k)^2 a_k^2 of each state along the last axis, row by row."""
+    return np.vecdot(a ** 2, mode_rates(a.shape[-1]))
 
 
 def norm_h(x: SpectralField) -> float:

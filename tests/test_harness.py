@@ -490,6 +490,25 @@ class TestVerifyRunner:
         assert keys == sorted(keys) and len(set(keys)) == len(keys)
         assert [r for r in forced if r["check"] == "drift_chain"] == rows
 
+    def test_failure_rows_independent_of_n_states(self, tmp_path):
+        # a checked state's numbers, those derived from ||x||_V included,
+        # do not depend on which other states are checked with it
+        raw = json.loads((ROOT / "configs" / "verify_drift.json")
+                         .read_text())
+        raw["experiment"].update(c1_override=0.01, n_mart=2)
+        tables = []
+        for n_states in (500, 167):
+            raw["experiment"]["n_states"] = n_states
+            out = tmp_path / str(n_states)
+            run_verify(parse_config(raw), out_dir=out)
+            lines = (out / "verify_failures.csv").read_text().splitlines()
+            tables.append({(r["t"], r["check"]): r
+                           for r in csv.DictReader(lines[1:])})
+        shared = tables[0].keys() & tables[1].keys()
+        assert len(shared) > 100
+        assert [k for k in sorted(shared)
+                if tables[0][k] != tables[1][k]] == []
+
     def test_zero_states_is_usage_error(self, tmp_path):
         raw = base_raw(experiment={"kind": "verify", "n_states": 0})
         with pytest.raises(ConfigError, match="n_states"):

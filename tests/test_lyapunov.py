@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from sburgers.spectral import (
-    basis_field, zero_field, random_field, norm_h, norm_h_sq, norm_v_sq,
+    basis_field, zero_field, random_field, norm_h, norm_h_sq,
 )
 from sburgers.noise import (
     GaussianSpec, JumpSpec, ExponentialMarks, DeterministicMarks,
@@ -410,14 +410,6 @@ def _mart_final_quarter(traj) -> float:
     return float(exp_martingale_path(traj, 0.25, m_lam, 1.0)[-1])
 
 
-# Fields of the Lyapunov outputs that pass through ||x||_V^2.  norm_v_sq is
-# a BLAS matrix-vector product, whose kernel may round a row of a block
-# differently from the row alone; where it does, these fields may move in
-# the last bits and nothing else may.
-V_FIELDS = {"lin_term", "value", "bound", "margin", "ok",
-            "v_norm", "in_k", "lhs", "satisfied"}
-
-
 def _direction(kind, n_modes):
     g0 = basis_field(1, n_modes) + basis_field(n_modes, n_modes) * 0.5
     if kind == "constant":
@@ -425,13 +417,9 @@ def _direction(kind, n_modes):
     return SaturatedDirection(g0, amplitude=0.8)
 
 
-def _assert_rows_match(whole, rows, same_v, v_dependent):
+def _assert_rows_match(whole, rows):
     for i, solo in enumerate(rows):
-        if v_dependent and not same_v[i]:
-            np.testing.assert_allclose(whole[i], solo, rtol=1e-13,
-                                       atol=1e-13)
-        else:
-            assert np.array_equal(whole[i], solo), i
+        assert np.array_equal(whole[i], solo), i
 
 
 class TestBatchInvariance:
@@ -457,24 +445,18 @@ class TestBatchInvariance:
         c = DriftConstants.from_specs(gauss, jumps)
         m_lam = 1.1851851851851851
 
-        same_v = norm_v_sq(a) == np.array([norm_v_sq(r) for r in a])
-        # the exact comparison is exercised on most rows
-        assert np.sum(same_v) >= len(a) // 2
-
-        def check(fn, v_dependent=False):
-            _assert_rows_match(fn(a), [fn(r) for r in a], same_v,
-                               v_dependent)
+        def check(fn):
+            _assert_rows_match(fn(a), [fn(r) for r in a])
 
         check(psi)
         check(grad_psi)
         _assert_rows_match(hess_psi_apply(a, v),
-                           [hess_psi_apply(r, w) for r, w in zip(a, v)],
-                           same_v, False)
+                           [hess_psi_apply(r, w) for r, w in zip(a, v)])
         for lam in (0.25, 1.0):
             check(lambda x: psi_lambda(x, lam))
             check(lambda x: grad_psi_lambda(x, lam))
-            check(lambda x: h_upper(x, lam, m_lam, 1.0), True)
-            check(lambda x: dissipation_term_gap(x, lam), True)
+            check(lambda x: h_upper(x, lam, m_lam, 1.0))
+            check(lambda x: dissipation_term_gap(x, lam))
             for u in (0.05, 0.7, 2.0):
                 check(lambda x: jump_taylor_gap(x, u, jumps, lam))
 
@@ -487,8 +469,7 @@ class TestBatchInvariance:
                     assert all(getattr(t, name) == whole for t in solo)
                     continue
                 assert np.shape(whole) == (len(a),)
-                _assert_rows_match(whole, [getattr(t, name) for t in solo],
-                                   same_v, name in V_FIELDS)
+                _assert_rows_match(whole, [getattr(t, name) for t in solo])
 
         for specs in ((gauss, jumps), (None, None)):
             rep = drift_condition_check(a, c, *specs)
@@ -497,5 +478,4 @@ class TestBatchInvariance:
                 if name == "generator":
                     continue
                 _assert_rows_match(getattr(rep, name),
-                                   [getattr(t, name) for t in solo],
-                                   same_v, name in V_FIELDS)
+                                   [getattr(t, name) for t in solo])
