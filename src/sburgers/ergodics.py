@@ -23,8 +23,7 @@ from functools import partial
 import numpy as np
 
 from .spectral import SpectralField, norm_h_sq, record, replace
-from .integrator import SimConfig, Trajectory, simulate, ensemble, \
-    _is_multiple
+from .integrator import SimConfig, Trajectory, simulate, ensemble
 from .lyapunov import DriftConstants, EstimateReport, psi, \
     _cumulative_trapezoid
 
@@ -419,18 +418,6 @@ def sigma_squared(traj: Trajectory, obs: Observable,
 
 # ------------------------------------------------------- mixing-rate probe
 
-def _grid_indices(t_grid, cfg: SimConfig) -> np.ndarray:
-    """Save-grid index of each time in t_grid, all in [0, cfg.t_end]."""
-    last = int(round(cfg.t_end / cfg.dt_save))
-    idx = []
-    for t in t_grid:
-        i = int(round(t / cfg.dt_save))
-        if not _is_multiple(t, cfg.dt_save) or not 0 <= i <= last:
-            raise ValueError(f"time {t} is not on the snapshot grid")
-        idx.append(i)
-    return np.array(idx, dtype=int)
-
-
 def _snapshots_at(traj: Trajectory, indices) -> np.ndarray:
     return traj.coeffs[list(indices)]
 
@@ -457,16 +444,16 @@ def ergodic_decay(cfg: SimConfig, x0: SpectralField, y0: SpectralField,
     if n_traj < 2:
         raise ValueError("need at least two pairs")
     t_grid = np.asarray(list(t_grid), dtype=float)
-    indices = _grid_indices(t_grid, cfg)
+    indices = tuple(cfg.save_index(t) for t in t_grid)
 
     # pair i is trajectory i from both starts: same sub-seed, same noise
-    reducer = partial(_snapshots_at, indices=tuple(indices.tolist()))
+    reducer = partial(_snapshots_at, indices=indices)
     paths = ensemble(cfg, n_traj, reducer, n_workers, starts=(x0, y0))
     from_x = np.stack(paths[:n_traj])                     # (n_traj, n_t, N)
     from_y = np.stack(paths[n_traj:])
 
     # diff[i, g, t] = g(X_t^x) - g(X_t^y) for pair i
-    n_t = indices.size
+    n_t = len(indices)
     diffs = np.stack([obs.values(from_x) - obs.values(from_y)
                       for obs in observables], axis=1)
 
@@ -725,9 +712,9 @@ def deviation_tail_probe(cfg: SimConfig, obs: Observable, r_grid, t_grid,
         raise ValueError(f"probe time {t_grid[0]} is not past snapshot 0; "
                          "probe times must be at least one save interval")
     cfg = replace(cfg, t_end=t_grid[-1])
-    indices = _grid_indices(t_grid, cfg)
+    indices = tuple(cfg.save_index(t) for t in t_grid)
 
-    reducer = partial(_running_averages, obs=obs, indices=tuple(indices))
+    reducer = partial(_running_averages, obs=obs, indices=indices)
     averages = np.vstack(ensemble(cfg, n_traj, reducer,
                                   n_workers=n_workers))      # (n_traj, n_t)
 

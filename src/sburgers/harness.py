@@ -57,7 +57,7 @@ from .noise import (
     ConstantDirection, SaturatedDirection, hypothesis_constants,
 )
 from .integrator import SimConfig, Trajectory, simulate, ensemble, \
-    derive_seed, BlowUpError, EnsembleBlowUpError, _is_multiple
+    derive_seed, save_count, BlowUpError, EnsembleBlowUpError
 from .lyapunov import (
     DriftConstants, drift_condition_check, dissipation_term_gap,
     jump_taylor_gap, exp_martingale_path, exp_integral_moment, tilt_constants,
@@ -146,8 +146,8 @@ def _as_number(value, path: str, positive=False, nonnegative=False,
         raise ConfigError(f"{path}: must be nonnegative, got {v}")
     if below is not None and not v < below:
         raise ConfigError(f"{path}: must be below {below}, got {v}")
-    if save_interval is not None and not (
-            _is_multiple(v, save_interval) and round(v / save_interval) >= 1):
+    if save_interval is not None and \
+            not (save_count(v, save_interval) or 0) >= 1:
         raise ConfigError(f"{path}: must be a positive integer multiple of "
                           f"model.dt_save = {save_interval}, got {v}")
     return v

@@ -95,6 +95,7 @@ __all__ = [
     "simulate",
     "ensemble",
     "derive_seed",
+    "save_count",
 ]
 
 BLOWUP_NORM = 1e6
@@ -184,9 +185,9 @@ class SimConfig:
         if not math.isfinite(self.t_end / self.dt):
             raise ValueError("t_end / dt overflows: the step and snapshot "
                              "counts are not finite")
-        if not _is_multiple(self.dt_save, self.dt):
+        if save_count(self.dt_save, self.dt) is None:
             raise ValueError("dt_save must be an integer multiple of dt")
-        if not _is_multiple(self.t_end, self.dt_save):
+        if save_count(self.t_end, self.dt_save) is None:
             raise ValueError("t_end must be an integer multiple of dt_save")
         if self.gaussian is not None and self.gaussian.n_modes != self.n_modes:
             raise ValueError("gaussian spec length does not match n_modes")
@@ -196,10 +197,21 @@ class SimConfig:
                 self.jumps.direction.g0.n_modes != self.n_modes:
             raise ValueError("jump direction length does not match n_modes")
 
+    def save_index(self, t: float) -> int:
+        """Index of the snapshot at time t, one of 0 .. t_end / dt_save."""
+        i = save_count(t, self.dt_save)
+        if i is None or not 0 <= i <= save_count(self.t_end, self.dt_save):
+            raise ValueError(f"time {t} is not on the snapshot grid")
+        return i
 
-def _is_multiple(big: float, small: float) -> bool:
-    r = big / small
-    return math.isfinite(r) and abs(r - round(r)) < 1e-9 * max(1.0, abs(r))
+
+def save_count(t: float, interval: float) -> int | None:
+    """t / interval when t is an integer multiple of interval, up to a
+    relative 1e-9 of float noise, else None."""
+    r = t / interval
+    if math.isfinite(r) and abs(r - round(r)) < 1e-9 * max(1.0, abs(r)):
+        return round(r)
+    return None
 
 
 @record

@@ -891,6 +891,15 @@ class TestCli:
                                      "t_max": 1e-12}),
          ["estimate", "hitting"], "experiment.t_max: must be a positive "
          "integer multiple of model.dt_save"),
+        (changed_raw({}, experiment={"kind": "estimate", "n_traj": 4,
+                                     "mu_reference": 0.0,
+                                     "t_grid": [0.055]}),
+         ["estimate", "tailprobe"], "experiment.t_grid[0]: must be a "
+         "positive integer multiple of model.dt_save = 0.01, got 0.055\n"),
+        (changed_raw({}, experiment={"kind": "estimate", "n_traj": 4,
+                                     "t_max": -0.01}),
+         ["estimate", "hitting"], "experiment.t_max: must be a positive "
+         "integer multiple of model.dt_save = 0.01, got -0.01\n"),
         (changed_raw({}, experiment={"kind": "estimate", "bins": 10 ** 12}),
          ["estimate", "occupation"],
          "experiment.bins: must be <= 1000000, got 1000000000000\n"),
@@ -918,6 +927,7 @@ class TestCli:
             "n_modes-above-ceiling", "n_modes-overflows-float",
             "snapshots-exceed-memory",
             "t_grid-below-save-interval", "t_max-below-save-interval",
+            "t_grid-off-grid", "t_max-negative",
             "bins-above-ceiling", "n_points-above-ceiling",
             "output-directory-is-a-file", "config-is-a-directory",
             "config-not-utf8", "config-unreadable"])

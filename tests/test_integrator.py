@@ -4,8 +4,10 @@ The jumps-only configuration is checked against the closed-form piecewise
 mild solution (tests/oracles.py), which shares no code with the stepper.
 """
 
+import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 import time
@@ -29,6 +31,7 @@ from sburgers import integrator
 from sburgers.integrator import (
     BLOCK_ROWS, BlowUp, BlowUpError, EnsembleBlowUpError, JumpEvent,
     SimConfig, Trajectory, _Kernel, simulate, ensemble, derive_seed,
+    save_count,
 )
 
 from oracles import jump_only_exact_path, ou_exact_moments, \
@@ -85,6 +88,25 @@ class TestConfigValidation:
             spec = JumpSpec(1.0, ExponentialMarks(2.0), direction(g0))
             with pytest.raises(ValueError, match="jump direction length"):
                 SimConfig(n_modes=4, jumps=spec)
+
+    # (time, save_count(time, 0.1), save_index on a grid of t_end 1 or
+    # None where the time is not on it); 0.3 / 0.1 is 2.9999999999999996
+    @pytest.mark.parametrize("t, count, index", [
+        (0.0, 0, 0), (1.0, 10, 10), (0.3, 3, 3), (0.055, None, None),
+        (1.1, 11, None), (-0.1, -1, None), (math.inf, None, None),
+        (math.nan, None, None),
+    ], ids=["zero", "t_end", "float-noise", "off-grid", "past-t_end",
+            "negative", "infinite", "nan"])
+    def test_save_grid(self, t, count, index):
+        got = save_count(t, 0.1)
+        assert got == count and type(got) is type(count)
+        cfg = SimConfig(n_modes=1, dt=0.01, t_end=1.0, dt_save=0.1)
+        if index is None:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"time {t} is not on the snapshot grid")):
+                cfg.save_index(t)
+        else:
+            assert cfg.save_index(t) == index
 
     def test_replace_checks_again(self):
         with pytest.raises(ValueError, match="dt_save"):
