@@ -416,26 +416,32 @@ def _write(path: Path, content, cfg_hash: str) -> None:
     """Write content in the format path's suffix names: for .csv, dict rows
     under a "# config_hash=" line and a header taken from the first row,
     floats to 17 significant digits (rows may be a generator, written as
-    it yields); for .jsonl, one record per line; for .json, one object."""
-    with open(path, "w", newline="" if path.suffix == ".csv" else None) as fh:
-        if path.suffix == ".json":
-            fh.write(json.dumps(content, indent=2, sort_keys=True) + "\n")
-        elif path.suffix == ".jsonl":
-            for rec in content:
-                fh.write(json.dumps(rec, sort_keys=True, allow_nan=True)
-                         + "\n")
-        else:
-            fh.write(f"# config_hash={cfg_hash}\n")
-            writer = csv.writer(fh)
-            names = None
-            for row in content:
-                if names is None:
-                    names = list(row)
-                    writer.writerow(names)
-                writer.writerow([
-                    f"{float(row[k]):.17g}" if isinstance(row[k], float)
-                    else row[k]
-                    for k in names])
+    it yields); for .jsonl, one record per line; for .json, one object.  A
+    write that fails leaves no file at path and raises ValueError."""
+    try:
+        with open(path, "w",
+                  newline="" if path.suffix == ".csv" else None) as fh:
+            if path.suffix == ".json":
+                fh.write(json.dumps(content, indent=2, sort_keys=True) + "\n")
+            elif path.suffix == ".jsonl":
+                for rec in content:
+                    fh.write(json.dumps(rec, sort_keys=True, allow_nan=True)
+                             + "\n")
+            else:
+                fh.write(f"# config_hash={cfg_hash}\n")
+                writer = csv.writer(fh)
+                names = None
+                for row in content:
+                    if names is None:
+                        names = list(row)
+                        writer.writerow(names)
+                    writer.writerow([
+                        f"{float(row[k]):.17g}" if isinstance(row[k], float)
+                        else row[k]
+                        for k in names])
+    except OSError as err:
+        path.unlink(missing_ok=True)
+        raise ValueError(f"cannot write {path}: {err.strerror}") from err
 
 
 def _run_recorded(cfg: RunConfig, out_dir, names, produce,
@@ -446,10 +452,12 @@ def _run_recorded(cfg: RunConfig, out_dir, names, produce,
     produce writes, one of names, to its content, or to None for a file
     this run does not write.  Every run leaves manifest.json and the files
     it lists as "outputs", and no other file of names: a run whose produce
-    fails lists none, and a BlowUpError's trajectories count as its
-    blowup_count.  The manifest also records what the run ran on: the
-    Python and numpy versions, the OPENBLAS_NUM_THREADS value in effect
-    (null if unset) and workers, the run's worker processes.
+    fails lists none, one whose write fails lists the files before it, and
+    a BlowUpError's trajectories count as its blowup_count; a failed
+    manifest write raises only if the run raised nothing before it.  The
+    manifest also records what the run ran on: the Python and numpy
+    versions, the OPENBLAS_NUM_THREADS value in effect (null if unset) and
+    workers, the run's worker processes.
     """
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     try:
@@ -465,32 +473,37 @@ def _run_recorded(cfg: RunConfig, out_dir, names, produce,
     except OSError as err:
         raise ValueError(f"cannot use {out} as the output directory: "
                          f"{err.strerror}") from err
-    started, written, blowups = time.time(), [], 0
+    started, written, blowups, failed = time.time(), [], 0, True
     try:
         result, files = produce(out)
         for name, content in files.items():
             if content is not None:
-                written.append(name)
                 _write(out / name, content, cfg.hash)
+                written.append(name)
+        failed = False
         return result
     except BlowUpError as err:
         blowups = len(err.records) \
             if isinstance(err, EnsembleBlowUpError) else 1
         raise
     finally:
-        _write(out / "manifest.json", {
-            "config_hash": cfg.hash,
-            "artifact_version": __version__,
-            "started_at": started,
-            "finished_at": time.time(),
-            "seed": cfg.sim.seed,
-            "blowup_count": blowups,
-            "outputs": written,
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
-            "workers": workers,
-        }, cfg.hash)
+        try:
+            _write(out / "manifest.json", {
+                "config_hash": cfg.hash,
+                "artifact_version": __version__,
+                "started_at": started,
+                "finished_at": time.time(),
+                "seed": cfg.sim.seed,
+                "blowup_count": blowups,
+                "outputs": written,
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+                "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+                "workers": workers,
+            }, cfg.hash)
+        except ValueError:
+            if not failed:
+                raise
 
 
 # ------------------------------------------------------------------ runners

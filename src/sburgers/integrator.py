@@ -206,8 +206,7 @@ class SimConfig:
 
 
 def save_count(t: float, interval: float) -> int | None:
-    """t / interval when t is an integer multiple of interval, up to a
-    relative 1e-9 of float noise, else None."""
+    """t / interval if t is a multiple of interval (to 1e-9), else None."""
     r = t / interval
     if math.isfinite(r) and abs(r - round(r)) < 1e-9 * max(1.0, abs(r)):
         return round(r)

@@ -9,8 +9,7 @@ alpha_k = (pi k)^2, and the H / V norms are weighted coefficient sums:
     ||x||_V^2 = sum_k (pi k)^2 a_k^2
 
 norm_h_sq and norm_v_sq are the one implementation of each, on coefficient
-arrays of shape (..., N) with one state per row; each sums a row by itself,
-so a state's norm has the same bits alone and in any block.
+arrays of shape (..., N) with one state per row, each row summed by itself.
 
 The advection term B(x) = x * x' couples modes quadratically and is computed
 exactly by the mode-coupling sum at every truncation size.  The integrator

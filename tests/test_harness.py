@@ -1021,6 +1021,39 @@ class TestCli:
         assert manifest["blowup_count"] == blowups
         assert manifest["config_hash"] == config_hash(failing)
 
+    # (command, the files whose write fails, what the directory then holds)
+    @pytest.mark.parametrize("command, failing, listing", [
+        ("simulate", ("trajectory.csv",), ["manifest.json"]),
+        ("simulate", ("jumps.jsonl",), ["manifest.json", "trajectory.csv"]),
+        ("verify", ("verify_report.json",), ["manifest.json"]),
+        ("simulate", ("manifest.json",), ["jumps.jsonl", "trajectory.csv"]),
+        ("simulate", ("jumps.jsonl", "manifest.json"), ["trajectory.csv"]),
+    ], ids=["first-output", "second-output", "verify-report", "manifest",
+            "output-then-manifest"])
+    def test_failed_write_exits_2_naming_its_file(self, tmp_path, capsys,
+                                                  monkeypatch, command,
+                                                  failing, listing):
+        # the disk fills once a failing file is made; the manifest lists
+        # only files written whole, and its own failure does not hide an
+        # earlier one
+        def fill(path, *args, **kwargs):
+            fh = open(path, *args, **kwargs)
+            if path.name in failing:
+                fh.close()
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return fh
+
+        monkeypatch.setattr(harness, "open", fill, raising=False)
+        out = tmp_path / "out"
+        code, err = run_cli(tmp_path, capsys, base_raw(
+            experiment=VERIFY_SMALL), command)
+        assert (code, err) == (2, f"error: cannot write {out / failing[0]}: "
+                                  f"{os.strerror(errno.ENOSPC)}\n")
+        assert sorted(p.name for p in out.iterdir()) == listing
+        if "manifest.json" in listing:
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["outputs"] == listing[1:]
+
     def test_verify_clean_exit_zero(self, tmp_path, capsys):
         raw = base_raw(experiment={"kind": "verify", "n_states": 5,
                                    "n_mart": 2})
