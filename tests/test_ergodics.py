@@ -419,14 +419,14 @@ class TestErgodicDecay:
             ergodic_decay(cfg, zero_field(8), basis_field(1, 8), [],
                           [0.05, 0.1], n_traj=2)
 
-    @pytest.mark.parametrize("t", [0.033, 0.055, 0.25, -0.05])
-    def test_off_grid_times_rejected(self, t):
+    def test_off_grid_times_rejected(self):
         # off the grid, past t_end and before 0
         cfg = small_jump_model(t_end=0.2, dt=0.01, dt_save=0.05)
-        with pytest.raises(ValueError,
-                           match=f"^time {t} is not on the snapshot grid$"):
-            ergodic_decay(cfg, zero_field(8), basis_field(1, 8),
-                          [mode_coefficient(1)], [0.05, t], n_traj=2)
+        for t in (0.033, 0.055, 0.25, -0.05):
+            with pytest.raises(ValueError, match=f"^time {t} is not on the "
+                                                 "snapshot grid$"):
+                ergodic_decay(cfg, zero_field(8), basis_field(1, 8),
+                              [mode_coefficient(1)], [0.05, t], n_traj=2)
 
 
 class TestMdpFunctional:
@@ -642,18 +642,17 @@ class TestDeviationProbe:
         theory = r ** 2 / (2.0 * OU_SIGMA_SQ)
         assert theory / 2.0 <= row["rate"] <= theory * 2.0
 
-    @pytest.mark.parametrize("t_grid, message", [
-        ((0.0, 1.0), "probe time 0.0 is not past snapshot 0"),
-        ((0.033,), "need 0 < dt <= dt_save <= t_end"),
-        ((0.055,), "t_end must be an integer multiple of dt_save"),
-        ((0.055, 1.0), "time 0.055 is not on the snapshot grid"),
-    ])
-    def test_bad_times_rejected(self, t_grid, message):
+    def test_bad_times_rejected(self):
         cfg = SimConfig(n_modes=1, dt=0.01, t_end=1.0, dt_save=0.05,
                         gaussian=GaussianSpec(np.array([1.0])))
-        with pytest.raises(ValueError, match=message):
-            deviation_tail_probe(cfg, mode_coefficient(1), (0.1,),
-                                 t_grid, 4, 0.0)
+        for t_grid, message in (
+                ((0.0, 1.0), "probe time 0.0 is not past snapshot 0"),
+                ((0.033,), "need 0 < dt <= dt_save <= t_end"),
+                ((0.055,), "t_end must be an integer multiple of dt_save"),
+                ((0.055, 1.0), "time 0.055 is not on the snapshot grid")):
+            with pytest.raises(ValueError, match=message):
+                deviation_tail_probe(cfg, mode_coefficient(1), (0.1,),
+                                     t_grid, 4, 0.0)
 
     def test_time_on_snapshot_zero_rejected(self):
         # 1e-12 is within the multiple test's slack of 0 save intervals:
