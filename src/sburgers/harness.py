@@ -31,7 +31,8 @@ outputs reflects the config as run (with the seed actually used).
 A runner computes its files' contents and _run_recorded alone touches the
 output directory: it removes the command's old files, writes the new ones
 through _write and, whatever the run's end, manifest.json, so the directory
-holds the last run's manifest and exactly the files that manifest lists.
+holds the last run's manifest and exactly the files that manifest lists,
+or none of its files if the manifest cannot be written.
 Numeric CSV output uses 17 significant digits so that repeated runs are
 byte-identical; manifests carry timestamps and are excluded from the
 byte-identity contract.
@@ -453,8 +454,10 @@ def _run_recorded(cfg: RunConfig, out_dir, names, produce,
     this run does not write.  Every run leaves manifest.json and the files
     it lists as "outputs", and no other file of names: a run whose produce
     fails lists none, one whose write fails lists the files before it, and
-    a BlowUpError's trajectories count as its blowup_count; a failed
-    manifest write raises only if the run raised nothing before it.  The
+    a BlowUpError's trajectories count as its blowup_count.  A failed
+    manifest write removes the files written before it, so the directory
+    holds none of the run's files, and raises only if the run raised
+    nothing before it.  The
     manifest also records what the run ran on: the Python and numpy
     versions, the OPENBLAS_NUM_THREADS value in effect (null if unset) and
     workers, the run's worker processes.
@@ -502,6 +505,8 @@ def _run_recorded(cfg: RunConfig, out_dir, names, produce,
                 "workers": workers,
             }, cfg.hash)
         except ValueError:
+            for name in written:          # no manifest lists them
+                (out / name).unlink(missing_ok=True)
             if not failed:
                 raise
 

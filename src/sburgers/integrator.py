@@ -20,12 +20,17 @@ stream, so the Gaussian stream ordering never depends on where events land.
 
 Paths are stepped in lockstep as the R rows of one state: simulate is a
 batch of one and ensemble steps blocks of up to BLOCK_ROWS trajectories.
-Every row has its own seed streams and its own start, only the rows with
-an event in a step are split at it, and every operation gives a row the
-same bits whatever the other rows are, so a path is the same alone, in any
-block and on any worker.  A block therefore also holds the rows of one
-trajectory from several starts (the pairs of a mixing estimate), and the
-first block can carry the path simulate gives (verify's main path).
+Every row has its own seed streams and its own start.  A row's sub-seed
+and its two streams are numpy SeedSequence words: derive_seed's
+SeedSequence([seed, index]) and the two children of SeedSequence(seed),
+computed for all the rows of a block in one pass by _seed_hash, numpy's
+hash in uint32 arithmetic, and pinned to SeedSequence by TestSeedStreams.
+Only the rows with an event in a step are split at it, and every
+operation gives a row the same bits whatever the other rows are, so a
+path is the same alone, in any block and on any worker.  A block
+therefore also holds the rows of one trajectory from several starts (the
+pairs of a mixing estimate), and the first block can carry the path
+simulate gives (verify's main path).
 With more than one worker on Linux, ensemble splits its blocks into
 contiguous shares: the caller runs the first, and a child forked for each
 other share sends its reduced results back pickled through a pipe.
@@ -74,12 +79,15 @@ Python-float twin of _deterministic with the same roundings.  Every other
 config steps on arrays, the only route that splits steps.
 """
 
+import functools
 import math
+import operator
 import os
 import pickle
 import sys
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .spectral import SpectralField, mode_rates, norm_h_sq, norm_v_sq, \
     record, replace, _quadratic_term
@@ -334,9 +342,10 @@ class _Kernel:
             out += self._gaussian_increment(decay, bsh, xi.copy())
         return out
 
-    def _event_steps(self, jump_ss, n_steps: int) -> list:
+    def _event_steps(self, jump_rng, n_steps: int) -> list:
         """This row's split steps as (step index, pieces, draws), latest
-        first.
+        first, from the events jump_rng draws (a Generator, or a seed
+        default_rng takes).
 
         pieces are (h, event) in time order: a substep of length h, then
         the event (time, mark) it ends at, or None for the rest of the
@@ -345,7 +354,7 @@ class _Kernel:
         """
         dt = self.cfg.dt
         events = sample_jump_times(self.jumps, self.cfg.t_end,
-                                   np.random.default_rng(jump_ss))
+                                   np.random.default_rng(jump_rng))
         grouped = []
         for t, u in events:
             # an event belongs to the first step i with t <= (i + 1) dt
@@ -467,14 +476,13 @@ class _Kernel:
                 f"in memory: lower model.t_end / model.dt_save or "
                 f"model.n_modes") from err
 
-        # the two streams SeedSequence(seed).spawn(2) gives, made directly
-        rngs, plans = [], []
-        for seed in seeds:
-            rngs.append(np.random.default_rng(
-                np.random.SeedSequence(seed, spawn_key=(1,))))
-            plans.append(self._event_steps(
-                np.random.SeedSequence(seed, spawn_key=(0,)), n_steps)
-                if self.jumps is not None else [])
+        # the two streams SeedSequence(seed).spawn(2) gives, their numpy
+        # SeedSequence words hashed for all rows in one pass
+        jump_states, normal_states = _spawned_states(seeds)
+        rngs = [_generator(w) for w in normal_states]
+        plans = [self._event_steps(_generator(w), n_steps)
+                 for w in jump_states] if self.jumps is not None \
+            else [[] for _ in seeds]
 
         rows = np.asarray(starts, dtype=float)
         a = np.ascontiguousarray(rows.T)          # mode-major, (N, R)
@@ -625,9 +633,143 @@ def simulate(cfg: SimConfig) -> Trajectory:
 
 
 def derive_seed(seed: int, index: int) -> int:
-    """Stable per-trajectory sub-seed from (ensemble seed, index)."""
-    ss = np.random.SeedSequence([int(seed), int(index)])
-    return int(ss.generate_state(1, np.uint64)[0])
+    """Stable per-trajectory sub-seed from (ensemble seed, index).
+
+    It is the first uint64 word numpy's
+    SeedSequence([seed, index]).generate_state gives, computed by
+    _derive_seeds, which derives the sub-seeds of a whole block in one
+    pass; TestSeedStreams pins the two to SeedSequence.
+    """
+    return _derive_seeds(int(seed), [int(index)])[0]
+
+
+def _derive_seeds(seed: int, indices) -> list:
+    """derive_seed(seed, i) for each i of indices, as Python ints."""
+    head, (n,) = _int_words([seed])
+    tail, counts = _int_words(indices)
+    words = np.zeros((max(4, n + len(tail)), len(counts)), np.uint32)
+    words[:n] = head[:n]
+    words[n:n + len(tail)] = tail
+    return _seed_hash(words, n + counts, 1)[:, 0].tolist()
+
+
+def _spawned_states(seeds) -> np.ndarray:
+    """The generate_state(4, np.uint64) words of the two streams
+    SeedSequence(seed).spawn(2) gives, SeedSequence(seed, spawn_key=(k,))
+    for k = 0, 1, for each seed: shape (2, R, 4)."""
+    head, counts = _int_words(seeds)
+    # a spawned SeedSequence pads its seed's words to the pool's 4
+    pad = np.maximum(counts, 4)
+    words = np.zeros((max(4, len(head)) + 1, 2, len(seeds)), np.uint32)
+    words[:len(head)] = head[:, None]
+    words[pad, 1, np.arange(len(seeds))] = 1     # the spawn key; 0 for k = 0
+    return _seed_hash(words.reshape(len(words), -1),
+                      np.concatenate((pad, pad)) + 1, 4).reshape(2, -1, 4)
+
+
+class _State(ISeedSequence):
+    """A SeedSequence's generate_state(4, np.uint64) words, computed
+    beforehand by _spawned_states: PCG64 seeds itself from them.
+
+    It keeps no entropy pool, so a generator built on it cannot spawn();
+    nothing spawns from a row's generator.
+    """
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        return self.words
+
+
+def _generator(words: np.ndarray) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(_State(words)))
+
+
+# numpy.random.SeedSequence's hash over a pool of 4 uint32 words: the
+# multipliers of its entropy mixing (A), of generate_state (B) and of mix
+_INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
+_INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
+_MIX_L, _MIX_R = np.uint32(0xca01f9dd), np.uint32(0x4973f715)
+
+
+@functools.cache
+def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
+    """init mult**k mod 2**32 for k < n, the hash constant of the k-th
+    hashmix call, as a read-only (n, 1) uint32 column."""
+    out = [init]
+    for _ in range(n - 1):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    out = np.array(out, dtype=np.uint32)[:, None]
+    out.flags.writeable = False        # the cache hands it to every call
+    return out
+
+
+def _hashmix(v: np.ndarray, x, m) -> np.ndarray:
+    """SeedSequence's hashmix of v with hash constant x, whose next
+    value is m, as a new array."""
+    v = v ^ x
+    v *= m
+    v ^= v >> 16
+    return v
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of x and y, written over y."""
+    x = x * _MIX_L
+    y *= _MIX_R
+    x -= y
+    x ^= x >> 16
+    return x
+
+
+def _seed_hash(words: np.ndarray, lengths, n_words: int) -> np.ndarray:
+    """SeedSequence(entropy).generate_state(n_words, np.uint64) for many
+    entropy arrays at once, in numpy's uint32 arithmetic.
+
+    words is a (W, R) uint32 array, W >= 4, whose column r holds the
+    entropy words of row r, zero past their count lengths[r]; the result
+    has shape (R, n_words).  Rows are hashed together and the
+    4 pool words at once.  SeedSequence hashes a row of at most 4 words as
+    the row padded with zeros to 4, and mixes each word past the fourth
+    into the whole pool.
+    """
+    extra = len(words) - 4
+    a = _hash_consts(_INIT_A, _MULT_A, 17 + 4 * extra)
+    pool = _hashmix(words[:4], a[:4], a[1:5])
+    # then each word into the other three: in round s, word d != s takes
+    # call 4 + 3 s + (d if d < s else d - 1), and word s a constant unused
+    calls = [[4 + 3 * s + d - (d >= s) for d in range(4)] for s in range(4)]
+    x, m = a[calls], a[np.add(calls, 1)]
+    for s in range(4):
+        mixed = _mix(pool, _hashmix(pool[s], x[s], m[s]))
+        mixed[s] = pool[s]
+        pool = mixed
+    if extra:
+        h = _hashmix(words[4:, None], a[16:-1].reshape(extra, 4, 1),
+                     a[17:].reshape(extra, 4, 1))
+        for s in range(extra):
+            pool = np.where(lengths > 4 + s, _mix(pool, h[s]), pool)
+    b = _hash_consts(_INIT_B, _MULT_B, 2 * n_words + 1)
+    out = _hashmix(pool[np.arange(2 * n_words) % 4], b[:-1], b[1:])
+    # uint32 pairs, low word first, as little-endian uint64s
+    return out.T.astype("<u4", order="C").view("<u8").astype(np.uint64)
+
+
+def _int_words(values) -> tuple:
+    """The uint32 words SeedSequence makes of each non-negative int of
+    values, least significant first, and their counts: a (W, R) array,
+    zero past a value's own words, W those of the largest, and an (R,)
+    array, at least 1 (0 is one word)."""
+    values = [operator.index(v) for v in values]
+    if min(values, default=0) < 0:
+        raise ValueError("expected non-negative integer")
+    size = max(1, -(-max(values, default=0).bit_length() // 32))
+    words = np.frombuffer(b"".join(v.to_bytes(4 * size, "little")
+                                   for v in values),
+                          dtype="<u4").reshape(len(values), size).T
+    place = np.arange(1, size + 1)[:, None] * (words != 0)
+    return words, np.maximum(place.max(axis=0), 1)
 
 
 def _run_block(cfg: SimConfig, first: int, n_rows: int, reducer, until,
@@ -642,7 +784,7 @@ def _run_block(cfg: SimConfig, first: int, n_rows: int, reducer, until,
     raised if it blows up.  A finished row's Trajectory ends at its finish
     snapshot, and its jump log at the events up to that time.
     """
-    seeds = [derive_seed(cfg.seed, first + r) for r in range(n_rows)] \
+    seeds = _derive_seeds(cfg.seed, range(first, first + n_rows)) \
         * len(starts)
     rows = np.repeat(starts, n_rows, axis=0)
     if main:

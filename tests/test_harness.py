@@ -1026,16 +1026,16 @@ class TestCli:
         ("simulate", ("trajectory.csv",), ["manifest.json"]),
         ("simulate", ("jumps.jsonl",), ["manifest.json", "trajectory.csv"]),
         ("verify", ("verify_report.json",), ["manifest.json"]),
-        ("simulate", ("manifest.json",), ["jumps.jsonl", "trajectory.csv"]),
-        ("simulate", ("jumps.jsonl", "manifest.json"), ["trajectory.csv"]),
+        ("simulate", ("manifest.json",), []),
+        ("simulate", ("jumps.jsonl", "manifest.json"), []),
     ], ids=["first-output", "second-output", "verify-report", "manifest",
             "output-then-manifest"])
     def test_failed_write_exits_2_naming_its_file(self, tmp_path, capsys,
                                                   monkeypatch, command,
                                                   failing, listing):
         # the disk fills once a failing file is made; the manifest lists
-        # only files written whole, and its own failure does not hide an
-        # earlier one
+        # only files written whole, its own failure removes the files no
+        # manifest lists and does not hide an earlier failure
         def fill(path, *args, **kwargs):
             fh = open(path, *args, **kwargs)
             if path.name in failing:

@@ -680,8 +680,39 @@ class TestTracedBurgersTerm:
 
 
 class TestSeedStreams:
-    # seeds of every size a row meets: small, above 2**63, and sub-seeds
-    SEEDS = [0, 5, 2 ** 63 + 11, derive_seed(7, 3)]
+    # seeds of every size a row meets: small, above 2**63, sub-seeds, and
+    # 1 to 4 uint32 words at each word boundary
+    SEEDS = [0, 5, 2 ** 63 + 11, derive_seed(7, 3), 2 ** 32 - 1, 2 ** 32,
+             2 ** 64 - 1, 2 ** 64, 2 ** 100 + 7]
+    # trajectory indices at word boundaries, and the initial-state stream
+    INDICES = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 40]
+
+    def test_sub_seeds_are_seed_sequence_words(self):
+        # derive_seed hashes a whole block at once; each sub-seed is still
+        # the first uint64 word of SeedSequence([seed, index])
+        for seed in self.SEEDS:
+            for i in self.INDICES:
+                ref = np.random.SeedSequence([seed, i]).generate_state(
+                    1, np.uint64)[0]
+                assert derive_seed(seed, i) == int(ref)
+            block = integrator._derive_seeds(seed, self.INDICES)
+            assert block == [derive_seed(seed, i) for i in self.INDICES]
+
+    def test_blocks_build_no_seed_sequence(self, monkeypatch):
+        # a 100-row block with jumps and the main row seeds every stream
+        # without numpy's SeedSequence
+        cfg = replace(forced_model(t_end=0.1, seed=2 ** 70 + 3),
+                      jumps=JumpSpec(40.0, ExponentialMarks(2.0),
+                                     ConstantDirection(basis_field(1, 8))))
+        expected = ensemble(cfg, BLOCK_ROWS, _final_mode, main=True)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("SeedSequence built")
+
+        monkeypatch.setattr(np.random, "SeedSequence", refuse)
+        path, values = ensemble(cfg, BLOCK_ROWS, _final_mode, main=True)
+        assert path.jump_log and values == expected[1]
+        assert path.coeffs.tobytes() == expected[0].coeffs.tobytes()
 
     def test_row_draws_are_spawned_streams(self, monkeypatch):
         # the reproducibility contract: a row's jump events come from the

@@ -30,6 +30,9 @@ output directory:
   (--threads 1 and 2) from experiment.initial_v_norm 176 (||x0||_H = 56),
   where 134 of the 200 first-passage rows blow up and the others enter
   the ball, so a block drops rows of both kinds;
+- simulate on default_run and hitting (--threads 2) on verify_drift at
+  --seed 1180591620717411303427 (2**70 + 3), a seed of three uint32
+  words, beyond the two of a sub-seed;
 - two pairs of runs into one output directory each, the second run after
   the first: verify on verify_drift with experiment.c1_override 0.01 (exit
   1), then on verify_drift (exit 0); and simulate on
@@ -177,6 +180,15 @@ def _runs(configs: Path, tmp: Path) -> list:
         runs.append((f"estimate/hitting/{cfg}/threads{n}",
                      ["estimate", "hitting", "--config", path,
                       "--threads", str(n)]))
+
+    big = ["--seed", str(2 ** 70 + 3)]
+    runs.append(("simulate/default_run/seed2**70+3",
+                 ["simulate", "--config", str(configs / "default_run.json"),
+                  *big]))
+    runs.append(("estimate/hitting/verify_drift/threads2/seed2**70+3",
+                 ["estimate", "hitting", "--config",
+                  str(configs / "verify_drift.json"), "--threads", "2",
+                  *big]))
 
     for first, second in (
             (tmp / "verify_drift_c1_override.json",
