@@ -60,7 +60,7 @@ from .noise import (
 from .integrator import SimConfig, Trajectory, simulate, ensemble, \
     derive_seed, save_count, BlowUpError, EnsembleBlowUpError
 from .lyapunov import (
-    DriftConstants, drift_condition_check, dissipation_term_gap,
+    DEFAULT_TOL, DriftConstants, drift_condition_check, dissipation_term_gap,
     jump_taylor_gap, exp_martingale_path, exp_integral_moment, tilt_constants,
 )
 from .ergodics import (
@@ -619,10 +619,10 @@ def run_verify(cfg: RunConfig, out_dir=None, n_workers: int = 1) -> dict:
         # in the order a state's failure rows are written
         checks = [("drift_chain", ~rep.ok, rep.lhs,
                    nan if rep.generator is None else rep.generator.margin),
-                  ("dissipation_gap", gap < -1e-9, gap, nan)]
+                  ("dissipation_gap", gap < -DEFAULT_TOL, gap, nan)]
         for u in marks:
             g = jump_taylor_gap(states, u, cfg.sim.jumps, lam)
-            checks.append((f"jump_gap_u={u:.3g}", g < -1e-9, g, nan))
+            checks.append((f"jump_gap_u={u:.3g}", g < -DEFAULT_TOL, g, nan))
         checked = take * len(checks)
 
         failures = []

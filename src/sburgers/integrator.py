@@ -39,12 +39,12 @@ The state is held mode-major, a C-contiguous (N, R) array whose column r
 is row r's state, and steps fill one (steps, N, R) buffer per chunk, so
 the Burgers term gathers its factors from the state without a copy.  A
 step's per-mode operands (decay, phi, a constant compensator, the
-Burgers weights) are widened to the R rows once per chunk or per run:
-numpy runs a ufunc with a full-width operand as one loop, and with an
-(N, 1) column broadcast across the rows as one short loop per mode, about
-three times as long at N = 8 and 21 rows.  An elementwise product or sum
-gives the same bits either way; a row alone, or a split step, keeps its
-(N, 1) columns and takes no copy.  numpy adds a sum over a
+Burgers weights) are widened to the R live rows, at every width, once
+per chunk or whenever rows leave: numpy runs a ufunc with a full-width
+operand as one loop, and with an (N, 1) column broadcast across the rows
+as one short loop per mode, about three times as long at N = 8 and 21
+rows.  An elementwise product or sum gives the same bits either way, so
+a split step keeps its (N, 1) columns.  numpy adds a sum over a
 strided last axis in another order than over a contiguous one, so a sum
 over modes on the transposed state would round a row differently in a
 block than alone.  Each such sum runs on a row-major (..., R, N) copy:
@@ -257,10 +257,9 @@ class _Kernel:
 
     Nothing is cached between steps: run computes the coefficients of
     each chunk from its step lengths, and substep those of its length.
-    With more than one live row on the array route, run widens each
-    chunk's decay and phi to (steps, N, R) and the constant compensator to
-    (N, R), R the live width, so that no step broadcasts an (N, 1) column
-    across the rows.
+    On the array route run widens each chunk's decay and phi to (steps,
+    N, R) and the constant compensator to (N, R), R the live width, one
+    included, so that no step broadcasts an (N, 1) column across the rows.
     """
 
     def __init__(self, cfg: SimConfig):
@@ -344,8 +343,7 @@ class _Kernel:
 
     def _event_steps(self, jump_rng, n_steps: int) -> list:
         """This row's split steps as (step index, pieces, draws), latest
-        first, from the events jump_rng draws (a Generator, or a seed
-        default_rng takes).
+        first, from the events the Generator jump_rng draws.
 
         pieces are (h, event) in time order: a substep of length h, then
         the event (time, mark) it ends at, or None for the rest of the
@@ -353,8 +351,7 @@ class _Kernel:
         a piece of length 0 is skipped.
         """
         dt = self.cfg.dt
-        events = sample_jump_times(self.jumps, self.cfg.t_end,
-                                   np.random.default_rng(jump_rng))
+        events = sample_jump_times(self.jumps, self.cfg.t_end, jump_rng)
         grouped = []
         for t, u in events:
             # an event belongs to the first step i with t <= (i + 1) dt
@@ -464,9 +461,10 @@ class _Kernel:
         n = cfg.n_modes
         n_rows = len(seeds)
         dt = cfg.dt
-        n_steps = int(round(cfg.t_end / dt))
-        save_every = int(round(cfg.dt_save / dt))
-        n_saves = n_steps // save_every
+        # the two counts SimConfig checks are whole
+        save_every = save_count(cfg.dt_save, dt)
+        n_saves = save_count(cfg.t_end, cfg.dt_save)
+        n_steps = n_saves * save_every
         try:             # before the events of the whole horizon are drawn
             snaps = np.empty((n_rows, n_saves + 1, n))
         except MemoryError as err:
@@ -485,7 +483,7 @@ class _Kernel:
             else [[] for _ in seeds]
 
         rows = np.asarray(starts, dtype=float)
-        a = np.ascontiguousarray(rows.T)          # mode-major, (N, R)
+        a = rows.T                                # mode-major, (N, R)
         snaps[:, 0] = rows
         logs = [[] for _ in seeds]
         blown = {}
@@ -497,25 +495,23 @@ class _Kernel:
         # rows of a first-passage block overshoot their finish by more steps
         chunk = max(1, NOISE_CHUNK // (n_rows * n))
         live = np.arange(n_rows)     # the rows still stepped, in row order
-        at = slice(None)             # live as an index of snaps: a slice
-                                     # until a row leaves, the cheaper write
-        width = None
         leaving = list(finish)       # positions in live of the rows to drop
         with np.errstate(over="ignore", invalid="ignore"):
             for i0 in range(0, n_steps, chunk):
-                if leaving:
+                if leaving or not i0:
+                    # before the first chunk and whenever rows leave: the
+                    # live rows' state, a C-contiguous copy, and their
+                    # per-row operands
                     keep = np.ones(len(live), dtype=bool)
                     keep[leaving] = False
-                    live = at = live[keep]
-                    a = a[:, keep]
+                    live = live[keep]
+                    a = a.compress(keep, axis=1)
                     leaving = []
-                    if not len(live):
-                        break
-                if width != len(live):
                     width = len(live)
-                    wide = width > 1 and not lanes
-                    comp = self.const_compensator
-                    if wide and comp is not None:
+                    if not width:
+                        break
+                    comp = self.const_compensator   # None on the lanes route
+                    if comp is not None:
                         comp = np.repeat(comp, width, axis=1)
                     ids = live.tolist()
                     live_rngs = [rngs[r] for r in ids]
@@ -524,7 +520,7 @@ class _Kernel:
                 i1 = min(i0 + chunk, n_steps)
                 steps = np.arange(i0, i1)[:, None, None]
                 decay, phi, bsh = self.coef((steps + 1) * dt - steps * dt)
-                if wide:
+                if not lanes:
                     decay = np.repeat(decay, width, axis=2)
                     phi = np.repeat(phi, width, axis=2)
                 path, split = self._plan_chunk(i0, i1, live_rngs, live_plans)
@@ -545,7 +541,7 @@ class _Kernel:
                 saved = np.ascontiguousarray(
                     path[first::save_every].transpose(0, 2, 1))
                 s0 = (i0 + first + 1) // save_every
-                snaps[at, s0:s0 + len(saved)] = saved.swapaxes(0, 1)
+                snaps[live, s0:s0 + len(saved)] = saved.swapaxes(0, 1)
                 bad = {}         # position -> its first bad step in the chunk
                 if not float(np.square(path).sum()) <= _SAFE_NORM_SQ:
                     norms = np.sqrt(norm_h_sq(np.ascontiguousarray(
@@ -569,8 +565,8 @@ class _Kernel:
 
     def _step_arrays(self, a, path, decay, phi, comp, split, logs) -> None:
         """Step j of the chunk takes the live rows from a to path[j] at
-        once, with the chunk's decay and phi, (steps, N, R) arrays or
-        (steps, N, 1) for one row, and comp, drift's constant compensator.
+        once, with the chunk's decay and phi, (steps, N, R) arrays, and
+        comp, drift's constant compensator.
         A row of split is its position among the live rows, and logs holds
         the live rows' jump logs in that order."""
         for j, (dj, pj, nxt) in enumerate(zip(decay, phi, path)):
@@ -600,12 +596,6 @@ def _lane(v: float, ds: list, xs):
     for d, x in zip(ds, xs):
         v = d * v + x
         yield v
-
-
-def _save_times(cfg: SimConfig) -> np.ndarray:
-    n_saves = int(round(cfg.t_end / cfg.dt)) // int(round(cfg.dt_save
-                                                          / cfg.dt))
-    return np.arange(n_saves + 1) * cfg.dt_save
 
 
 def _start_rows(cfg: SimConfig, starts) -> np.ndarray:
@@ -791,7 +781,7 @@ def _run_block(cfg: SimConfig, first: int, n_rows: int, reducer, until,
         seeds.insert(0, cfg.seed)
         rows = np.concatenate([_start_rows(cfg, [cfg.x0]), rows])
     snaps, logs, blown, finish = _Kernel(cfg).run(seeds, rows, until)
-    times = _save_times(cfg)
+    times = np.arange(snaps.shape[1]) * cfg.dt_save
     times.flags.writeable = False          # shared by the block's rows
 
     def trajectory(j: int) -> Trajectory:
@@ -863,10 +853,14 @@ def ensemble(cfg: SimConfig, n_traj: int, reducer, n_workers: int = 1,
         process runs, and (its Trajectory, results) is returned.  If that
         path blows up, BlowUpError is raised as simulate raises it,
         whatever the other rows did, and before any child's results are
-        read.
+        read.  until would cut that path at its first passage, so main
+        with until raises ValueError.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
+    if main and until is not None:
+        raise ValueError("main takes the path simulate gives, which until "
+                         "would cut: pass one or the other")
     rows = _start_rows(cfg, [cfg.x0] if starts is None else starts)
     firsts = range(0, n_traj, BLOCK_ROWS)
     n = max(1, min(n_workers, len(firsts))) if _FORK else 1

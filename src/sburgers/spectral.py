@@ -267,14 +267,13 @@ def _batch_tables(n: int, width: int):
 
     numpy multiplies by a full-width table in one loop, and by the
     (n - 1, n, 1) table in one short loop per weight: 0.36 against 1.06
-    us at N = 8 and 21 rows (2-CPU EPYC), with the same bits.  Width 1
-    keeps the narrow table.  A widened table is read-only, and half the
-    size of the factors one call at its width gathers.
+    us at N = 8 and 21 rows (2-CPU EPYC), with the same bits.  Every
+    width, 1 included, gets its own read-only copy, half the size of the
+    factors one call at that width gathers.
     """
     pairs, weight = _coupling_tables(n)
-    if width > 1:
-        weight = np.repeat(weight, width, axis=2)
-        weight.flags.writeable = False
+    weight = np.repeat(weight, width, axis=2)
+    weight.flags.writeable = False
     return pairs, weight
 
 
@@ -303,17 +302,19 @@ def _quadratic_gathered(a: np.ndarray) -> np.ndarray:
 
 
 def _quadratic_term(a: np.ndarray) -> np.ndarray:
-    """B on one state (N,) or on a batch of states (R, N), row by row.
+    """B on each state of a, shape (..., N), row by row.
 
-    The route depends on N only; each row gets the same bits whatever R.
+    The route depends on N only; each row gets the same bits whatever the
+    other rows.  A batch (R, N) goes in as it is, any other shape as its
+    rows (-1, N).
     """
-    rows = a if a.ndim == 2 else a[None, :]
+    rows = a if a.ndim == 2 else a.reshape(-1, a.shape[-1])
     n = rows.shape[1]
     if n <= GATHER_LIMIT:
         out = _quadratic_gathered(rows)
     else:
         out = np.array([_quadratic_exact(row) for row in rows])
-    return out if a.ndim == 2 else out[0]
+    return out if a.ndim == 2 else out.reshape(a.shape)
 
 
 def burgers_nonlinearity(x: SpectralField) -> SpectralField:

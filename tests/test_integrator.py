@@ -440,7 +440,7 @@ class TestWidenedOperands:
     def test_rows_equal_their_solo_runs(self, b_on, jumps):
         # decay, phi, the constant compensator and the Burgers weights are
         # widened to a block's rows; every row keeps the bits of its run
-        # alone, where they stay (N, 1) columns
+        # alone, at width 1
         cfg = _drift_config(b_on, jumps)
         seeds = [derive_seed(cfg.seed, i) for i in range(BLOCK_ROWS + 1)]
         starts = _x0_rows(cfg, len(seeds))
@@ -669,8 +669,8 @@ class TestTracedBurgersTerm:
                       jumps=JumpSpec(40.0, ExponentialMarks(2.0),
                                      ConstantDirection(basis_field(1, 8))))
         n_steps = round(cfg.t_end / cfg.dt)
-        plan = _Kernel(cfg)._event_steps(
-            np.random.SeedSequence(cfg.seed, spawn_key=(0,)), n_steps)
+        plan = _Kernel(cfg)._event_steps(np.random.default_rng(
+            np.random.SeedSequence(cfg.seed, spawn_key=(0,))), n_steps)
         substeps = sum(h != 0.0 for _, pieces, _ in plan for h, _ in pieces)
         assert substeps > 10
         calls = self._count_calls(monkeypatch)
@@ -985,7 +985,7 @@ def _stopped_reference(cfg: SimConfig, n_traj: int, until) -> list:
     before that step."""
     seeds = [derive_seed(cfg.seed, i) for i in range(n_traj)]
     snaps, logs, blown, _ = _Kernel(cfg).run(seeds, _x0_rows(cfg, n_traj))
-    times = integrator._save_times(cfg)
+    times = np.arange(snaps.shape[1]) * cfg.dt_save
     save_every = round(cfg.dt_save / cfg.dt)
     out = []
     for r in range(n_traj):
@@ -1151,6 +1151,12 @@ class TestFirstPassage:
         out = ensemble(replace(cfg, x0=None), n_traj, _stop_path, until=until)
         assert all(r[3] and r[0].tolist() == [0.0] and r[2] == ()
                    for r in out)
+
+    def test_main_path_is_not_cut(self):
+        # the main path is the one simulate gives, which until would cut
+        cfg, n_traj, until, _ = self.STOP_CASES["reset_rows"]
+        with pytest.raises(ValueError, match="main .* until"):
+            ensemble(cfg, n_traj, _stop_path, until=until, main=True)
 
 
 def _final_mode(traj: Trajectory) -> float:

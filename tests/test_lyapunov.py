@@ -479,3 +479,32 @@ class TestBatchInvariance:
                     continue
                 _assert_rows_match(getattr(rep, name),
                                    [getattr(t, name) for t in solo])
+
+    @pytest.mark.parametrize("n_modes", [8, 40])
+    def test_leading_axes_equal_flattened_rows(self, n_modes):
+        # a (3, 4, N) array of states gives the bits of its 12 rows as a
+        # (12, N) block, on the gathered route (N = 8) and the per-row
+        # convolution (N = 40)
+        rng = np.random.default_rng(70 + n_modes)
+        a = rng.standard_normal((3, 4, n_modes)) \
+            * 10.0 ** rng.uniform(-2.0, 1.5, (3, 4, 1))
+        flat = a.reshape(-1, n_modes)
+        gauss = GaussianSpec.power_decay(n_modes, normalize_to=1.0)
+        jumps = JumpSpec(1.3, ExponentialMarks(2.0),
+                         _direction("saturated", n_modes))
+        c = DriftConstants.from_specs(gauss, jumps)
+        terms = generator_upper_bound(a, c, gauss, jumps)
+        ref = generator_upper_bound(flat, c, gauss, jumps)
+        for name in terms._fields:
+            whole = np.asarray(getattr(terms, name))
+            if whole.ndim:
+                assert whole.shape == (3, 4), name
+            assert whole.reshape(-1).tobytes() \
+                == np.asarray(getattr(ref, name)).reshape(-1).tobytes(), name
+        rep = drift_condition_check(a, c, gauss, jumps)
+        ref = drift_condition_check(flat, c, gauss, jumps)
+        for name in rep._fields:
+            if name != "generator":
+                assert getattr(rep, name).shape == (3, 4), name
+                assert getattr(rep, name).reshape(-1).tobytes() \
+                    == getattr(ref, name).tobytes(), name

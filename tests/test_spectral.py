@@ -195,7 +195,7 @@ class TestAdvectionTerm:
     @pytest.mark.parametrize("n", [1, 2, 8, 32])
     def test_batch_tables_widen_the_narrow_table(self, n):
         # the weights at a batch's width are the narrow table repeated
-        # along the rows, read-only, and width 1 is the narrow table itself
+        # along the rows, read-only, width 1 included
         pairs, narrow = _coupling_tables(n)
         assert narrow.shape == (n - 1, n, 1)
         for width in (1, 2, 21, 101):
@@ -205,9 +205,8 @@ class TestAdvectionTerm:
             assert weight.flags.c_contiguous and not weight.flags.writeable
             assert np.array_equal(weight, np.broadcast_to(narrow,
                                                           weight.shape))
-            if width == 1:
-                assert weight is narrow
-            elif n > 1:
+            assert weight is not narrow
+            if n > 1:
                 with pytest.raises(ValueError, match="read-only"):
                     weight[0, 0, 0] = 0.0
         assert _batch_tables.cache_info().maxsize is not None

@@ -30,6 +30,9 @@ output directory:
   (--threads 1 and 2) from experiment.initial_v_norm 176 (||x0||_H = 56),
   where 134 of the 200 first-passage rows blow up and the others enter
   the ball, so a block drops rows of both kinds;
+- at N = 40, above spectral.GATHER_LIMIT, where B takes the per-row
+  convolution: simulate on default_run with t_end 1, and verify
+  (--threads 1) on verify_drift with t_end 0.5 and n_mart 2;
 - simulate on default_run and hitting (--threads 2) on verify_drift at
   --seed 1180591620717411303427 (2**70 + 3), a seed of three uint32
   words, beyond the two of a sub-seed;
@@ -180,6 +183,20 @@ def _runs(configs: Path, tmp: Path) -> list:
         runs.append((f"estimate/hitting/{cfg}/threads{n}",
                      ["estimate", "hitting", "--config", path,
                       "--threads", str(n)]))
+
+    cfg = "default_run_n40"
+    path = derived("default_run", cfg, lambda raw: raw["model"].update(
+        n_modes=40, t_end=1.0))
+    runs.append((f"simulate/{cfg}", ["simulate", "--config", path]))
+
+    def n40_verify(raw):
+        raw["model"].update(n_modes=40, t_end=0.5)
+        raw["experiment"]["n_mart"] = 2
+
+    cfg = "verify_drift_n40"
+    path = derived("verify_drift", cfg, n40_verify)
+    runs.append((f"verify/{cfg}/threads1",
+                 ["verify", "--config", path, "--threads", "1"]))
 
     big = ["--seed", str(2 ** 70 + 3)]
     runs.append(("simulate/default_run/seed2**70+3",
