@@ -614,26 +614,23 @@ class HittingSummary:
         }
 
 
-def _entrance_time(traj: Trajectory) -> float:
-    return float(traj.times[-1]) if traj.stopped else math.nan
-
-
 def hitting_times(cfg: SimConfig, constants: DriftConstants, n_traj: int,
                   n_workers: int = 1) -> HittingSummary:
     """Entrance-time samples for the set {||x||_V <= k_radius}.
 
-    Each trajectory stops at its first save-grid snapshot inside the set,
-    which is its entrance time; one that has not entered by the horizon
-    cfg.t_end is censored (nan) and counted.  The survival curve
-    P(tau > t) is fitted log-linearly over an interior quantile window.
+    A trajectory's sample is its entrance time from ensemble's first
+    passage, the time of its first save-grid snapshot inside the set; one
+    that has not entered by the horizon cfg.t_end is censored (nan) and
+    counted.  The survival curve P(tau > t) is fitted log-linearly over
+    an interior quantile window.
     Exponential moments E[exp(lam tau)] are reported at lam = 0.25, 0.5
     and 1.2 times the fitted tail rate, each estimated only below 0.8 of
     that rate (with a lower-bound flag when censoring truncates the
     average).  Raises EnsembleBlowUpError when any trajectory blows up
     before it enters.
     """
-    taus = np.array(ensemble(cfg, n_traj, _entrance_time,
-                             n_workers=n_workers, until=constants.in_k))
+    taus = np.array(ensemble(cfg, n_traj, n_workers=n_workers,
+                             until=constants.in_k))
     censored = int(np.sum(np.isnan(taus)))
     flags = []
     if censored:

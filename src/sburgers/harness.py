@@ -768,6 +768,10 @@ def _est_expmoment(cfg: RunConfig, exp: dict, n_workers: int):
     n_traj = _field(exp, "experiment", "n_traj", _as_int, 200, minimum=2)
     rep = exp_integral_moment(cfg.sim, theta, lam, n_traj,
                               n_workers=n_workers)
+    if not math.isfinite(rep.value):
+        raise ValueError(f"model.t_end: the estimate of E exp(theta lam "
+                         f"int ||X||_V dt) to t_end = {cfg.sim.t_end} is "
+                         f"beyond the double range")
     return [rep.to_dict()], [{"name": rep.name, "value": rep.value,
                               "half_width": rep.half_width,
                               "bound": rep.extra["bound"]}]

@@ -47,9 +47,10 @@ rows.  An elementwise product or sum gives the same bits either way, so
 a split step keeps its (N, 1) columns.  numpy adds a sum over a
 strided last axis in another order than over a contiguous one, so a sum
 over modes on the transposed state would round a row differently in a
-block than alone.  Each such sum runs on a row-major (..., R, N) copy:
-the save-grid snapshots, the first-passage mask read from them, the
-blow-up norms and a state-dependent jump direction's field_at.
+block than alone.  Each such sum runs on a copy whose modes are its
+contiguous last axis: the save-grid snapshots, (R, k, N), the
+first-passage mask read from them, the blow-up norms and a
+state-dependent jump direction's field_at.
 
 Snapshots and blow-ups are taken from the chunk buffer once per chunk.
 An ensemble may also give a first-passage stop: a row finishes at its
@@ -90,7 +91,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .spectral import SpectralField, mode_rates, norm_h_sq, norm_v_sq, \
-    record, replace, _quadratic_term
+    record, _quadratic_term
 from .noise import GaussianSpec, JumpSpec, sample_jump_times
 
 __all__ = [
@@ -228,8 +229,6 @@ class Trajectory:
     times: np.ndarray            # (n_snap,)
     coeffs: np.ndarray           # (n_snap, n_modes)
     jump_log: tuple              # JumpEvent records in time order
-    stopped: bool = False        # ended at the first snapshot where the
-                                 # until of ensemble holds
 
     @property
     def n_snapshots(self) -> int:
@@ -536,12 +535,13 @@ class _Kernel:
                     self._step_arrays(a, path, decay, phi, comp, split,
                                       live_logs)
                 first = -(i0 + 1) % save_every
-                # row-major copies, (k, R, N), wherever a sum over modes
-                # runs: numpy adds a strided last axis in another order
+                # row-major copies wherever a sum over modes runs: numpy
+                # adds a strided last axis in another order; the snapshots
+                # as (R, k, N), which until reads as a (k, R, N) view
                 saved = np.ascontiguousarray(
-                    path[first::save_every].transpose(0, 2, 1))
+                    path[first::save_every].transpose(2, 0, 1))
                 s0 = (i0 + first + 1) // save_every
-                snaps[live, s0:s0 + len(saved)] = saved.swapaxes(0, 1)
+                snaps[live, s0:s0 + saved.shape[1]] = saved
                 bad = {}         # position -> its first bad step in the chunk
                 if not float(np.square(path).sum()) <= _SAFE_NORM_SQ:
                     norms = np.sqrt(norm_h_sq(np.ascontiguousarray(
@@ -549,8 +549,8 @@ class _Kernel:
                     out = ~(norms <= BLOWUP_NORM)
                     for j in np.flatnonzero(out.any(axis=0)).tolist():
                         bad[j] = int(out[:, j].argmax())
-                if until is not None and len(saved):
-                    inside = until(saved)
+                if until is not None and saved.shape[1]:
+                    inside = until(saved.swapaxes(0, 1))
                     for j in np.flatnonzero(inside.any(axis=0)).tolist():
                         m = int(inside[:, j].argmax())
                         if bad.get(j, math.inf) > first + m * save_every:
@@ -769,10 +769,11 @@ def _run_block(cfg: SimConfig, first: int, n_rows: int, reducer, until,
     Each runs from every start row of starts, (G, N), with its one
     sub-seed.  Returns (path, groups): groups[g] holds the results from
     starts[g] in trajectory order, a BlowUp record for a row that blew up.
-    With main, the main path (seed cfg.seed, from cfg.x0) is stepped as
-    row 0 and returned unreduced as path (None otherwise); BlowUpError is
-    raised if it blows up.  A finished row's Trajectory ends at its finish
-    snapshot, and its jump log at the events up to that time.
+    A result is the reducer's value of the row's Trajectory, or with
+    until the row's entrance time, the time of its finish snapshot, or
+    nan if it never finished.  With main, the main path (seed cfg.seed,
+    from cfg.x0) is stepped as row 0 and returned unreduced as path (None
+    otherwise); BlowUpError is raised if it blows up.
     """
     seeds = _derive_seeds(cfg.seed, range(first, first + n_rows)) \
         * len(starts)
@@ -783,38 +784,35 @@ def _run_block(cfg: SimConfig, first: int, n_rows: int, reducer, until,
     snaps, logs, blown, finish = _Kernel(cfg).run(seeds, rows, until)
     times = np.arange(snaps.shape[1]) * cfg.dt_save
     times.flags.writeable = False          # shared by the block's rows
-
-    def trajectory(j: int) -> Trajectory:
-        if j not in finish:
-            return Trajectory(times=times, coeffs=snaps[j],
-                              jump_log=tuple(logs[j]))
-        f = finish[j]
-        return Trajectory(
-            times=times[:f + 1], coeffs=snaps[j, :f + 1],
-            jump_log=tuple(e for e in logs[j] if e.time <= times[f]),
-            stopped=True)
-
     path = None
     if main:
         if 0 in blown:
             raise BlowUpError(*blown[0])
-        path = trajectory(0)
         # its own copy, so the block's snapshots are freed once reduced
-        path = replace(path, coeffs=path.coeffs.copy())
+        path = Trajectory(times=times, coeffs=snaps[0].copy(),
+                          jump_log=tuple(logs[0]))
+
+    def result(j: int):
+        if until is not None:
+            return float(times[finish[j]]) if j in finish else math.nan
+        return reducer(Trajectory(times=times, coeffs=snaps[j],
+                                  jump_log=tuple(logs[j])))
+
     groups = []
     for g in range(len(starts)):
         out = []
         for r in range(n_rows):
             j = main + g * n_rows + r
             out.append(BlowUp(first + r, *blown[j]) if j in blown
-                       else reducer(trajectory(j)))
+                       else result(j))
         groups.append(out)
     return path, groups
 
 
-def ensemble(cfg: SimConfig, n_traj: int, reducer, n_workers: int = 1,
+def ensemble(cfg: SimConfig, n_traj: int, reducer=None, n_workers: int = 1,
              until=None, starts=None, main: bool = False):
-    """Run n_traj independent trajectories and reduce each one.
+    """Run n_traj independent trajectories and reduce each one, or find
+    the first passage of each.
 
     Trajectory i uses the sub-seed derive_seed(cfg.seed, i) and starts
     from cfg.x0, or from each field of starts.  Rows are stepped in
@@ -830,12 +828,11 @@ def ensemble(cfg: SimConfig, n_traj: int, reducer, n_workers: int = 1,
     child is raised again here with its type, or as a RuntimeError
     carrying its repr when it does not pickle.
 
-    With until, a first-passage stop: a trajectory finishes at its first
-    save-grid snapshot where until holds, and the reducer gets it cut
-    there, with stopped=True and the jump events up to that time.  A
-    blow-up counts only at or before the finish, and a block stops
-    stepping once each of its rows is blown or finished.  A trajectory
-    that never finishes runs to t_end as without until.
+    With until in place of a reducer, a first passage: a trajectory's
+    result is its entrance time, the first save-grid time where until
+    holds (0 for a start where it holds), or nan if it never holds by
+    t_end.  A blow-up counts only at or before the entrance, and a block
+    stops stepping once each of its rows has entered or blown up.
 
     Parameters
     ----------
@@ -843,7 +840,8 @@ def ensemble(cfg: SimConfig, n_traj: int, reducer, n_workers: int = 1,
         callable will do, but with n_workers > 1 its values must pickle.
     until : callable, snapshots (k, R, N) -> (k, R) bool mask, or None.
         It must decide each row from that row alone, so that a row
-        finishes at the same snapshot in any block.
+        enters at the same snapshot in any block.  Exactly one of reducer
+        and until is given.
     starts : sequence of G start fields (None: the zero field), or None
         for (cfg.x0,).  Trajectory i runs from each of them with the same
         noise, and the results are start-major: entry g * n_traj + i is
@@ -853,14 +851,16 @@ def ensemble(cfg: SimConfig, n_traj: int, reducer, n_workers: int = 1,
         process runs, and (its Trajectory, results) is returned.  If that
         path blows up, BlowUpError is raised as simulate raises it,
         whatever the other rows did, and before any child's results are
-        read.  until would cut that path at its first passage, so main
+        read.  until would stop that path at its first passage, so main
         with until raises ValueError.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
+    if (reducer is None) == (until is None):
+        raise ValueError("pass a reducer or until, not both or neither")
     if main and until is not None:
         raise ValueError("main takes the path simulate gives, which until "
-                         "would cut: pass one or the other")
+                         "would stop: pass one or the other")
     rows = _start_rows(cfg, [cfg.x0] if starts is None else starts)
     firsts = range(0, n_traj, BLOCK_ROWS)
     n = max(1, min(n_workers, len(firsts))) if _FORK else 1

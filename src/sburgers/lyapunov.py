@@ -35,7 +35,7 @@ from functools import partial
 import numpy as np
 
 from .spectral import norm_h_sq, norm_v_sq, record, _quadratic_term
-from .noise import GaussianSpec, JumpSpec, hypothesis_constants
+from .noise import GaussianSpec, JumpSpec, hypothesis_constants, _exp
 from .integrator import SimConfig, Trajectory, ensemble
 
 __all__ = [
@@ -369,7 +369,8 @@ def exp_integral_moment(cfg: SimConfig, theta: float, lam: float,
     (extra["z_moment"]), which the ceiling dominates term for term.
 
     theta must lie in (0, 1); lam must be a positive admissible tilt.
-    Raises EnsembleBlowUpError when any trajectory blows up.
+    A value beyond the double range is reported as inf.  Raises
+    EnsembleBlowUpError when any trajectory blows up.
     """
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
@@ -383,12 +384,15 @@ def exp_integral_moment(cfg: SimConfig, theta: float, lam: float,
     iv = np.array([r[0] for r in out])
     zv = np.array([r[1] for r in out])
 
-    vals = np.exp(theta * lam * iv)
-    mean = float(vals.mean())
-    se = float(vals.std(ddof=1) / np.sqrt(n_traj))
+    # beyond the double range a moment is inf, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.exp(theta * lam * iv)
+        mean = float(vals.mean())
+        se = float(vals.std(ddof=1) / np.sqrt(n_traj))
+        z_moment = float(np.mean(np.exp(theta * zv)))
     log_const = float(psi_lambda(x0, lam)) + cfg.t_end * lam * lam * (
         0.5 * m_lambda + hs)
-    bound = theta + theta / (1.0 - theta) * math.exp(log_const)
+    bound = theta + theta / (1.0 - theta) * _exp(log_const)
     return EstimateReport(
         name="exp_integral_moment",
         value=mean,
@@ -400,6 +404,6 @@ def exp_integral_moment(cfg: SimConfig, theta: float, lam: float,
             "lam": lam,
             "bound": bound,
             "tail_log_const": log_const,
-            "z_moment": float(np.mean(np.exp(theta * zv))),
+            "z_moment": z_moment,
         },
     )

@@ -108,6 +108,25 @@ def _laguerre_rule():
 
 
 # ----------------------------------------------------------------- mark laws
+#
+# A moment keeps its closed form wherever that is finite.  Where a factor
+# of it leaves the double range, the same moment is taken in steps that
+# underflow to 0 or overflow to inf, and a moment that is inf then is
+# beyond the range: ValueError names the config field that put it there.
+
+def _in_range(moment: float, field: str, what: str) -> float:
+    if math.isinf(moment):
+        raise ValueError(f"{field}: {what} is beyond the double range")
+    return moment
+
+
+def _exp(x: float) -> float:
+    """e^x, inf beyond the double range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
 
 @record
 class ExponentialMarks:
@@ -125,7 +144,12 @@ class ExponentialMarks:
 
     @property
     def second_moment(self) -> float:
-        return 2.0 / self.rate ** 2
+        try:
+            m = 2.0 / self.rate ** 2
+        except (OverflowError, ZeroDivisionError):    # rate^2 out of range
+            m = 2.0 / self.rate / self.rate
+        return _in_range(m, "jump.marks.rate", f"the second moment "
+                         f"2 / rate^2 of mark rate {self.rate}")
 
     @property
     def tilt_limit(self) -> float:
@@ -139,7 +163,13 @@ class ExponentialMarks:
                 f"tilt {a} exceeds exponential rate {self.rate}")
         if a == self.rate:
             return math.inf
-        return 2.0 * self.rate / (self.rate - a) ** 3
+        d = self.rate - a
+        try:
+            m = 2.0 * self.rate / d ** 3
+        except (OverflowError, ZeroDivisionError):    # d^3 out of range
+            m = 2.0 / d * (self.rate / d) / d
+        return _in_range(m, "experiment.lam", f"the tilted second moment "
+                         f"of mark rate {self.rate} at tilt {a}")
 
     def sample(self, rng: np.random.Generator) -> float:
         return rng.exponential(1.0 / self.rate)
@@ -166,14 +196,24 @@ class DeterministicMarks:
 
     @property
     def second_moment(self) -> float:
-        return self.value ** 2
+        try:
+            m = self.value ** 2
+        except OverflowError:
+            m = math.inf
+        return _in_range(m, "jump.marks.value", f"the second moment "
+                         f"value^2 of mark value {self.value}")
 
     @property
     def tilt_limit(self) -> float:
         return math.inf
 
     def tilted_second_moment(self, a: float) -> float:
-        return self.value ** 2 * math.exp(a * self.value)
+        try:
+            m = self.value ** 2 * math.exp(a * self.value)
+        except OverflowError:           # value^2 or e^(a value) overflows
+            m = _exp(a * self.value + 2.0 * math.log(self.value))
+        return _in_range(m, "experiment.lam", f"the tilted second moment "
+                         f"of mark value {self.value} at tilt {a}")
 
     def sample(self, rng: np.random.Generator) -> float:
         return self.value

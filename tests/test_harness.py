@@ -805,7 +805,22 @@ def verify_report(out) -> dict:
     return json.loads((out / "verify_report.json").read_text())
 
 
+def estimate_record(out) -> dict:
+    return json.loads((out / "estimate.jsonl").read_text().splitlines()[0])
+
+
 VERIFY_SMALL = {"kind": "verify", "n_states": 5, "n_mart": 2}
+ESTIMATE_SMALL = {"kind": "estimate", "n_traj": 4}
+
+
+def long_linear(dt: float) -> dict:
+    """expmoment on two paths of one mode, B off, to t_end 20000: the
+    ceiling exp(5001) is beyond the double range at any dt, the estimate
+    at dt 0.05 but not at dt = dt_save = 0.5."""
+    return changed_raw({"jump": None}, model={
+        "n_modes": 1, "dt": dt, "t_end": 20000.0, "dt_save": 0.5,
+        "nonlinearity": False}, gaussian={"betas": [1.0]},
+        experiment={"kind": "estimate", "n_traj": 2})
 
 
 def config_directory(tmp_path, monkeypatch) -> str:
@@ -918,6 +933,38 @@ class TestCli:
          "byte)\n"),
         (config_unreadable, ["simulate"],
          "<config>: cannot read (Permission denied)\n"),
+        # a mark moment beyond the double range names the field that put
+        # it there; one that underflows to 0 is used as it is
+        (changed_raw({"jump.marks.rate": 1e-300}, experiment=VERIFY_SMALL),
+         ["verify"], "error: jump.marks.rate: the second moment 2 / rate^2 "
+         "of mark rate 1e-300 is beyond the double range\n"),
+        (changed_raw({"gaussian": None, "jump.marks.rate": 1e-300},
+                     experiment=VERIFY_SMALL),
+         ["verify"], "error: jump.marks.rate: "),
+        (changed_raw({"jump.marks.rate": 1e-300}, experiment=ESTIMATE_SMALL),
+         ["estimate", "hitting"], "error: jump.marks.rate: "),
+        (changed_raw({"jump.marks.rate": 1e-300}, experiment=ESTIMATE_SMALL),
+         ["estimate", "expmoment"], "error: jump.marks.rate: "),
+        (changed_raw({"jump.marks.rate": 1e300}, experiment=VERIFY_SMALL),
+         ["verify"], (lambda out: verify_report(out)["failures"], 0)),
+        (changed_raw({"jump.marks.rate": 1e300}, experiment=ESTIMATE_SMALL),
+         ["estimate", "hitting"], (lambda out: estimate_record(out)["n"], 4)),
+        (changed_raw({"jump.marks.rate": 1e300}, experiment=ESTIMATE_SMALL),
+         ["estimate", "expmoment"],
+         (lambda out: estimate_record(out)["n"], 4)),
+        (changed_raw({"jump.marks": {"kind": "deterministic", "value": 1e200}},
+                     experiment=VERIFY_SMALL), ["verify"],
+         "error: jump.marks.value: the second moment value^2 of mark value "
+         "1e+200 is beyond the double range\n"),
+        (changed_raw({"jump.marks": {"kind": "deterministic", "value": 0.5}},
+                     experiment={**VERIFY_SMALL, "lam": 2000}), ["verify"],
+         "error: experiment.lam: the tilted second moment of mark value 0.5 "
+         "at tilt 2000.0 is beyond the double range\n"),
+        (long_linear(0.5), ["estimate", "expmoment"],
+         (lambda out: estimate_record(out)["extra"]["bound"], math.inf)),
+        (long_linear(0.05), ["estimate", "expmoment"], "error: model.t_end: the estimate of "
+         "E exp(theta lam int ||X||_V dt) to t_end = 20000.0 is beyond the "
+         "double range\n"),
     ], ids=["dt_save-not-multiple", "top-level-list", "negative-seed-flag",
             "model-not-object", "too-many-coefficients",
             "mark-kind-not-string", "negative-intensity",
@@ -930,7 +977,17 @@ class TestCli:
             "t_grid-off-grid", "t_max-negative",
             "bins-above-ceiling", "n_points-above-ceiling",
             "output-directory-is-a-file", "config-is-a-directory",
-            "config-not-utf8", "config-unreadable"])
+            "config-not-utf8", "config-unreadable",
+            "verify-mark-moment-beyond-range",
+            "verify-jumps-only-mark-moment-beyond-range",
+            "hitting-mark-moment-beyond-range",
+            "expmoment-mark-moment-beyond-range",
+            "verify-mark-moment-underflows", "hitting-mark-moment-underflows",
+            "expmoment-mark-moment-underflows",
+            "verify-deterministic-mark-moment-beyond-range",
+            "verify-tilted-mark-moment-beyond-range",
+            "expmoment-ceiling-beyond-range",
+            "expmoment-estimate-beyond-range"])
     def test_rarely_reached_paths(self, tmp_path, capsys, monkeypatch, raw,
                                   command, expected):
         if callable(raw):

@@ -781,9 +781,8 @@ class TestEnsemble:
         assert np.array_equal(back.times, path.times)
         assert np.array_equal(back.coeffs, path.coeffs)
         assert back.jump_log == path.jump_log
-        assert back.stopped is path.stopped
         with pytest.raises(AttributeError):
-            back.stopped = True
+            back.jump_log = ()
 
     def test_worker_count_invariance(self):
         cfg = linear_single_mode(0.05, seed=33)
@@ -807,7 +806,6 @@ class TestEnsemble:
         assert alone.coeffs.tobytes() == path.coeffs.tobytes()
         assert alone.times.tobytes() == path.times.tobytes()
         assert alone.jump_log == path.jump_log
-        assert alone.stopped is path.stopped is False
         ref = [v for x0 in starts
                for v in ensemble(replace(cfg, x0=x0), n, _path)]
         assert _same_paths(out, ref)
@@ -962,11 +960,6 @@ class TestEnsemble:
             3.0 * np.hypot(ens_se, time_se)
 
 
-def _stop_path(traj: Trajectory) -> tuple:
-    return (traj.times.copy(), traj.coeffs.copy(), traj.jump_log,
-            traj.stopped)
-
-
 def _norm_h_at_least(snaps, radius):
     return norm_h_sq(snaps) >= radius ** 2
 
@@ -980,11 +973,11 @@ def _mode1_at_least(snaps, level):
 
 
 def _stopped_reference(cfg: SimConfig, n_traj: int, until) -> list:
-    """ensemble(..., until=until) read off one unstopped block: a row is cut
-    at its first snapshot where until holds, unless it blew up at or
-    before that step."""
+    """ensemble(..., until=until) read off one unstopped block: a row's
+    entrance time is that of its first snapshot where until holds, unless
+    it blew up at or before that step, and nan if there is none."""
     seeds = [derive_seed(cfg.seed, i) for i in range(n_traj)]
-    snaps, logs, blown, _ = _Kernel(cfg).run(seeds, _x0_rows(cfg, n_traj))
+    snaps, _, blown, _ = _Kernel(cfg).run(seeds, _x0_rows(cfg, n_traj))
     times = np.arange(snaps.shape[1]) * cfg.dt_save
     save_every = round(cfg.dt_save / cfg.dt)
     out = []
@@ -993,14 +986,11 @@ def _stopped_reference(cfg: SimConfig, n_traj: int, until) -> list:
         hits = [s for s in np.flatnonzero(until(snaps[r][:, None])[:, 0])
                 if s * save_every < bad_step]
         if hits:
-            end = hits[0] + 1
-            out.append((times[:end], snaps[r, :end],
-                        tuple(e for e in logs[r] if e.time <= times[end - 1]),
-                        True))
+            out.append(float(times[hits[0]]))
         elif r in blown:
             out.append(BlowUp(r, *blown[r]))
         else:
-            out.append((times, snaps[r], tuple(logs[r]), False))
+            out.append(math.nan)
     return out
 
 
@@ -1008,15 +998,14 @@ def _same_stops(a, b) -> bool:
     def same(x, y):
         if isinstance(x, BlowUp) or isinstance(y, BlowUp):
             return x == y
-        return (x[0].tobytes() == y[0].tobytes()
-                and x[1].tobytes() == y[1].tobytes()
-                and x[2] == y[2] and x[3] == y[3])
+        return type(x) is type(y) is float and (
+            x == y or math.isnan(x) and math.isnan(y))
     return len(a) == len(b) and all(same(x, y) for x, y in zip(a, b))
 
 
 def _kinds(results) -> set:
     return {"blown" if isinstance(r, BlowUp)
-            else "stopped" if r[3] else "full" for r in results}
+            else "full" if math.isnan(r) else "stopped" for r in results}
 
 
 class TestFirstPassage:
@@ -1054,28 +1043,20 @@ class TestFirstPassage:
 
     @pytest.mark.parametrize("case", sorted(STOP_CASES))
     def test_stop_equals_cut_full_run(self, monkeypatch, case):
-        # a finished row is its unstopped path cut at the finish, with the
-        # jump events up to then; a blow-up after the finish is dropped and
-        # a reset row never finishes; the same in a block or alone, for any
-        # chunking of the noise
+        # a row's entrance time is read off its unstopped path; a blow-up
+        # after the entrance is dropped and a reset row never enters; the
+        # same in a block or alone, for any chunking of the noise
         cfg, n_traj, until, kinds = self.STOP_CASES[case]
         expected = _stopped_reference(cfg, n_traj, until)
         assert _kinds(expected) == kinds
-        if case == "jumps":
-            # the kernel logs events past a finish within its chunk
-            seeds = [derive_seed(cfg.seed, i) for i in range(n_traj)]
-            _, logs, _, finish = _Kernel(cfg).run(
-                seeds, _x0_rows(cfg, n_traj), until)
-            assert any(logs[r][-1].time > f * cfg.dt_save
-                       for r, f in finish.items() if logs[r])
         for size in (1, 7, integrator.NOISE_CHUNK):
             with monkeypatch.context() as m:
                 m.setattr(integrator, "NOISE_CHUNK", size)
-                got = _results(cfg, n_traj, _stop_path, until=until)
+                got = _results(cfg, n_traj, None, until=until)
             assert _same_stops(got, expected), size
         for i in range(n_traj):
-            _, (alone,) = integrator._run_block(cfg, i, 1, _stop_path,
-                                                until, _x0_rows(cfg, 1))
+            _, (alone,) = integrator._run_block(cfg, i, 1, None, until,
+                                                _x0_rows(cfg, 1))
             assert _same_stops(alone, expected[i:i + 1]), i
 
     def test_block_stops_after_last_finish(self, monkeypatch):
@@ -1148,15 +1129,19 @@ class TestFirstPassage:
 
     def test_start_inside_finishes_at_once(self):
         cfg, n_traj, until, _ = self.STOP_CASES["reset_rows"]
-        out = ensemble(replace(cfg, x0=None), n_traj, _stop_path, until=until)
-        assert all(r[3] and r[0].tolist() == [0.0] and r[2] == ()
-                   for r in out)
+        out = ensemble(replace(cfg, x0=None), n_traj, until=until)
+        assert _same_stops(out, [0.0] * n_traj)
 
     def test_main_path_is_not_cut(self):
-        # the main path is the one simulate gives, which until would cut
+        # ensemble takes a reducer or until, and the main path is the one
+        # simulate gives, which until would stop
         cfg, n_traj, until, _ = self.STOP_CASES["reset_rows"]
-        with pytest.raises(ValueError, match="main .* until"):
-            ensemble(cfg, n_traj, _stop_path, until=until, main=True)
+        for kwargs, message in (
+                ({"reducer": _final_mode, "until": until}, "reducer or until"),
+                ({}, "reducer or until"),
+                ({"until": until, "main": True}, "main .* until")):
+            with pytest.raises(ValueError, match=message):
+                ensemble(cfg, n_traj, **kwargs)
 
 
 def _final_mode(traj: Trajectory) -> float:

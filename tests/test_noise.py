@@ -94,6 +94,33 @@ class TestMarkLaws:
         assert law.tilted_second_moment(5.0) == pytest.approx(
             0.09 * math.exp(1.5), rel=1e-14)
 
+    def test_moments_at_the_ends_of_the_double_range(self):
+        # the closed forms where they are finite, bit for bit; where a
+        # factor leaves the range, the moment itself: 0 past its underflow,
+        # ValueError naming the field past its overflow
+        for rate, a in ((2.0, 0.7), (2.0, 1.2), (1e100, 0.0), (1e-100, 0.0)):
+            law = ExponentialMarks(rate=rate)
+            assert law.second_moment == 2.0 / rate ** 2
+            assert law.tilted_second_moment(a) == 2.0 * rate / (rate - a) ** 3
+        law = ExponentialMarks(rate=1e103)              # d^3 overflows
+        assert law.second_moment == 2.0 / 1e103 ** 2
+        assert law.tilted_second_moment(0.0) == pytest.approx(2e-206,
+                                                              rel=1e-15)
+        law = ExponentialMarks(rate=1e300)
+        assert law.second_moment == law.tilted_second_moment(0.5) == 0.0
+        with pytest.raises(ValueError, match="^jump.marks.rate: "):
+            ExponentialMarks(rate=1e-300).second_moment
+        with pytest.raises(ValueError, match="^experiment.lam: "):
+            ExponentialMarks(rate=1e-200).tilted_second_moment(
+                1e-200 * (1.0 - 2.0 ** -52))
+        law = DeterministicMarks(value=1e-3)           # e^(a value) overflows
+        assert law.tilted_second_moment(7.1e5) == pytest.approx(
+            math.exp(710.0 - 6.0 * math.log(10.0)), rel=1e-12)
+        with pytest.raises(ValueError, match="^jump.marks.value: "):
+            DeterministicMarks(value=1e200).second_moment
+        with pytest.raises(ValueError, match="^experiment.lam: "):
+            DeterministicMarks(value=0.5).tilted_second_moment(2000.0)
+
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             ExponentialMarks(rate=0.0)

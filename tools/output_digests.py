@@ -17,6 +17,12 @@ output directory:
   a saturated jump direction, the one whose jump field depends on the
   state;
 - simulate and verify on jumps_only with deterministic marks;
+- verify on jumps_only with jump.marks.rate 1e-300, whose mark second
+  moment is beyond the double range (exit 2), and 1e300, whose moments
+  underflow to 0 (exit 0);
+- expmoment on estimate_sigma2_linear to t_end 20000 with dt_save 0.5
+  and n_traj 2: at dt 0.5 the ceiling is beyond the double range and
+  reported as inf (exit 0), at dt 0.05 the estimate too (exit 2);
 - four runs that exit 2: three config errors on jumps_only, model.t_end
   too large for a float, a tailprobe experiment.t_grid time and a hitting
   experiment.t_max below one save interval, and simulate on
@@ -136,6 +142,23 @@ def _runs(configs: Path, tmp: Path) -> list:
     runs.append((f"simulate/{cfg}", ["simulate", "--config", path]))
     runs.append((f"verify/{cfg}/threads1",
                  ["verify", "--config", path, "--threads", "1"]))
+
+    for rate in (1e-300, 1e300):
+        cfg = f"jumps_only_rate{rate:g}"
+        path = derived("jumps_only", cfg, lambda raw: raw["jump"][
+            "marks"].update(rate=rate))
+        runs.append((f"verify/{cfg}/threads1",
+                     ["verify", "--config", path, "--threads", "1"]))
+
+    def long_expmoment(raw):
+        raw["model"].update(dt=dt, dt_save=0.5, t_end=20000.0)
+        raw["experiment"]["n_traj"] = 2
+
+    for dt in (0.5, 0.05):
+        cfg = f"estimate_sigma2_linear_t20000_dt{dt:g}"
+        path = derived("estimate_sigma2_linear", cfg, long_expmoment)
+        runs.append((f"estimate/expmoment/{cfg}",
+                     ["estimate", "expmoment", "--config", path]))
 
     cfg = "jumps_only_t_end_overflow"
     path = derived("jumps_only", cfg, lambda raw: raw["model"].update(
