@@ -72,14 +72,16 @@ for its own length, and each step's slice of the chunk's arrays has the
 bits of the substep columns for that length.  A chunk's noise terms are
 computed in one _gaussian_increment call before its steps, and the
 split steps around jump events go through substep, which calls both.
-Each split step is planned once, when a row's events are sampled: its
-substep lengths, its events and its number of normal draws.
+Each split step is planned once, when a row's events are sampled, as its
+(time, mark) events and its number of normal draws; _split_step works out
+each substep length as it walks the events.
 Without any drift (B off, no jumps) and with at most LANE_LIMIT
 coefficients, each coefficient of each row is stepped by _lane, the
 Python-float twin of _deterministic with the same roundings.  Every other
 config steps on arrays, the only route that splits steps.
 """
 
+import collections
 import functools
 import math
 import operator
@@ -135,15 +137,12 @@ class BlowUpError(RuntimeError):
         self.norm = norm
 
 
-# BlowUp and JumpEvent are the package's only records compared by value
-# (ensemble blow-up records, jump logs); every other one keeps identity.
-@record(eq=True)
-class BlowUp:
-    """Per-trajectory blow-up record returned by ensemble runs."""
-
-    index: int
-    time: float
-    norm: float
+# BlowUp and JumpEvent are the package's only values compared by value
+# (ensemble blow-up records, jump logs), so they are named tuples; a forked
+# worker pickles a BlowUp by its name in this module.
+BlowUp = collections.namedtuple("BlowUp", "index time norm")
+BlowUp.__doc__ = "Per-trajectory blow-up record returned by ensemble runs."
+JumpEvent = collections.namedtuple("JumpEvent", "time mark pre_norm_h")
 
 
 class EnsembleBlowUpError(BlowUpError):
@@ -158,13 +157,6 @@ class EnsembleBlowUpError(BlowUpError):
         self.records = tuple(records)
         self.args = (f"{len(records)} of {n_traj} trajectories blew up; "
                      f"first: index {first.index}, {self.args[0]}",)
-
-
-@record(eq=True)
-class JumpEvent:
-    time: float
-    mark: float
-    pre_norm_h: float
 
 
 @record
@@ -341,18 +333,18 @@ class _Kernel:
         return out
 
     def _event_steps(self, jump_rng, n_steps: int) -> list:
-        """This row's split steps as (step index, pieces, draws), latest
+        """This row's split steps as (step index, events, draws), latest
         first, from the events the Generator jump_rng draws.
 
-        pieces are (h, event) in time order: a substep of length h, then
-        the event (time, mark) it ends at, or None for the rest of the
-        step.  draws counts the pieces with h != 0, one normal draw each;
-        a piece of length 0 is skipped.
+        events are the step's (time, mark) pairs in time order, as
+        sample_jump_times gives them.  The step splits into substeps at
+        them; draws counts the substeps of nonzero length, one normal draw
+        each, and a substep of length 0 is skipped.
         """
         dt = self.cfg.dt
-        events = sample_jump_times(self.jumps, self.cfg.t_end, jump_rng)
         grouped = []
-        for t, u in events:
+        for event in sample_jump_times(self.jumps, self.cfg.t_end, jump_rng):
+            t = event[0]
             # an event belongs to the first step i with t <= (i + 1) dt
             i = max(int(math.ceil(t / dt)) - 1, 0)
             while (i + 1) * dt < t:
@@ -362,43 +354,43 @@ class _Kernel:
             if i >= n_steps:
                 break
             if grouped and grouped[-1][0] == i:
-                grouped[-1][1].append((t, u))
+                grouped[-1][1].append(event)
             else:
-                grouped.append((i, [(t, u)]))
+                grouped.append((i, [event]))
         steps = []
-        for i, group in reversed(grouped):    # popped from the end
-            seg, pieces = i * dt, []
-            for t, u in group:
-                pieces.append((t - seg, (t, u)))
-                seg = t
-            pieces.append(((i + 1) * dt - seg, None))
-            steps.append((i, pieces, sum(h != 0.0 for h, _ in pieces)))
+        for i, events in reversed(grouped):    # popped from the end
+            ends = [i * dt, *(t for t, _ in events), (i + 1) * dt]
+            steps.append((i, events,
+                          sum(b != a for a, b in zip(ends, ends[1:]))))
         return steps
 
-    def _split_step(self, a: np.ndarray, pieces, z, k: int,
+    def _split_step(self, a: np.ndarray, i: int, events, z, k: int,
                     log: list) -> np.ndarray:
-        """One split step of one row's state a, an (N, 1) column, through
-        its pieces.
+        """Step i of one row's state a, an (N, 1) column, split at its
+        (time, mark) events: a substep up to each event, the event's jump,
+        and a substep on to the end of the step.
 
         z[k], z[k + 1], ... are the row's normal draws for the substeps.
         """
-        for h, event in pieces:
-            if h != 0.0:
-                a = self.substep(a, h, None if z is None else z[k, :, None])
+        seg = i * self.cfg.dt
+        for t, u in (*events, ((i + 1) * self.cfg.dt, None)):
+            if t != seg:
+                a = self.substep(a, t - seg,
+                                 None if z is None else z[k, :, None])
                 k += 1
-            if event is not None:
-                t, u = event
+            if u is not None:
                 row = a[:, 0]
                 pre_norm = float(np.sqrt(norm_h_sq(row)))
                 a = a + (self.jumps.direction.field_at(row) * u)[:, None]
                 log.append(JumpEvent(t, u, pre_norm))
+                seg = t
         return a
 
     def _plan_chunk(self, i0: int, i1: int, rngs, plans):
         """Draw a chunk's normals and find the rows that split a step.
 
         Returns the draws of the unsplit steps, shape (i1 - i0, N, R) or
-        None, and {step offset: [(row, pieces, row draws, first draw)]}.
+        None, and {step offset: [(row, events, row draws, first draw)]}.
         """
         n = self.cfg.n_modes
         n_chunk = i1 - i0
@@ -410,8 +402,8 @@ class _Kernel:
             while plan and plan[-1][0] < i1:
                 mine.append(plan.pop())
             if xi is None:
-                for i, pieces, _ in mine:
-                    split.setdefault(i - i0, []).append((r, pieces, None, 0))
+                for i, events, _ in mine:
+                    split.setdefault(i - i0, []).append((r, events, None, 0))
                 continue
             if not mine:
                 xi[:, :, r] = rngs[r].standard_normal((n_chunk, n))
@@ -421,9 +413,9 @@ class _Kernel:
                 count[i - i0] = draws
             first = np.cumsum(count) - count
             z = rngs[r].standard_normal((int(first[-1] + count[-1]), n))
-            for i, pieces, _ in mine:
+            for i, events, _ in mine:
                 split.setdefault(i - i0, []).append(
-                    (r, pieces, z, int(first[i - i0])))
+                    (r, events, z, int(first[i - i0])))
             xi[:, :, r] = z[first]   # split steps overwrite their rows
         return xi, split
 
@@ -532,7 +524,7 @@ class _Kernel:
                 if lanes:
                     self._step_lanes(a, path, decay)
                 else:
-                    self._step_arrays(a, path, decay, phi, comp, split,
+                    self._step_arrays(a, i0, path, decay, phi, comp, split,
                                       live_logs)
                 first = -(i0 + 1) % save_every
                 # row-major copies wherever a sum over modes runs: numpy
@@ -563,17 +555,18 @@ class _Kernel:
                 a = path[-1]
         return snaps, logs, blown, finish
 
-    def _step_arrays(self, a, path, decay, phi, comp, split, logs) -> None:
-        """Step j of the chunk takes the live rows from a to path[j] at
-        once, with the chunk's decay and phi, (steps, N, R) arrays, and
-        comp, drift's constant compensator.
+    def _step_arrays(self, a, i0, path, decay, phi, comp, split,
+                     logs) -> None:
+        """Step j of the chunk, step i0 + j of the path, takes the live rows
+        from a to path[j] at once, with the chunk's decay and phi, (steps,
+        N, R) arrays, and comp, drift's constant compensator.
         A row of split is its position among the live rows, and logs holds
         the live rows' jump logs in that order."""
         for j, (dj, pj, nxt) in enumerate(zip(decay, phi, path)):
             new = self._deterministic(dj, pj, comp, a)
             nxt += new               # not path[j] += new: that copies back
-            for r, pieces, z, k in split.get(j, ()):
-                nxt[:, r] = self._split_step(a[:, [r]], pieces, z, k,
+            for r, events, z, k in split.get(j, ()):
+                nxt[:, r] = self._split_step(a[:, [r]], i0 + j, events, z, k,
                                              logs[r])[:, 0]
             a = nxt
 

@@ -18,8 +18,10 @@ each row the same bits whatever the batch size and whatever its memory
 layout, so an ensemble member does not depend on which rows it was stepped
 with.
 
-Every value class of the package is a record: a frozen class whose shared
-methods the record decorator installs, so no code is generated at import.
+Every value class of the package is a record, a frozen class whose shared
+methods the record decorator installs, so no code is generated at import,
+and which compares by identity; the two compared by value, integrator's
+BlowUp and JumpEvent, are named tuples.
 """
 
 from functools import lru_cache
@@ -86,26 +88,15 @@ def _record_repr(self):
         f"{name}={getattr(self, name)!r}" for name in self._fields) + ")"
 
 
-def _record_eq(self, other):
-    return self.__dict__ == other.__dict__ \
-        if other.__class__ is self.__class__ else NotImplemented
-
-
-def _record_hash(self):
-    return hash(tuple(getattr(self, name) for name in self._fields))
-
-
-def record(cls=None, *, eq=False):
+def record(cls):
     """Class decorator for a frozen record of the annotated fields.
 
     _fields names them in order; a class-level value is a default.  The
     shared __init__ binds arguments as a frozen dataclass does, then calls
     __post_init__, which may set a field with object.__setattr__.  The
-    repr is Name(field=value, ...) unless the class defines one.  With
-    eq=True a record compares and hashes by its fields, else by identity.
+    repr is Name(field=value, ...) unless the class defines one.  A record
+    compares and hashes by identity.
     """
-    if cls is None:
-        return lambda c: record(c, eq=eq)
     cls._fields = tuple(cls.__annotations__)
     cls._defaults = {name: cls.__dict__[name] for name in cls._fields
                      if name in cls.__dict__}
@@ -113,8 +104,6 @@ def record(cls=None, *, eq=False):
     cls.__setattr__ = cls.__delattr__ = _record_frozen
     if "__repr__" not in cls.__dict__:
         cls.__repr__ = _record_repr
-    if eq:
-        cls.__eq__, cls.__hash__ = _record_eq, _record_hash
     return cls
 
 

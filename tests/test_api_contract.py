@@ -63,17 +63,28 @@ def test_module_all_resolves():
 
 
 def test_records_are_frozen_and_print_their_fields():
-    # every record is immutable and prints Name(field=value, ...), and
-    # only the two records compared by value define __eq__
+    # every record is immutable, prints Name(field=value, ...) and compares
+    # by identity; the two values compared by value, BlowUp and JumpEvent,
+    # are named tuples, frozen and printed the same way
     classes = {obj for m in _modules() for obj in vars(m).values()
                if isinstance(obj, type) and hasattr(obj, "_fields")
                and obj.__module__ == m.__name__}
     assert all(c._fields for c in classes)
-    assert {c.__name__ for c in classes if "__eq__" in vars(c)} == \
-        {"BlowUp", "JumpEvent"}
-    for c in classes:
+    assert not any("__eq__" in vars(c) for c in classes)
+    tuples = {c for c in classes if issubclass(c, tuple)}
+    assert {c.__name__ for c in tuples} == {"BlowUp", "JumpEvent"}
+
+    def build(c):
+        values = range(len(c._fields))
+        if c in tuples:                # object.__new__ cannot build a tuple
+            return c(*values)
         obj = object.__new__(c)
-        obj.__dict__.update((name, i) for i, name in enumerate(c._fields))
+        obj.__dict__.update(zip(c._fields, values))
+        return obj
+
+    for c in classes:
+        obj = build(c)
+        assert (obj == build(c)) == (c in tuples)
         for name in c._fields:
             with pytest.raises(AttributeError):
                 setattr(obj, name, -1)
