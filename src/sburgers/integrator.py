@@ -110,6 +110,11 @@ __all__ = [
 ]
 
 BLOWUP_NORM = 1e6
+# Expected jump events per path (intensity x t_end) above which a run is
+# refused before it draws any.  sample_jump_times draws them one at a time,
+# 1.5-1.9 us and about 110 bytes each (2-CPU Xeon), so this bounds a path's
+# event sampling to about 0.2 s and 11 MB.
+MAX_JUMP_EVENTS = 10 ** 5
 # Below this summed squared norm of a chunk no row can exceed BLOWUP_NORM.
 # The sum is a ufunc reduction, not a BLAS dot, which wakes OpenBLAS's worker
 # thread above 10 000 elements.
@@ -435,7 +440,7 @@ class _Kernel:
         per chunk at the first step whose norm is not <= BLOWUP_NORM, and
         {row: snapshot index} for the rows that finished.  Raises
         ValueError, before any event is drawn, if the snapshot array cannot
-        be allocated.
+        be allocated or a path expects more than MAX_JUMP_EVENTS events.
 
         until, if given, maps a chunk's snapshots (k, R, N) to a (k, R) bool
         mask and must treat each row on its own.  A row finishes at its
@@ -464,6 +469,13 @@ class _Kernel:
                 f"({8.0 * n_rows * (n_saves + 1) * n:.3g} bytes) do not fit "
                 f"in memory: lower model.t_end / model.dt_save or "
                 f"model.n_modes") from err
+        events = 0.0 if self.jumps is None else \
+            self.jumps.intensity * cfg.t_end
+        if not events <= MAX_JUMP_EVENTS:
+            raise ValueError(
+                f"jump.intensity: {self.jumps.intensity:g} x t_end "
+                f"{cfg.t_end:g} expects {events:.3g} jump events per path, "
+                f"above the ceiling of {MAX_JUMP_EVENTS:.0e}")
 
         # the two streams SeedSequence(seed).spawn(2) gives, their numpy
         # SeedSequence words hashed for all rows in one pass

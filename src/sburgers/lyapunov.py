@@ -35,7 +35,8 @@ from functools import partial
 import numpy as np
 
 from .spectral import norm_h_sq, norm_v_sq, record, _quadratic_term
-from .noise import GaussianSpec, JumpSpec, hypothesis_constants, _exp
+from .noise import GaussianSpec, JumpSpec, hypothesis_constants, _exp, \
+    _in_range
 from .integrator import SimConfig, Trajectory, ensemble
 
 __all__ = [
@@ -111,7 +112,8 @@ class DriftConstants:
     def from_specs(cls, gaussian: GaussianSpec | None,
                    jumps: JumpSpec | None) -> "DriftConstants":
         hs = gaussian.hs_norm_sq if gaussian is not None else 0.0
-        m_est = hypothesis_constants(jumps, 0.0).m_est
+        m_est = _in_range(hypothesis_constants(jumps, 0.0).m_est, "jump",
+                          "M = intensity sup_norm^2 E[u^2]")
         c1 = 1.0 + 0.5 * (hs + m_est)
         return cls(hs_norm_sq=hs, m_est=m_est, c1=c1)
 

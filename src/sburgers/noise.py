@@ -224,6 +224,20 @@ class DeterministicMarks:
 
 # ------------------------------------------------------------ direction maps
 
+def _norm_h(g0: SpectralField) -> float:
+    """norm_h(g0) wherever it is finite.  Where its square overflows, the
+    norm is taken scaled by the largest |coefficient|, and a norm that is
+    inf then is beyond the double range."""
+    with np.errstate(over="ignore"):
+        norm = norm_h(g0)
+    if math.isinf(norm):
+        top = float(np.abs(g0.coeffs).max())
+        norm = _in_range(top * float(np.sqrt(norm_h_sq(g0.coeffs / top))),
+                         "jump.direction", "the H norm of the direction "
+                         "field")
+    return norm
+
+
 @record
 class ConstantDirection:
     """State-independent jump direction G(x) = g0."""
@@ -232,7 +246,7 @@ class ConstantDirection:
 
     @property
     def sup_norm(self) -> float:
-        return norm_h(self.g0)
+        return _norm_h(self.g0)
 
     @property
     def state_independent(self) -> bool:
@@ -257,8 +271,11 @@ class SaturatedDirection:
     def __post_init__(self):
         if not self.amplitude > 0:
             raise ValueError("amplitude must be positive")
-        if norm_h(self.g0) == 0.0:
+        norm = _norm_h(self.g0)
+        if norm == 0.0:
             raise ValueError("direction field must be nonzero")
+        # unit(g0), which field_at reads; not a field
+        object.__setattr__(self, "_unit", self.g0.coeffs / norm)
 
     @property
     def sup_norm(self) -> float:
@@ -270,9 +287,8 @@ class SaturatedDirection:
 
     def field_at(self, coeffs: np.ndarray) -> np.ndarray:
         """G at each state of coeffs, shape (..., N)."""
-        unit = self.g0.coeffs / norm_h(self.g0)
         r = np.sqrt(norm_h_sq(coeffs))[..., None]
-        return self.amplitude * np.tanh(r) * unit
+        return self.amplitude * np.tanh(r) * self._unit
 
 
 # -------------------------------------------------------------------- specs
@@ -377,7 +393,16 @@ def hypothesis_constants(spec: JumpSpec | None,
     if lam > a0_max:
         raise DivergentMomentError(
             f"tilt {lam} exceeds admissible maximum {a0_max}")
-    m_est = spec.intensity * sup ** 2 * spec.marks.second_moment
-    m_lambda = spec.intensity * sup ** 2 * spec.marks.tilted_second_moment(
-        lam * sup)
+    m_est = _times_sup_sq(spec.intensity, sup, spec.marks.second_moment)
+    m_lambda = _times_sup_sq(spec.intensity, sup,
+                             spec.marks.tilted_second_moment(lam * sup))
     return HypothesisReport(lam, m_est, m_lambda, a0_max)
+
+
+def _times_sup_sq(intensity: float, sup: float, moment: float) -> float:
+    """intensity sup^2 moment, taken in steps where sup^2 overflows: inf
+    beyond the double range, as the product's own overflow gives."""
+    try:
+        return intensity * sup ** 2 * moment
+    except OverflowError:
+        return intensity * sup * sup * moment

@@ -960,6 +960,24 @@ class TestCli:
                      experiment={**VERIFY_SMALL, "lam": 2000}), ["verify"],
          "error: experiment.lam: the tilted second moment of mark value 0.5 "
          "at tilt 2000.0 is beyond the double range\n"),
+        # jump events per path above the ceiling, from the model or from
+        # a hitting horizon past it; a direction whose squared norm
+        # overflows
+        (changed_raw({"jump.intensity": 1e308}), ["simulate"],
+         "error: jump.intensity: 1e+308 x t_end 0.05 expects 5e+306 jump "
+         "events per path, above the ceiling of 1e+05\n"),
+        (changed_raw({"jump.intensity": 1e4},
+                     experiment={**ESTIMATE_SMALL, "t_max": 100.0}),
+         ["estimate", "hitting"], "error: jump.intensity: 10000 x t_end 100 "
+         "expects 1e+06 jump events per path, above the ceiling of 1e+05\n"),
+        (changed_raw({"jump.direction.amplitude": 1e200},
+                     experiment=VERIFY_SMALL), ["verify"],
+         "experiment.lam: 0.5 exceeds the admissible maximum 2e-200 of the "
+         "jump forcing\n"),
+        (changed_raw({"jump.direction.amplitude": 1e200},
+                     experiment=ESTIMATE_SMALL), ["estimate", "hitting"],
+         "error: jump: M = intensity sup_norm^2 E[u^2] is beyond the double "
+         "range\n"),
         (long_linear(0.5), ["estimate", "expmoment"],
          (lambda out: estimate_record(out)["extra"]["bound"], math.inf)),
         (long_linear(0.05), ["estimate", "expmoment"], "error: model.t_end: the estimate of "
@@ -986,6 +1004,9 @@ class TestCli:
             "expmoment-mark-moment-underflows",
             "verify-deterministic-mark-moment-beyond-range",
             "verify-tilted-mark-moment-beyond-range",
+            "jump-events-above-ceiling", "hitting-jump-events-above-ceiling",
+            "verify-direction-norm-overflows",
+            "hitting-direction-moment-beyond-range",
             "expmoment-ceiling-beyond-range",
             "expmoment-estimate-beyond-range"])
     def test_rarely_reached_paths(self, tmp_path, capsys, monkeypatch, raw,

@@ -114,6 +114,20 @@ class TestConfigValidation:
         with pytest.raises(TypeError, match=r"unknown fields \['n_mode'\]"):
             replace(SimConfig(), n_mode=4)
 
+    def test_jump_events_above_ceiling_rejected(self):
+        # every run checks its horizon before it draws any event
+        cfg = SimConfig(n_modes=4, dt=0.01, t_end=1.0, dt_save=0.01,
+                        jumps=JumpSpec(1e5, ExponentialMarks(2.0),
+                                       ConstantDirection(basis_field(1, 4))))
+        for run in (simulate, partial(ensemble, n_traj=3, reducer=len),
+                    partial(ensemble, n_traj=3,
+                            until=partial(_mode1_at_least, level=1.0))):
+            with pytest.raises(ValueError, match="^jump.intensity: 100000 "
+                               "x t_end 1.01 expects 1.01e"):
+                run(replace(cfg, t_end=1.01))
+            with pytest.raises(ValueError, match="^jump.intensity: 1e"):
+                run(replace(cfg, jumps=replace(cfg.jumps, intensity=1e308)))
+
     def test_missing_field_rejected(self):
         with pytest.raises(TypeError, match="missing 1 required positional "
                            "argument: 'pre_norm_h'"):

@@ -6,6 +6,7 @@ and frozen below; Monte Carlo checks use fixed seeds.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -233,6 +234,32 @@ class TestAmplitudeAndCompensator:
             for j in range(7):
                 assert np.array_equal(block[i, j], d.field_at(a[i, j]))
 
+    @pytest.mark.parametrize("direction", [ConstantDirection,
+                                           SaturatedDirection])
+    def test_direction_norm_past_its_square_overflow(self, direction):
+        # ||g0||_H of a coefficient of 1e200 squares beyond the double
+        # range: it is taken scaled by the largest coefficient, with no
+        # warning, so the saturated unit vector keeps its jumps and the
+        # constant direction's a0_max is 2e-200, not 0
+        big, unit = SpectralField([1e200, 0.0, 0.0]), basis_field(1, 3)
+        a = np.random.default_rng(2).standard_normal((5, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = direction(big)
+            if direction is SaturatedDirection:
+                assert np.array_equal(d.field_at(a),
+                                      direction(unit).field_at(a))
+                assert np.all(d.field_at(a)[:, 0] > 0.0)
+            else:
+                assert d.sup_norm == 1e200
+                rep = hypothesis_constants(
+                    JumpSpec(1.0, ExponentialMarks(2.0), d), 0.0)
+                assert rep.a0_max == 2e-200
+                assert rep.m_est == rep.m_lambda_est == math.inf
+            # a norm beyond the double range names the field
+            with pytest.raises(ValueError, match="^jump.direction: the H "
+                               "norm of the direction field is beyond"):
+                direction(SpectralField([1e308] * 4)).sup_norm
 
 
 class TestHypothesisConstants:

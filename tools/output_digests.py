@@ -23,11 +23,15 @@ output directory:
 - expmoment on estimate_sigma2_linear to t_end 20000 with dt_save 0.5
   and n_traj 2: at dt 0.5 the ceiling is beyond the double range and
   reported as inf (exit 0), at dt 0.05 the estimate too (exit 2);
-- four runs that exit 2: three config errors on jumps_only, model.t_end
+- six runs that exit 2: three config errors on jumps_only, model.t_end
   too large for a float, a tailprobe experiment.t_grid time and a hitting
-  experiment.t_max below one save interval, and simulate on
+  experiment.t_max below one save interval; simulate on
   estimate_sigma2_linear at t_end 1e12 with dt_save 1e-3, whose
-  snapshots do not fit in memory;
+  snapshots do not fit in memory; hitting on verify_drift at N = 4,
+  t_end 0.5 and n_traj 4 with jump.intensity 1e308, above the ceiling of
+  jump events per path; and verify on jumps_only at t_end 0.5 and n_mart 2
+  with a constant_mode direction of amplitude 1e200, whose H norm squares
+  beyond the double range, so experiment.lam exceeds a0_max = 2e-200;
 - verify (--threads 1 and 2) on verify_drift with experiment.c1_override
   0.01, which exits 1 with failures;
 - five blow-ups on verify_drift, which exit 3: gamma (--threads 1 and 2)
@@ -176,6 +180,27 @@ def _runs(configs: Path, tmp: Path) -> list:
                         key: value}))
         runs.append((f"estimate/{est}/{cfg}",
                      ["estimate", est, "--config", path]))
+
+    def many_events(raw):
+        raw["model"].update(n_modes=4, t_end=0.5)
+        raw["jump"]["intensity"] = 1e308
+        raw["experiment"] = {"kind": "estimate", "n_traj": 4}
+
+    cfg = "verify_drift_events_above_ceiling"
+    path = derived("verify_drift", cfg, many_events)
+    runs.append((f"estimate/hitting/{cfg}",
+                 ["estimate", "hitting", "--config", path]))
+
+    def huge_direction(raw):
+        raw["model"]["t_end"] = 0.5
+        raw["jump"]["direction"] = {"kind": "constant_mode", "mode": 1,
+                                    "amplitude": 1e200}
+        raw["experiment"] = {"kind": "verify", "n_mart": 2}
+
+    cfg = "jumps_only_direction1e200"
+    path = derived("jumps_only", cfg, huge_direction)
+    runs.append((f"verify/{cfg}/threads1",
+                 ["verify", "--config", path, "--threads", "1"]))
 
     cfg = "verify_drift_c1_override"
     path = derived("verify_drift", cfg, lambda raw: raw["experiment"].update(
