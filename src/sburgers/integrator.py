@@ -110,9 +110,9 @@ __all__ = [
 ]
 
 BLOWUP_NORM = 1e6
-# Expected jump events per path (intensity x t_end) above which a run is
+# Expected jump events per path (intensity x horizon) above which a run is
 # refused before it draws any.  sample_jump_times draws them one at a time,
-# 1.5-1.9 us and about 110 bytes each (2-CPU Xeon), so this bounds a path's
+# 1.4-1.9 us and about 110 bytes each (2-CPU Xeon), so this bounds a path's
 # event sampling to about 0.2 s and 11 MB.
 MAX_JUMP_EVENTS = 10 ** 5
 # Below this summed squared norm of a chunk no row can exceed BLOWUP_NORM.
@@ -473,7 +473,7 @@ class _Kernel:
             self.jumps.intensity * cfg.t_end
         if not events <= MAX_JUMP_EVENTS:
             raise ValueError(
-                f"jump.intensity: {self.jumps.intensity:g} x t_end "
+                f"jump.intensity: {self.jumps.intensity:g} x horizon "
                 f"{cfg.t_end:g} expects {events:.3g} jump events per path, "
                 f"above the ceiling of {MAX_JUMP_EVENTS:.0e}")
 

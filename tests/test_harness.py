@@ -964,11 +964,11 @@ class TestCli:
         # a hitting horizon past it; a direction whose squared norm
         # overflows
         (changed_raw({"jump.intensity": 1e308}), ["simulate"],
-         "error: jump.intensity: 1e+308 x t_end 0.05 expects 5e+306 jump "
+         "error: jump.intensity: 1e+308 x horizon 0.05 expects 5e+306 jump "
          "events per path, above the ceiling of 1e+05\n"),
         (changed_raw({"jump.intensity": 1e4},
                      experiment={**ESTIMATE_SMALL, "t_max": 100.0}),
-         ["estimate", "hitting"], "error: jump.intensity: 10000 x t_end 100 "
+         ["estimate", "hitting"], "error: jump.intensity: 10000 x horizon 100 "
          "expects 1e+06 jump events per path, above the ceiling of 1e+05\n"),
         (changed_raw({"jump.direction.amplitude": 1e200},
                      experiment=VERIFY_SMALL), ["verify"],

@@ -123,7 +123,7 @@ class TestConfigValidation:
                     partial(ensemble, n_traj=3,
                             until=partial(_mode1_at_least, level=1.0))):
             with pytest.raises(ValueError, match="^jump.intensity: 100000 "
-                               "x t_end 1.01 expects 1.01e"):
+                               "x horizon 1.01 expects 1.01e"):
                 run(replace(cfg, t_end=1.01))
             with pytest.raises(ValueError, match="^jump.intensity: 1e"):
                 run(replace(cfg, jumps=replace(cfg.jumps, intensity=1e308)))
