@@ -66,7 +66,9 @@ def _build_parser() -> argparse.ArgumentParser:
     def ensembles(p):
         common(p)
         p.add_argument("--threads", type=int, default=1, metavar="N",
-                       help="trajectory-level worker processes")
+                       help="most processes for the trajectory ensembles, "
+                            "this one included; a small ensemble runs in "
+                            "one")
 
     common(sub.add_parser("simulate", help="run one trajectory and persist "
                                            "snapshots, jumps, manifest"))

@@ -460,7 +460,8 @@ def _run_recorded(cfg: RunConfig, out_dir, names, produce,
     nothing before it.  The
     manifest also records what the run ran on: the Python and numpy
     versions, the OPENBLAS_NUM_THREADS value in effect (null if unset) and
-    workers, the run's worker processes.
+    workers, the cap on the processes of its ensembles (--threads), which
+    ensemble lowers for a single block or a small ensemble.
     """
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     try:
@@ -572,11 +573,11 @@ def run_verify(cfg: RunConfig, out_dir=None, n_workers: int = 1) -> dict:
     Per state: the drift-condition chain (geometric bound plus exact
     generator evaluation), the dissipation-term gap of the tilted Lyapunov
     family, and the jump expansion gap at fixed mark sizes.  A small
-    supermartingale ensemble is also run (on n_workers processes); its
-    outcome is reported but only deterministic failures count toward the
-    failure total (and the exit status of the CLI).  The checked path,
-    the one simulate(cfg.sim) gives, is stepped as one more row of the
-    ensemble's first block, in this process.  If it blows up the run
+    supermartingale ensemble is also run (on at most n_workers
+    processes); its outcome is reported but only deterministic failures
+    count toward the failure total (and the exit status of the CLI).  The
+    checked path, the one simulate(cfg.sim) gives, is stepped as one more
+    row of the ensemble's first block, in this process.  If it blows up the run
     raises BlowUpError whatever the supermartingale paths did; otherwise
     their blow-ups raise EnsembleBlowUpError.
 

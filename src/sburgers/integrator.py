@@ -32,8 +32,9 @@ therefore also holds the rows of one trajectory from several starts (the
 pairs of a mixing estimate), and the first block can carry the path
 simulate gives (verify's main path).
 With more than one worker on Linux, ensemble splits its blocks into
-contiguous shares: the caller runs the first, and a child forked for each
-other share sends its reduced results back pickled through a pipe.
+contiguous shares, one per FORK_ROW_STEPS row-steps of its work at most:
+the caller runs the first, and a child forked for each other share sends
+its reduced results back pickled through a pipe.
 
 The state is held mode-major, a C-contiguous (N, R) array whose column r
 is row r's state, and steps fill one (steps, N, R) buffer per chunk, so
@@ -127,6 +128,14 @@ NOISE_CHUNK = 1 << 13
 # Rows x modes up to which _Kernel._step_lanes beats the numpy step
 # (measured crossover: between 16 and 20 lanes, BENCH_5.json).
 LANE_LIMIT = 16
+# Row-steps (rows x steps per path) of bound work that repay one forked
+# ensemble worker.  A fork cost about 10 ms on the critical path (copy-on-
+# write faults in the caller and the child, and a longer exit) and a B-on
+# N = 8 row-step about 0.53 us, so a share of this size pays about a tenth
+# of its work for its fork; two workers were slower than one up to the
+# largest share measured, 2.5 x 10^5 row-steps, with the second CPU busy
+# (2-CPU Xeon, BENCH_32.json).
+FORK_ROW_STEPS = 200_000
 # ensemble forks its workers on Linux only: os.fork is missing on Windows
 # and unsafe with the system frameworks of macOS.
 _FORK = sys.platform == "linux"
@@ -202,6 +211,12 @@ class SimConfig:
         if self.jumps is not None and \
                 self.jumps.direction.g0.n_modes != self.n_modes:
             raise ValueError("jump direction length does not match n_modes")
+
+    @property
+    def n_steps(self) -> int:
+        """Steps of a path: t_end / dt_save snapshots, dt_save / dt each."""
+        return save_count(self.t_end, self.dt_save) * \
+            save_count(self.dt_save, self.dt)
 
     def save_index(self, t: float) -> int:
         """Index of the snapshot at time t, one of 0 .. t_end / dt_save."""
@@ -399,19 +414,20 @@ class _Kernel:
         """
         n = self.cfg.n_modes
         n_chunk = i1 - i0
-        xi = None if self.betas is None else \
-            np.empty((n_chunk, n, len(plans)))
+        # row-major, so each row's draws fill one contiguous slice
+        buf = None if self.betas is None else \
+            np.empty((len(plans), n_chunk, n))
         split = {}
         for r, plan in enumerate(plans):
             mine = []
             while plan and plan[-1][0] < i1:
                 mine.append(plan.pop())
-            if xi is None:
+            if buf is None:
                 for i, events, _ in mine:
                     split.setdefault(i - i0, []).append((r, events, None, 0))
                 continue
             if not mine:
-                xi[:, :, r] = rngs[r].standard_normal((n_chunk, n))
+                rngs[r].standard_normal(out=buf[r])
                 continue
             count = np.ones(n_chunk, dtype=np.intp)
             for i, _, draws in mine:
@@ -421,8 +437,10 @@ class _Kernel:
             for i, events, _ in mine:
                 split.setdefault(i - i0, []).append(
                     (r, events, z, int(first[i - i0])))
-            xi[:, :, r] = z[first]   # split steps overwrite their rows
-        return xi, split
+            buf[r] = z[first]   # split steps overwrite their rows
+        # one transposed copy into the mode-major layout the steps read
+        return (None if buf is None else
+                np.ascontiguousarray(buf.transpose(1, 2, 0))), split
 
     def run(self, seeds, starts, until=None) -> tuple:
         """Step one path per seed in lockstep, row r from starts[r].
@@ -457,10 +475,9 @@ class _Kernel:
         n = cfg.n_modes
         n_rows = len(seeds)
         dt = cfg.dt
-        # the two counts SimConfig checks are whole
+        n_steps = cfg.n_steps
         save_every = save_count(cfg.dt_save, dt)
-        n_saves = save_count(cfg.t_end, cfg.dt_save)
-        n_steps = n_saves * save_every
+        n_saves = n_steps // save_every
         try:             # before the events of the whole horizon are drawn
             snaps = np.empty((n_rows, n_saves + 1, n))
         except MemoryError as err:
@@ -823,9 +840,13 @@ def ensemble(cfg: SimConfig, n_traj: int, reducer=None, n_workers: int = 1,
     from cfg.x0, or from each field of starts.  Rows are stepped in
     lockstep blocks of BLOCK_ROWS trajectories, each with all its starts.
     With n_workers > 1 on Linux the blocks are split into
-    min(n_workers, blocks) contiguous shares: this process runs the first
-    and a forked child each of the others, so n_workers counts processes,
-    this one included.  Elsewhere every block runs in this process.
+    min(n_workers, blocks, bound // FORK_ROW_STEPS) contiguous shares, at
+    least one, where bound = n_traj x starts x cfg.n_steps is the
+    row-steps the ensemble can take: this process runs the first and a
+    forked child each of the others.  So n_workers caps the processes,
+    this one included, and an ensemble of fewer than 2 FORK_ROW_STEPS
+    row-steps runs in this one.  Elsewhere every block runs in this
+    process.
     Results are identical for any n_workers.  A trajectory that blows up
     does not stop its siblings; once every share has returned,
     EnsembleBlowUpError is raised with a BlowUp record, carrying its index
@@ -868,7 +889,11 @@ def ensemble(cfg: SimConfig, n_traj: int, reducer=None, n_workers: int = 1,
                          "would stop: pass one or the other")
     rows = _start_rows(cfg, [cfg.x0] if starts is None else starts)
     firsts = range(0, n_traj, BLOCK_ROWS)
-    n = max(1, min(n_workers, len(firsts))) if _FORK else 1
+    # the row-steps the ensemble can take (the main row aside): each
+    # process gets at least about FORK_ROW_STEPS of them
+    bound = n_traj * len(rows) * cfg.n_steps
+    n = max(1, min(n_workers, len(firsts), bound // FORK_ROW_STEPS)) \
+        if _FORK else 1
 
     def run(share) -> list:
         return [_run_block(cfg, first, min(BLOCK_ROWS, n_traj - first),

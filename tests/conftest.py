@@ -1,8 +1,18 @@
 import sys
 from pathlib import Path
 
+import pytest
+
 # make the shared oracle helpers importable from every test module
 sys.path.insert(0, str(Path(__file__).parent))
+
+
+@pytest.fixture(autouse=True)
+def fork_every_share(monkeypatch):
+    # a test that asks ensemble for more than one worker gets them, however
+    # small its ensemble; TestForkGrain overrides this to test the grain
+    from sburgers import integrator
+    monkeypatch.setattr(integrator, "FORK_ROW_STEPS", 1)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -1493,6 +1493,8 @@ class TestCli:
         src = str(Path(sburgers.__file__).resolve().parents[1])
         code = ("import sys\n"
                 "from sburgers.cli import main\n"
+                "import sburgers.integrator as integrator\n"
+                "integrator.FORK_ROW_STEPS = 1   # fork below the grain too\n"
                 f"code = main(['estimate', 'hitting', '--config', {path!r}, "
                 f"'--threads', '2', '--out', {str(tmp_path / 'out')!r}])\n"
                 "print(sorted(m for m in sys.modules if m.split('.')[0] in "

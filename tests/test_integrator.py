@@ -910,6 +910,8 @@ class TestEnsemble:
         code = ("import sys\n"
                 "from sburgers.integrator import BLOCK_ROWS, SimConfig, "
                 "ensemble\n"
+                "import sburgers.integrator as integrator\n"
+                "integrator.FORK_ROW_STEPS = 1   # fork below the grain too\n"
                 "sys.stdout.write('before the fan-out\\n')\n"
                 "ensemble(SimConfig(n_modes=1, t_end=0.02), BLOCK_ROWS + 1, "
                 "lambda t: 0, n_workers=2)\n")
@@ -973,6 +975,79 @@ class TestEnsemble:
         time_se = float(sq.std(ddof=1) / np.sqrt(n_eff))
         assert abs(ens_mean - time_mean) <= \
             3.0 * np.hypot(ens_se, time_se)
+
+
+def _grain_config(n_traj: int, grains: float) -> SimConfig:
+    """A one-mode linear model whose n_traj paths from one start take
+    grains x FORK_ROW_STEPS row-steps, rounded up to whole steps, with one
+    snapshot past the start."""
+    steps = math.ceil(grains * integrator.FORK_ROW_STEPS / n_traj)
+    cfg = linear_single_mode(steps * 1e-3, dt_save=steps * 1e-3)
+    assert cfg.n_steps == steps
+    return cfg
+
+
+def _pid(traj: Trajectory) -> int:
+    return os.getpid()
+
+
+def _entered(snaps):
+    return np.ones(snaps.shape[:2], dtype=bool)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="forks on Linux only")
+class TestForkGrain:
+    """ensemble forks a worker only for FORK_ROW_STEPS row-steps of bound
+    work, at its shipped value."""
+
+    @pytest.fixture
+    def fork_every_share(self):
+        # overrides the suite's autouse fixture, which sets the grain to 1
+        pass
+
+    @pytest.mark.parametrize("grains, pids", [(1.99, 1), (2.0, 2)])
+    def test_two_blocks_fork_from_twice_the_grain(self, grains, pids):
+        cfg = _grain_config(2 * BLOCK_ROWS, grains)
+        got = set(ensemble(cfg, 2 * BLOCK_ROWS, _pid, n_workers=2))
+        assert os.getpid() in got and len(got) == pids
+
+    def test_starts_count_in_the_bound(self):
+        # one grain a start: one process from one start, two from two
+        cfg = _grain_config(2 * BLOCK_ROWS, 1.0)
+        one = set(ensemble(cfg, 2 * BLOCK_ROWS, _pid, n_workers=2))
+        two = set(ensemble(cfg, 2 * BLOCK_ROWS, _pid, n_workers=2,
+                           starts=(None, None)))
+        assert one == {os.getpid()}
+        assert os.getpid() in two and len(two) == 2
+
+    @pytest.mark.parametrize("n_workers, blocks, grains, expected", [
+        (4, 5, 2.0, 2),      # the grain binds
+        (3, 5, 6.0, 3),      # the workers bind
+        (8, 3, 4.0, 3),      # the blocks bind
+        (4, 2, 1.5, 1),      # below twice the grain
+        (0, 2, 4.0, 1),      # no worker asked for
+    ])
+    def test_process_count(self, monkeypatch, n_workers, blocks, grains,
+                           expected):
+        # every row enters at its start, so no step runs; the bound counts
+        # the steps the rows could take
+        seen = []
+
+        def fan_out(run, shares):
+            seen.append([list(share) for share in shares])
+            return [b for share in shares for b in run(share)]
+
+        monkeypatch.setattr(integrator, "_fan_out", fan_out)
+        n_traj = blocks * BLOCK_ROWS
+        cfg = _grain_config(n_traj, grains)
+        assert ensemble(cfg, n_traj, n_workers=n_workers,
+                        until=_entered) == [0.0] * n_traj
+        bound = n_traj * cfg.n_steps
+        assert expected == max(1, min(n_workers, blocks,
+                                      bound // integrator.FORK_ROW_STEPS))
+        (shares,) = seen
+        assert len(shares) == expected
+        assert sum(shares, []) == list(range(0, n_traj, BLOCK_ROWS))
 
 
 def _norm_h_at_least(snaps, radius):
