@@ -67,8 +67,9 @@ def _build_parser() -> argparse.ArgumentParser:
         common(p)
         p.add_argument("--threads", type=int, default=1, metavar="N",
                        help="most processes for the trajectory ensembles, "
-                            "this one included; a small ensemble runs in "
-                            "one")
+                            "this one included, and at most one per 10^5 "
+                            "steps their paths can take (a first passage "
+                            "counts its whole t_max)")
 
     common(sub.add_parser("simulate", help="run one trajectory and persist "
                                            "snapshots, jumps, manifest"))

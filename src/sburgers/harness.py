@@ -461,7 +461,7 @@ def _run_recorded(cfg: RunConfig, out_dir, names, produce,
     manifest also records what the run ran on: the Python and numpy
     versions, the OPENBLAS_NUM_THREADS value in effect (null if unset) and
     workers, the cap on the processes of its ensembles (--threads), which
-    ensemble lowers for a single block or a small ensemble.
+    ensemble lowers for a single block or for work under its fork grain.
     """
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     try:

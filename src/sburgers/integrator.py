@@ -32,7 +32,7 @@ therefore also holds the rows of one trajectory from several starts (the
 pairs of a mixing estimate), and the first block can carry the path
 simulate gives (verify's main path).
 With more than one worker on Linux, ensemble splits its blocks into
-contiguous shares, one per FORK_ROW_STEPS row-steps of its work at most:
+contiguous shares, at most one per FORK_ROW_STEPS row-steps it can take:
 the caller runs the first, and a child forked for each other share sends
 its reduced results back pickled through a pipe.
 
@@ -128,14 +128,15 @@ NOISE_CHUNK = 1 << 13
 # Rows x modes up to which _Kernel._step_lanes beats the numpy step
 # (measured crossover: between 16 and 20 lanes, BENCH_5.json).
 LANE_LIMIT = 16
-# Row-steps (rows x steps per path) of bound work that repay one forked
-# ensemble worker.  A fork cost about 10 ms on the critical path (copy-on-
-# write faults in the caller and the child, and a longer exit) and a B-on
-# N = 8 row-step about 0.53 us, so a share of this size pays about a tenth
-# of its work for its fork; two workers were slower than one up to the
-# largest share measured, 2.5 x 10^5 row-steps, with the second CPU busy
-# (2-CPU Xeon, BENCH_32.json).
-FORK_ROW_STEPS = 200_000
+# Row-steps (rows x steps per path) of bound work per forked ensemble
+# worker.  Measured on a 2-CPU Xeon with its second CPU free
+# (BENCH_32.json): a fork paid for itself from 5 x 10^3 row-steps a share
+# when every row runs its whole path, but a first passage stops its rows
+# early, and estimate hitting on the shipped model lost at a bound of
+# 10^5, broke even at 1.5-2 x 10^5 and gained at 2.5 x 10^5, so the first
+# fork comes at 2 x 10^5.  With the second CPU busy, two workers lost at
+# every size measured.
+FORK_ROW_STEPS = 100_000
 # ensemble forks its workers on Linux only: os.fork is missing on Windows
 # and unsafe with the system frameworks of macOS.
 _FORK = sys.platform == "linux"
@@ -414,20 +415,19 @@ class _Kernel:
         """
         n = self.cfg.n_modes
         n_chunk = i1 - i0
-        # row-major, so each row's draws fill one contiguous slice
-        buf = None if self.betas is None else \
-            np.empty((len(plans), n_chunk, n))
+        xi = None if self.betas is None else \
+            np.empty((n_chunk, n, len(plans)))
         split = {}
         for r, plan in enumerate(plans):
             mine = []
             while plan and plan[-1][0] < i1:
                 mine.append(plan.pop())
-            if buf is None:
+            if xi is None:
                 for i, events, _ in mine:
                     split.setdefault(i - i0, []).append((r, events, None, 0))
                 continue
             if not mine:
-                rngs[r].standard_normal(out=buf[r])
+                xi[:, :, r] = rngs[r].standard_normal((n_chunk, n))
                 continue
             count = np.ones(n_chunk, dtype=np.intp)
             for i, _, draws in mine:
@@ -437,10 +437,8 @@ class _Kernel:
             for i, events, _ in mine:
                 split.setdefault(i - i0, []).append(
                     (r, events, z, int(first[i - i0])))
-            buf[r] = z[first]   # split steps overwrite their rows
-        # one transposed copy into the mode-major layout the steps read
-        return (None if buf is None else
-                np.ascontiguousarray(buf.transpose(1, 2, 0))), split
+            xi[:, :, r] = z[first]   # split steps overwrite their rows
+        return xi, split
 
     def run(self, seeds, starts, until=None) -> tuple:
         """Step one path per seed in lockstep, row r from starts[r].
@@ -842,11 +840,11 @@ def ensemble(cfg: SimConfig, n_traj: int, reducer=None, n_workers: int = 1,
     With n_workers > 1 on Linux the blocks are split into
     min(n_workers, blocks, bound // FORK_ROW_STEPS) contiguous shares, at
     least one, where bound = n_traj x starts x cfg.n_steps is the
-    row-steps the ensemble can take: this process runs the first and a
-    forked child each of the others.  So n_workers caps the processes,
-    this one included, and an ensemble of fewer than 2 FORK_ROW_STEPS
-    row-steps runs in this one.  Elsewhere every block runs in this
-    process.
+    row-steps the ensemble can take (a first passage counts its whole
+    horizon, though its rows stop at entrance): this process runs the
+    first and a forked child each of the others.  So n_workers caps the
+    processes, this one included, and a bound under 2 FORK_ROW_STEPS
+    runs in this one.  Elsewhere every block runs in this process.
     Results are identical for any n_workers.  A trajectory that blows up
     does not stop its siblings; once every share has returned,
     EnsembleBlowUpError is raised with a BlowUp record, carrying its index
