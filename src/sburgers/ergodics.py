@@ -705,7 +705,7 @@ def deviation_tail_probe(cfg: SimConfig, obs: Observable, r_grid, t_grid,
     """
     t_grid = sorted(float(t) for t in t_grid)
     r_grid = [float(r) for r in r_grid]
-    if not round(t_grid[0] / cfg.dt_save) >= 1:
+    if not cfg.nearest_save_time(t_grid[0]) >= cfg.dt_save:
         raise ValueError(f"probe time {t_grid[0]} is not past snapshot 0; "
                          "probe times must be at least one save interval")
     cfg = replace(cfg, t_end=t_grid[-1])

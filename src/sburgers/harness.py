@@ -670,10 +670,8 @@ def _est_gamma(cfg: RunConfig, exp: dict, n_workers: int):
     sep = _field(exp, "experiment", "separation", default=2.0, positive=True)
     n_points = _field(exp, "experiment", "n_points", _as_int, 20, minimum=3,
                       maximum=_MAX_COUNT)
-    t_grid = np.linspace(sim.dt_save,
-                         sim.t_end, n_points)
-    t_grid = np.round(t_grid / sim.dt_save) * sim.dt_save
-    t_grid = _sorted_unique(t_grid)
+    t_grid = _sorted_unique(sim.nearest_save_time(
+        np.linspace(sim.dt_save, sim.t_end, n_points)))
     rep = ergodic_decay(sim, sep * basis_field(1, sim.n_modes),
                         zero_field(sim.n_modes),
                         observable_dictionary(sim.n_modes), t_grid,

@@ -56,11 +56,11 @@ state-dependent jump direction's field_at.
 Snapshots and blow-ups are taken from the chunk buffer once per chunk.
 An ensemble may also give a first-passage stop: a row finishes at its
 first snapshot where a row-wise test holds, and a blow-up counts only at
-or before the finish.  A row that finished or blew up leaves the block at
-the end of its chunk: its column leaves the state, its generators draw
-nothing more, and the block steps only its live rows, so it stops once
-every row has left.  The chunk length is fixed by the block's first
-width, so it also bounds how far a row steps past its finish.
+or before the finish; such a block keeps no snapshots.  A row that
+finished or blew up leaves the block at the end of its chunk: its column
+leaves the state, its generators draw nothing more, and the block steps
+only its live rows, so it stops once every row has left.  The chunk
+length, fixed by the block's first width, bounds a row's overshoot.
 
 The step formula lives in two _Kernel helpers: _gaussian_increment is
 the noise term e^(-alpha_k h) beta_k sqrt(h) xi_k and _deterministic the
@@ -225,6 +225,10 @@ class SimConfig:
         if i is None or not 0 <= i <= save_count(self.t_end, self.dt_save):
             raise ValueError(f"time {t} is not on the snapshot grid")
         return i
+
+    def nearest_save_time(self, t):
+        """The save-grid time nearest t (an array: each): halves to even."""
+        return np.round(t / self.dt_save) * self.dt_save
 
 
 def save_count(t: float, interval: float) -> int | None:
@@ -451,23 +455,23 @@ class _Kernel:
         direction's field_at read row-major copies, because numpy sums a
         strided last axis in another order than a contiguous one.
 
-        Returns the snapshots, shape (R, n_saves + 1, N), the jump logs,
-        {row: (time, norm)} for the rows that left the trust region, found
-        per chunk at the first step whose norm is not <= BLOWUP_NORM, and
-        {row: snapshot index} for the rows that finished.  Raises
-        ValueError, before any event is drawn, if the snapshot array cannot
-        be allocated or a path expects more than MAX_JUMP_EVENTS events.
+        Returns the snapshots, shape (R, n_saves + 1, N), or None with
+        until, the jump logs, {row: (time, norm)} for the rows that left the
+        trust region, found per chunk at the first step whose norm is not
+        <= BLOWUP_NORM, and {row: snapshot index} for the rows that
+        finished.  Raises ValueError, before any event is drawn, if the
+        snapshots do not fit or a path expects over MAX_JUMP_EVENTS events.
 
-        until, if given, maps a chunk's snapshots (k, R, N) to a (k, R) bool
-        mask and must treat each row on its own.  A row finishes at its
-        first snapshot (t = 0 included) where the mask is True, unless it
-        left the trust region at or before that step; a later blow-up of a
-        finished row is not recorded.  A blown or finished row leaves the
-        block at the end of its chunk: its column is dropped from the state
-        with one copy, its generators draw nothing more, and its snapshots
-        after that chunk are unset.  Every row keeps its own draws in their
-        order, so its siblings run on unchanged.  The loop stops once every
-        row has left.
+        until, if given, maps a chunk's snapshots (k, R, N), kept nowhere
+        else, to a (k, R) bool mask and must treat each row on its own.  A
+        row finishes at its first snapshot (t = 0 included) where the mask
+        is True, unless it left the trust region at or before that step; a
+        later blow-up of a finished row is not recorded.  A blown or
+        finished row leaves the block at the end of its chunk: its column is
+        dropped from the state with one copy, its generators draw nothing
+        more, and a blown row's snapshots after that chunk are unset.  Each
+        row keeps its own draws in their order, so its siblings run on
+        unchanged.  The loop stops once every row has left.
         """
         cfg = self.cfg
         n = cfg.n_modes
@@ -476,8 +480,9 @@ class _Kernel:
         n_steps = cfg.n_steps
         save_every = save_count(cfg.dt_save, dt)
         n_saves = n_steps // save_every
-        try:             # before the events of the whole horizon are drawn
-            snaps = np.empty((n_rows, n_saves + 1, n))
+        try:     # none for a first passage; before any event is drawn
+            snaps = None if until is not None else \
+                np.empty((n_rows, n_saves + 1, n))
         except MemoryError as err:
             raise ValueError(
                 f"{n_rows} x {n_saves + 1} snapshots of {n} modes "
@@ -502,9 +507,10 @@ class _Kernel:
 
         rows = np.asarray(starts, dtype=float)
         a = rows.T                                # mode-major, (N, R)
-        snaps[:, 0] = rows
         logs = [[] for _ in seeds]
         blown = {}
+        if snaps is not None:
+            snaps[:, 0] = rows
         finish = {} if until is None else \
             dict.fromkeys(np.flatnonzero(until(rows[None])[0]).tolist(), 0)
         lanes = not cfg.nonlinearity_on and cfg.jumps is None \
@@ -560,7 +566,8 @@ class _Kernel:
                 saved = np.ascontiguousarray(
                     path[first::save_every].transpose(2, 0, 1))
                 s0 = (i0 + first + 1) // save_every
-                snaps[live, s0:s0 + saved.shape[1]] = saved
+                if snaps is not None:
+                    snaps[live, s0:s0 + saved.shape[1]] = saved
                 bad = {}         # position -> its first bad step in the chunk
                 if not float(np.square(path).sum()) <= _SAFE_NORM_SQ:
                     norms = np.sqrt(norm_h_sq(np.ascontiguousarray(
@@ -790,7 +797,7 @@ def _run_block(cfg: SimConfig, first: int, n_rows: int, reducer, until,
     sub-seed.  Returns (path, groups): groups[g] holds the results from
     starts[g] in trajectory order, a BlowUp record for a row that blew up.
     A result is the reducer's value of the row's Trajectory, or with
-    until the row's entrance time, the time of its finish snapshot, or
+    until the row's entrance time, its finish snapshot index x dt_save, or
     nan if it never finished.  With main, the main path (seed cfg.seed,
     from cfg.x0) is stepped as row 0 and returned unreduced as path (None
     otherwise); BlowUpError is raised if it blows up.
@@ -802,8 +809,9 @@ def _run_block(cfg: SimConfig, first: int, n_rows: int, reducer, until,
         seeds.insert(0, cfg.seed)
         rows = np.concatenate([_start_rows(cfg, [cfg.x0]), rows])
     snaps, logs, blown, finish = _Kernel(cfg).run(seeds, rows, until)
-    times = np.arange(snaps.shape[1]) * cfg.dt_save
-    times.flags.writeable = False          # shared by the block's rows
+    if snaps is not None:
+        times = np.arange(snaps.shape[1]) * cfg.dt_save
+        times.flags.writeable = False      # shared by the block's rows
     path = None
     if main:
         if 0 in blown:
@@ -811,22 +819,13 @@ def _run_block(cfg: SimConfig, first: int, n_rows: int, reducer, until,
         # its own copy, so the block's snapshots are freed once reduced
         path = Trajectory(times=times, coeffs=snaps[0].copy(),
                           jump_log=tuple(logs[0]))
-
-    def result(j: int):
-        if until is not None:
-            return float(times[finish[j]]) if j in finish else math.nan
-        return reducer(Trajectory(times=times, coeffs=snaps[j],
-                                  jump_log=tuple(logs[j])))
-
-    groups = []
-    for g in range(len(starts)):
-        out = []
-        for r in range(n_rows):
-            j = main + g * n_rows + r
-            out.append(BlowUp(first + r, *blown[j]) if j in blown
-                       else result(j))
-        groups.append(out)
-    return path, groups
+    out = [BlowUp(first + (j - main) % n_rows, *blown[j]) if j in blown
+           else float(finish.get(j, math.nan) * cfg.dt_save) if snaps is None
+           else reducer(Trajectory(times=times, coeffs=snaps[j],
+                                   jump_log=tuple(logs[j])))
+           for j in range(main, len(seeds))]
+    return path, [out[g * n_rows:(g + 1) * n_rows]
+                  for g in range(len(starts))]
 
 
 def ensemble(cfg: SimConfig, n_traj: int, reducer=None, n_workers: int = 1,
@@ -856,7 +855,7 @@ def ensemble(cfg: SimConfig, n_traj: int, reducer=None, n_workers: int = 1,
     result is its entrance time, the first save-grid time where until
     holds (0 for a start where it holds), or nan if it never holds by
     t_end.  A blow-up counts only at or before the entrance, and a block
-    stops stepping once each of its rows has entered or blown up.
+    keeps no snapshots and stops once each row has entered or blown up.
 
     Parameters
     ----------

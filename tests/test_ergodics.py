@@ -7,6 +7,7 @@ on short runs.
 """
 
 import math
+import re
 from sburgers import replace
 from functools import partial
 
@@ -20,7 +21,7 @@ from sburgers.noise import (
 )
 from sburgers import ergodics, integrator
 from sburgers.integrator import BLOCK_ROWS, EnsembleBlowUpError, SimConfig, \
-    Trajectory, _Kernel, simulate, ensemble
+    Trajectory, _Kernel, simulate, ensemble, save_count
 from sburgers.lyapunov import DriftConstants
 from sburgers.ergodics import (
     Observable, EnvelopeViolation, OccupationHistogram, MdpConfig,
@@ -653,6 +654,28 @@ class TestDeviationProbe:
             with pytest.raises(ValueError, match=message):
                 deviation_tail_probe(cfg, mode_coefficient(1), (0.1,),
                                      t_grid, 4, 0.0)
+
+    @pytest.mark.parametrize("t", [0.0, 1e-12, 0.02, 0.025, 0.0250001,
+                                   0.05, 0.055, 0.074, 0.075, 1.0, -0.05])
+    def test_past_snapshot_zero_check(self, t):
+        # the probe's check on the save grid accepts exactly the times
+        # with round(t / dt_save) >= 1: 0.02 is refused as not past
+        # snapshot 0, and 0.055 passes it and fails as off the grid
+        cfg = SimConfig(n_modes=1, dt=0.01, t_end=1.0, dt_save=0.05,
+                        gaussian=GaussianSpec(np.array([1.0])))
+        past = round(t / cfg.dt_save) >= 1
+        assert (cfg.nearest_save_time(t) >= cfg.dt_save) == past
+        probe = partial(deviation_tail_probe, cfg, mode_coefficient(1),
+                        (0.1,), (t, 1.0), 4, 0.0)
+        if not past:
+            message = f"probe time {t} is not past snapshot 0"
+        elif save_count(t, cfg.dt_save) is None:
+            message = f"time {t} is not on the snapshot grid"
+        else:
+            assert len(probe()) == 2
+            return
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            probe()
 
     def test_time_on_snapshot_zero_rejected(self):
         # 1e-12 is within the multiple test's slack of 0 save intervals:

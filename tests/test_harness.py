@@ -983,6 +983,14 @@ class TestCli:
         (long_linear(0.05), ["estimate", "expmoment"], "error: model.t_end: the estimate of "
          "E exp(theta lam int ||X||_V dt) to t_end = 20000.0 is beyond the "
          "double range\n"),
+        # a first passage keeps no snapshots: 10^14 save intervals to t_max
+        # are no obstacle when every path starts inside the ball
+        (changed_raw({"jump": None}, model={
+            "n_modes": 1, "dt": 1e-3, "t_end": 1.0, "dt_save": 1e-2,
+            "nonlinearity": False}, gaussian={"betas": [1.0]},
+            experiment={**ESTIMATE_SMALL, "t_max": 1e12,
+                        "initial_v_norm": 1.0}),
+         ["estimate", "hitting"], (lambda out: estimate_record(out)["n"], 4)),
     ], ids=["dt_save-not-multiple", "top-level-list", "negative-seed-flag",
             "model-not-object", "too-many-coefficients",
             "mark-kind-not-string", "negative-intensity",
@@ -1008,7 +1016,8 @@ class TestCli:
             "verify-direction-norm-overflows",
             "hitting-direction-moment-beyond-range",
             "expmoment-ceiling-beyond-range",
-            "expmoment-estimate-beyond-range"])
+            "expmoment-estimate-beyond-range",
+            "hitting-horizon-beyond-snapshot-memory"])
     def test_rarely_reached_paths(self, tmp_path, capsys, monkeypatch, raw,
                                   command, expected):
         if callable(raw):

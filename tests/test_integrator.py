@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -34,10 +35,14 @@ from sburgers.integrator import (
     save_count,
 )
 
+from sburgers.harness import load_config
+from sburgers.lyapunov import DriftConstants
+
 from oracles import jump_only_exact_path, ou_exact_moments, \
     sequential_path
 
 PI = np.pi
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def linear_single_mode(t_end, dt=1e-3, dt_save=1e-2, seed=0, x0=None):
@@ -107,6 +112,19 @@ class TestConfigValidation:
                 cfg.save_index(t)
         else:
             assert cfg.save_index(t) == index
+
+    def test_nearest_save_time(self):
+        # the bits of np.round(t / dt_save) * dt_save, halves to even, on
+        # a float and on an array, as the gamma grid and the probe use them
+        cfg = SimConfig(n_modes=1, dt=0.01, t_end=1.0, dt_save=0.05)
+        times = np.array([0.0, 0.02, 0.025, 0.055, 0.075, 0.3, 0.7000001,
+                          1.0, -0.03, 1e-12, 123.456])
+        expected = np.round(times / 0.05) * 0.05
+        assert cfg.nearest_save_time(times).tobytes() == expected.tobytes()
+        for t, want in zip(times.tolist(), expected):
+            got = cfg.nearest_save_time(t)
+            assert np.array(got).tobytes() == want.tobytes(), t
+        assert cfg.nearest_save_time(0.025) == 0.0      # a half, to even
 
     def test_replace_checks_again(self):
         with pytest.raises(ValueError, match="dt_save"):
@@ -1218,6 +1236,35 @@ class TestFirstPassage:
             for r, state in zip(rows, states[c]):
                 if left[r] == c:
                     assert gens[r].bit_generator.state == state, (c, r)
+
+    def test_first_passage_keeps_no_snapshots(self):
+        # with until the kernel returns no snapshot array; the finish
+        # indices alone give the entrance times
+        cfg, n_rows, until, _ = self.STOP_CASES["blow_after_finish"]
+        seeds = [derive_seed(cfg.seed, i) for i in range(n_rows)]
+        snaps, logs, blown, finish = _Kernel(cfg).run(
+            seeds, _x0_rows(cfg, n_rows), until)
+        assert snaps is None and len(logs) == n_rows and blown and finish
+        assert _Kernel(cfg).run(seeds, _x0_rows(cfg, n_rows))[0].shape == \
+            (n_rows, save_count(cfg.t_end, cfg.dt_save) + 1, cfg.n_modes)
+
+    def test_first_passage_memory_independent_of_horizon(self):
+        # 100 paths of verify_drift's model from ||x0||_V = 2 k_radius
+        # enter K near t = 0.08; a (100, 5001, 8) snapshot array to t_end
+        # 50 would take 32 MB, and the run peaks near 1.7 MB without it
+        sim = load_config(CONFIGS / "verify_drift.json").sim
+        constants = DriftConstants.from_specs(sim.gaussian, sim.jumps)
+        cfg = replace(sim, t_end=50.0, x0=(2.0 * constants.k_radius / PI)
+                      * basis_field(1, sim.n_modes))
+        ensemble(cfg, 100, until=constants.in_k)    # imports, caches
+        tracemalloc.start()
+        try:
+            out = ensemble(cfg, 100, until=constants.in_k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not any(math.isnan(t) for t in out)
+        assert peak < 4e6, peak
 
     def test_start_inside_finishes_at_once(self):
         cfg, n_traj, until, _ = self.STOP_CASES["reset_rows"]

@@ -46,6 +46,10 @@ output directory:
 - simulate on default_run and hitting (--threads 2) on verify_drift at
   --seed 1180591620717411303427 (2**70 + 3), a seed of three uint32
   words, beyond the two of a sub-seed;
+- hitting on estimate_sigma2_linear with experiment.t_max 1e12, n_traj
+  4 and initial_v_norm 1, where every path starts inside the ball: a
+  first passage keeps no snapshots, so the 10^14 save intervals to t_max
+  need no memory (exit 0);
 - two pairs of runs into one output directory each, the second run after
   the first: verify on verify_drift with experiment.c1_override 0.01 (exit
   1), then on verify_drift (exit 0); and simulate on
@@ -254,6 +258,13 @@ def _runs(configs: Path, tmp: Path) -> list:
                  ["estimate", "hitting", "--config",
                   str(configs / "verify_drift.json"), "--threads", "2",
                   *big]))
+
+    cfg = "estimate_sigma2_linear_hitting_t_max1e12"
+    path = derived("estimate_sigma2_linear", cfg, lambda raw: raw.update(
+        experiment={"kind": "estimate", "t_max": 1e12, "n_traj": 4,
+                    "initial_v_norm": 1.0}))
+    runs.append((f"estimate/hitting/{cfg}",
+                 ["estimate", "hitting", "--config", path]))
 
     for first, second in (
             (tmp / "verify_drift_c1_override.json",
